@@ -42,6 +42,7 @@ from .errors import (
     SweepSolveError,
     TubeSamplingFailed,
     UnsupportedScenario,
+    UsageError,
     ValidationError,
 )
 from .hulls import min_norm_distance, min_norm_point
@@ -69,10 +70,8 @@ from .set_zoo import (
     SetInstance,
     UnionSpec,
     WedgeSpec,
-    distance,
     dykstra_project,
     instantiate,
-    project,
     select_projection,
 )
 
@@ -87,11 +86,11 @@ __all__ = [
     "ParseError", "ProjectionNotConverged", "SamplerConfig", "Scenario",
     "ScaledIdentityOperator", "SetInstance", "StepFailure", "SweepSolveError",
     "Trajectory", "TubeSamplingFailed", "UnionSpec", "UnsupportedScenario",
-    "ValidationError", "WedgeSpec", "catching_up", "check_phi_bound",
-    "distance", "dykstra_project", "estimate_alpha", "estimate_kappa",
+    "UsageError", "ValidationError", "WedgeSpec", "catching_up", "check_phi_bound",
+    "dykstra_project", "estimate_alpha", "estimate_kappa",
     "instantiate", "integrate", "kappa_tilde", "lambda_sweep",
     "lipschitz_estimate", "load_scenario", "min_norm_distance",
-    "min_norm_point", "parse_scenario", "penalized_rhs", "project",
+    "min_norm_point", "parse_scenario", "penalized_rhs",
     "read_trajectory_csv", "select_projection", "sup_diff",
     "truncated_hausdorff", "validate_scenario", "verify_constants",
     "write_trajectory_csv",

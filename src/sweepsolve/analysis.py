@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -324,6 +324,13 @@ class LambdaDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class DiagnosticsReport:
+    """Outcome of one lambda sweep.
+
+    ``trajectories`` maps each lambda whose integration succeeded to the
+    trajectory the sweep integrated and diagnosed, so callers write or
+    inspect exactly the data the verdicts were computed from.
+    """
+
     kappa_tilde: float
     alpha: float
     rho: float
@@ -334,6 +341,7 @@ class DiagnosticsReport:
     kappa_estimates: dict
     alpha_estimate: float | None
     lipschitz_bound: float
+    trajectories: dict
 
     # worst-case scalars across all lambdas
     @property
@@ -439,4 +447,5 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
         kappa_tilde=kt.value, alpha=params.alpha, rho=params.rho, margin=margin,
         per_lambda=tuple(per_lambda), convergence_table=tuple(table),
         sup_diff_monotone=monotone, kappa_estimates=dict(kt.estimates),
-        alpha_estimate=alpha_est, lipschitz_bound=kt.value / margin)
+        alpha_estimate=alpha_est, lipschitz_bound=kt.value / margin,
+        trajectories=trajs)

@@ -1,14 +1,20 @@
 """Command-line front end: solve, sweep, diagnose, estimate-set.
 
+Numeric arguments are checked once, before any work starts.  The scenario
+file is read once; its text is both hashed and parsed.  ``sweep`` writes each
+trajectory CSV from the trajectory ``lambda_sweep`` integrated and diagnosed,
+so every lambda is integrated exactly once.
+
 Exit codes: 0 when every requested check passes, 2 when a bound check fails,
-1 on any error (parse, validation, I/O, integration).  Artifacts written under
---out are byte-deterministic for a fixed (scenario, seed); timing goes to
-stderr only.
+1 on any error (arguments, parse, validation, I/O, integration).  Artifacts
+written under --out are byte-deterministic for a fixed (scenario, seed);
+timing goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -16,10 +22,11 @@ from pathlib import Path
 from . import analysis
 from .analysis import FarParameters, SamplerConfig
 from .dynamics import integrate
-from .errors import SweepSolveError
+from .errors import SweepSolveError, UsageError
 from .scenario_io import (
+    diagnostics_to_dict,
     dump_json,
-    load_scenario,
+    parse_scenario,
     read_trajectory_csv,
     report_to_dict,
     scenario_hash,
@@ -73,6 +80,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_args(args)
         code = _dispatch(args)
     except SweepSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -85,9 +93,37 @@ def main(argv=None) -> int:
     return code
 
 
+def _check_args(args) -> None:
+    """Reject out-of-range numeric arguments; turns ``--r`` into a list of radii."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    lam = getattr(args, "lam", None)
+    if lam is not None and not (lam > 0 and math.isfinite(lam)):
+        raise UsageError(f"--lam must be a positive finite number, got {lam!r}")
+    if args.command != "estimate-set":
+        return
+    for flag, count in (("--samples", args.samples), ("--alpha-samples", args.alpha_samples)):
+        if count < 1:
+            raise UsageError(f"{flag} must be at least 1, got {count}")
+    radii = []
+    for item in str(args.r).split(","):
+        if not item.strip():
+            continue
+        try:
+            r = float(item)
+        except ValueError:
+            raise UsageError(f"--r: {item.strip()!r} is not a number") from None
+        if not (r > 0 and math.isfinite(r)):
+            raise UsageError(f"--r: radii must be positive and finite, got {r!r}")
+        radii.append(r)
+    if not radii:
+        raise UsageError("--r must list at least one radius")
+    args.r = radii
+
+
 def _dispatch(args) -> int:
     text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = load_scenario(args.scenario)
+    scenario = parse_scenario(text, source=str(args.scenario))
     digest = scenario_hash(text)
     out_dir = Path(args.out if args.out is not None else scenario.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -107,20 +143,6 @@ def _lam_tag(lam: float) -> str:
     return format(lam, "g").replace("-", "m")
 
 
-def _diag_dict(diag) -> dict:
-    return {
-        "lambda": diag.lam,
-        "status": diag.status,
-        "phi_max": diag.phi_max,
-        "phi_bound": diag.phi_bound,
-        "bound_satisfied": diag.bound_satisfied,
-        "worst_ratio": diag.worst_ratio,
-        "lipschitz_estimate": diag.lipschitz_estimate,
-        "lipschitz_bound": diag.lipschitz_bound,
-        "lipschitz_ok": diag.lipschitz_ok,
-    }
-
-
 def _run_solve(args, scenario, digest, out_dir) -> int:
     lam = args.lam if args.lam is not None else scenario.lambdas[0]
     traj = integrate(scenario, lam)
@@ -136,7 +158,7 @@ def _run_solve(args, scenario, digest, out_dir) -> int:
         "seed": args.seed,
         "kappa_tilde": kt.value,
         "trajectory_csv": csv_name,
-        **_diag_dict(diag),
+        **diagnostics_to_dict(diag),
     }
     dump_json(out_dir / "summary.json", summary)
     print(f"lambda={lam:g} phi_max={diag.phi_max:.6g} bound={diag.phi_bound:.6g} "
@@ -147,11 +169,7 @@ def _run_solve(args, scenario, digest, out_dir) -> int:
 def _run_sweep(args, scenario, digest, out_dir) -> int:
     report = analysis.lambda_sweep(scenario, grid_points=scenario.output.grid_points,
                                    seed=args.seed, jobs=max(1, args.jobs))
-    for lam in scenario.lambdas:
-        entry = next(d for d in report.per_lambda if d.lam == lam)
-        if entry.status != "ok":
-            continue
-        traj = integrate(scenario, lam)  # deterministic re-run keeps memory flat
+    for lam, traj in report.trajectories.items():
         write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
     payload = {"subcommand": "sweep", "scenario_hash": digest, "seed": args.seed,
                **report_to_dict(report)}
@@ -176,7 +194,7 @@ def _run_diagnose(args, scenario, digest, out_dir) -> int:
     diag = analysis.diagnose_trajectory(traj, scenario, kt.value, params)
     payload = {"subcommand": "diagnose", "scenario_hash": digest, "seed": args.seed,
                "kappa_tilde": kt.value, "trajectory_csv": str(args.traj),
-               **_diag_dict(diag)}
+               **diagnostics_to_dict(diag)}
     dump_json(out_dir / "diagnose.json", payload)
     print(f"lambda={lam:g} phi_max={diag.phi_max:.6g} bound_ok={diag.bound_satisfied} "
           f"lipschitz_ok={diag.lipschitz_ok}")
@@ -184,9 +202,6 @@ def _run_diagnose(args, scenario, digest, out_dir) -> int:
 
 
 def _run_estimate_set(args, scenario, digest, out_dir) -> int:
-    radii = [float(v) for v in str(args.r).split(",") if v.strip()]
-    if not radii:
-        raise SweepSolveError("--r must list at least one radius")
     sampler = SamplerConfig(kind="grid", count=args.samples, seed=args.seed)
     spec = scenario.moving_set
     t_pairs = analysis.default_time_pairs(scenario.T)
@@ -194,25 +209,21 @@ def _run_estimate_set(args, scenario, digest, out_dir) -> int:
 
     kappa_estimates = {}
     L_hat = 0.0
-    for r in radii:
+    for r in args.r:
         k_r, L_r = analysis.estimate_kappa(spec, r, t_pairs, x_pairs, sampler,
                                            x_ref=scenario.x0)
         kappa_estimates[format(r, "g")] = k_r
         L_hat = max(L_hat, L_r)
 
-    import math
     rho = scenario.rho_assumed if math.isfinite(scenario.rho_assumed) else 1.0
     inst0 = instantiate(spec, 0.0, scenario.x0)
     alpha_estimate = analysis.estimate_alpha(inst0, rho, args.alpha_samples, args.seed)
 
     dt = scenario.T / 10.0
-    hausdorff_samples = []
-    for r in radii:
-        inst_a = instantiate(spec, 0.0, scenario.x0)
-        inst_b = instantiate(spec, dt, scenario.x0)
-        hausdorff_samples.append(
-            {"r": r, "dt": dt,
-             "value": analysis.truncated_hausdorff(inst_a, inst_b, r, sampler)})
+    inst_b = instantiate(spec, dt, scenario.x0)
+    hausdorff_samples = [
+        {"r": r, "dt": dt, "value": analysis.truncated_hausdorff(inst0, inst_b, r, sampler)}
+        for r in args.r]
 
     payload = {
         "subcommand": "estimate-set",

@@ -1,9 +1,12 @@
 """Penalized dynamics: right-hand side construction, time stepping, catching-up oracle.
 
 The penalized motion follows -dx/dt = (A(x) - p)/lambda with p the selected
-nearest point of A(x) on the instantaneous set; the velocity vanishes exactly
-whenever A(x) is a member.  Explicit steppers must resolve the 1/lambda decay,
-hence every method is capped by the stiffness guard h <= c*lambda/(1 + M).
+nearest point of A(x) on the instantaneous set.  Each right-hand-side
+evaluation makes one set query, the projection: for a member A(x) every set
+kind returns A(x) itself, so the velocity vanishes exactly there.  Explicit
+steppers must resolve the 1/lambda decay, hence every method is capped by the
+stiffness guard h <= c*lambda/(1 + M).  Once the grid is fixed, each node's
+operator image is computed once and feeds both the stored images and phi.
 """
 
 from __future__ import annotations
@@ -96,22 +99,20 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """Velocity of the penalized dynamics at (t, x).
 
     Returns (p - A(x))/lambda with p the lexicographic selection among the
-    nearest points of A(x); exactly zero whenever A(x) is a member.
+    nearest points of A(x); exactly +0.0 whenever A(x) is a member, because
+    the projection of a member is the point itself.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     x = as_vector(x, scenario.n, "x")
     z = scenario.operator.apply(x)
-    inst = instantiate(scenario.moving_set, t, x)
-    if inst.distance(z) == 0.0:
-        return np.zeros(scenario.n)
-    p = select_projection(inst.project(z))
+    p = select_projection(instantiate(scenario.moving_set, t, x).project(z))
     return (p - z) / lam
 
 
-def _phi(scenario, t, x):
-    inst = instantiate(scenario.moving_set, t, x)
-    return float(inst.distance(scenario.operator.apply(x)))
+def _phi(scenario, t, x, z):
+    """Distance of the image z = A(x) to C(t, x)."""
+    return float(instantiate(scenario.moving_set, t, x).distance(z))
 
 
 def _rk4_step(f, t, x, h):
@@ -132,7 +133,6 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     op = scenario.operator
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    T = float(scenario.T)
     guard = cfg.safety * lam / (1.0 + op.M)
 
     evals = [0]
@@ -229,7 +229,7 @@ def _integrate_adaptive(scenario, lam, f, guard):
 def _assemble(scenario, lam, times, states, stats):
     op = scenario.operator
     images = np.array([op.apply(x) for x in states])
-    phis = np.array([_phi(scenario, t, x) for t, x in zip(times, states)])
+    phis = np.array([_phi(scenario, t, x, z) for t, x, z in zip(times, states, images)])
     return Trajectory(times, states, images, phis, lam, stats)
 
 
@@ -269,7 +269,7 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     times[0] = 0.0
     states[0] = x
     images[0] = z
-    phis[0] = _phi(scenario, 0.0, x)
+    phis[0] = _phi(scenario, 0.0, x, z)
     for k in range(n_steps):
         t = (k + 1) * h_eff
         inst = instantiate(spec, t, x)

@@ -45,6 +45,10 @@ class TubeSamplingFailed(SweepSolveError):
     """No sample landed in the requested tube around the set."""
 
 
+class UsageError(SweepSolveError):
+    """A command-line argument is malformed or out of range."""
+
+
 class ParseError(SweepSolveError):
     """A scenario document is syntactically or structurally invalid."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import IntegratorConfig, Scenario, StepStats, Trajectory
-from .errors import ParseError, SweepSolveError, ValidationError
+from .errors import ParseError, ValidationError
 from .operators import IdentityOperator, LinearSPDOperator, ScaledIdentityOperator
 from .set_zoo import (
     BallSpec,
@@ -201,25 +201,19 @@ def _build_set(node, n, path, allow_nonconvex=True):
 
 
 def _build_integrator(node, path):
+    """Range checks live in IntegratorConfig; its ValueError is re-addressed here."""
     if node is None:
         return IntegratorConfig()
     node = _expect_object(node, path)
     _check_keys(node, path, {"method", "safety", "h_max", "tol_adapt"})
-    kwargs = {}
+    kwargs = {key: _number(node[key], f"{path}.{key}")
+              for key in ("safety", "h_max", "tol_adapt") if key in node}
     if "method" in node:
-        if node["method"] not in ("euler", "rk4", "adaptive"):
-            raise ParseError(f"{path}.method: must be euler, rk4 or adaptive")
         kwargs["method"] = node["method"]
-    if "safety" in node:
-        v = _number(node["safety"], f"{path}.safety", positive=True)
-        if v > 1.0:
-            raise ParseError(f"{path}.safety: must lie in (0, 1]")
-        kwargs["safety"] = v
-    if "h_max" in node:
-        kwargs["h_max"] = _number(node["h_max"], f"{path}.h_max", positive=True)
-    if "tol_adapt" in node:
-        kwargs["tol_adapt"] = _number(node["tol_adapt"], f"{path}.tol_adapt", positive=True)
-    return IntegratorConfig(**kwargs)
+    try:
+        return IntegratorConfig(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +380,40 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Round-trip reader for CSVs produced by write_trajectory_csv."""
+    """Round-trip reader for CSVs produced by write_trajectory_csv.
+
+    Any malformed content (bad lambda header, column layout, ragged row,
+    non-numeric cell, fewer than two data rows) raises ParseError.
+    """
     lam = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if lines and lines[0].startswith("#"):
         head = lines.pop(0)
         if "lambda" in head and "=" in head:
-            lam = float(head.split("=", 1)[1])
+            try:
+                lam = float(head.split("=", 1)[1])
+            except ValueError:
+                raise ParseError(f"{path}: lambda header is not a number: {head!r}") from None
     if not lines:
         raise ParseError(f"{path}: empty trajectory file")
     header = lines.pop(0).split(",")
     if header[0] != "t" or header[-1] != "phi" or (len(header) - 2) % 2 != 0:
         raise ParseError(f"{path}: unexpected column layout {header}")
+    if len(lines) < 2:
+        raise ParseError(f"{path}: a trajectory needs at least two data rows, got {len(lines)}")
     n = (len(header) - 2) // 2
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
-    if rows.shape[1] != len(header):
-        raise ParseError(f"{path}: ragged rows")
+    values = []
+    for i, ln in enumerate(lines, start=1):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"{path}: data row {i} has {len(cells)} cells, "
+                             f"header has {len(header)}")
+        try:
+            values.append([float(v) for v in cells])
+        except ValueError:
+            raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
+    rows = np.array(values)
     return Trajectory(times=rows[:, 0], states=rows[:, 1:1 + n],
                       images=rows[:, 1 + n:1 + 2 * n], phis=rows[:, -1],
                       lam=lam, stats=StepStats(rows.shape[0] - 1, 0, 0, 0.0, 0.0))
@@ -434,20 +445,25 @@ def dump_json(path, payload) -> None:
         fh.write("\n")
 
 
+def diagnostics_to_dict(diag) -> dict:
+    """The per-lambda verdict fields shared by summary, diagnose and report JSON."""
+    return {
+        "lambda": diag.lam,
+        "status": diag.status,
+        "phi_max": diag.phi_max,
+        "phi_bound": diag.phi_bound,
+        "bound_satisfied": diag.bound_satisfied,
+        "worst_ratio": diag.worst_ratio,
+        "lipschitz_estimate": diag.lipschitz_estimate,
+        "lipschitz_bound": diag.lipschitz_bound,
+        "lipschitz_ok": diag.lipschitz_ok,
+    }
+
+
 def report_to_dict(report) -> dict:
-    per_lambda = [{
-        "lambda": d.lam,
-        "status": d.status,
-        "phi_max": d.phi_max,
-        "phi_bound": d.phi_bound,
-        "bound_satisfied": d.bound_satisfied,
-        "worst_ratio": d.worst_ratio,
-        "lipschitz_estimate": d.lipschitz_estimate,
-        "lipschitz_bound": d.lipschitz_bound,
-        "lipschitz_ok": d.lipschitz_ok,
-        "steps_accepted": d.n_accepted,
-        "steps_rejected": d.n_rejected,
-    } for d in report.per_lambda]
+    per_lambda = [{**diagnostics_to_dict(d),
+                   "steps_accepted": d.n_accepted,
+                   "steps_rejected": d.n_rejected} for d in report.per_lambda]
     return {
         "kappa_tilde": report.kappa_tilde,
         "alpha": report.alpha,

@@ -2,12 +2,16 @@
 
 Every set family is described by an immutable spec that can be frozen at a
 given (t, x) into a :class:`SetInstance`.  Instances answer exact distance
-queries and return the full (possibly multi-valued) nearest-point set.
+queries and return the full (possibly multi-valued) nearest-point set.  The
+nearest-point set of a point at distance 0 is that point alone, so one
+projection query also answers membership.  Spec properties shared by several
+families are defined once: in ``_GainDriven`` for the families moved by a
+scalar state gain, and in ``_Composite`` for the families built from members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -61,8 +65,6 @@ def _frozen(v):
 class SetInstance:
     """A moving set frozen at one (t, x): pure geometry, immutable, shareable."""
 
-    convex = True
-    multiplicity_bound = 1
     member_tol = MEMBER_TOL
 
     def __init__(self, n):
@@ -194,9 +196,6 @@ class BoxInstance(SetInstance):
 class WedgeInstance(SetInstance):
     """Translate of {(a, b) : b >= -|a|}; nonconvex, projections on two rays."""
 
-    convex = False
-    multiplicity_bound = 2
-
     # boundary ray directions of the reference wedge, apex at the origin
     _RAYS = (np.array([1.0, -1.0]) / _SQRT2, np.array([-1.0, -1.0]) / _SQRT2)
 
@@ -307,14 +306,11 @@ class HalfSpaceIntersectionInstance(SetInstance):
 class UnionInstance(SetInstance):
     """Union of convex instances; distance is the member minimum."""
 
-    convex = False
-
     def __init__(self, members):
         if not members:
             raise EmptyCandidates("union needs at least one member")
         super().__init__(members[0].n)
         self.members = tuple(members)
-        self.multiplicity_bound = len(members)
 
     def distance(self, z):
         z = as_vector(z, self.n, "z")
@@ -342,8 +338,47 @@ class UnionInstance(SetInstance):
 # moving-set specs
 # ---------------------------------------------------------------------------
 
+class _GainDriven:
+    """Convex family whose state dependence is one scalar ``state_gain``."""
+
+    convex = True
+
+    @property
+    def state_lipschitz(self) -> float:
+        return abs(self.state_gain)
+
+    @property
+    def state_dependent(self) -> bool:
+        return self.state_gain != 0.0
+
+
+class _Composite:
+    """Family built from a nonempty tuple of same-dimension ``members``."""
+
+    def __post_init__(self):
+        members = tuple(self.members)
+        if not members:
+            raise EmptyCandidates(f"{type(self).__name__} needs at least one member")
+        dims = {m.n for m in members}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
+        object.__setattr__(self, "members", members)
+
+    @property
+    def n(self):
+        return self.members[0].n
+
+    @property
+    def state_lipschitz(self) -> float:
+        return max(m.state_lipschitz for m in self.members)
+
+    @property
+    def state_dependent(self) -> bool:
+        return any(m.state_dependent for m in self.members)
+
+
 @dataclass(frozen=True, eq=False)
-class HalfSpaceSpec:
+class HalfSpaceSpec(_GainDriven):
     """C(t, x) = {z : <zeta(t), z> <= beta0 + drift*t + state_gain*<u, x>}.
 
     The normal path is either constant or rotates in the fixed 2-plane spanned
@@ -384,17 +419,6 @@ class HalfSpaceSpec:
     def n(self):
         return self.normal.size
 
-    convex = True
-    multiplicity_bound = 1
-
-    @property
-    def state_lipschitz(self) -> float:
-        return abs(self.state_gain)
-
-    @property
-    def state_dependent(self) -> bool:
-        return self.state_gain != 0.0
-
     def zeta(self, t):
         if self.rotation_rate == 0.0:
             return self.normal
@@ -412,7 +436,7 @@ class HalfSpaceSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class BallSpec:
+class BallSpec(_GainDriven):
     """Ball with affinely moving center c(t, x) = center + velocity*t + state_gain*x."""
 
     center: np.ndarray
@@ -431,17 +455,6 @@ class BallSpec:
     @property
     def n(self):
         return self.center.size
-
-    convex = True
-    multiplicity_bound = 1
-
-    @property
-    def state_lipschitz(self) -> float:
-        return abs(self.state_gain)
-
-    @property
-    def state_dependent(self) -> bool:
-        return self.state_gain != 0.0
 
     def freeze(self, t, x):
         c = self.center + t * self.velocity
@@ -476,7 +489,6 @@ class BoxSpec:
         return self.lower.size
 
     convex = True
-    multiplicity_bound = 1
     state_lipschitz = 0.0
     state_dependent = False
 
@@ -503,7 +515,6 @@ class WedgeSpec:
 
     n = 2
     convex = False
-    multiplicity_bound = 2
     state_lipschitz = 0.0
     state_dependent = False
 
@@ -512,34 +523,12 @@ class WedgeSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpaceIntersectionSpec:
+class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families."""
 
     members: tuple
 
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise EmptyCandidates("intersection needs at least one member")
-        dims = {m.n for m in members}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def n(self):
-        return self.members[0].n
-
     convex = True
-    multiplicity_bound = 1
-
-    @property
-    def state_lipschitz(self) -> float:
-        return max(m.state_lipschitz for m in self.members)
-
-    @property
-    def state_dependent(self) -> bool:
-        return any(m.state_dependent for m in self.members)
 
     def freeze(self, t, x):
         inst = HalfSpaceIntersectionInstance([m.freeze(t, x) for m in self.members])
@@ -548,39 +537,17 @@ class HalfSpaceIntersectionSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class UnionSpec:
+class UnionSpec(_Composite):
     """Union of convex families; flagged nonconvex."""
 
     members: tuple
 
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise EmptyCandidates("union needs at least one member")
-        dims = {m.n for m in members}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
-        if not all(m.convex for m in members):
-            raise InvalidVector("union members must be convex variants")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def n(self):
-        return self.members[0].n
-
     convex = False
 
-    @property
-    def multiplicity_bound(self):
-        return len(self.members)
-
-    @property
-    def state_lipschitz(self) -> float:
-        return max(m.state_lipschitz for m in self.members)
-
-    @property
-    def state_dependent(self) -> bool:
-        return any(m.state_dependent for m in self.members)
+    def __post_init__(self):
+        super().__post_init__()
+        if not all(m.convex for m in self.members):
+            raise InvalidVector("union members must be convex variants")
 
     def freeze(self, t, x):
         frozen = []
@@ -605,16 +572,6 @@ def instantiate(spec, t, x) -> SetInstance:
         raise InvalidVector(f"time must be finite, got {t!r}")
     x = as_vector(x, spec.n, "x")
     return spec.freeze(float(t), x)
-
-
-def distance(inst: SetInstance, z) -> float:
-    """Exact distance from z to the frozen set."""
-    return inst.distance(as_vector(z, inst.n, "z"))
-
-
-def project(inst: SetInstance, z):
-    """All nearest points of z on the frozen set (ties within 1e-9 kept)."""
-    return inst.project(z)
 
 
 def select_projection(candidates) -> np.ndarray:

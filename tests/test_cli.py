@@ -102,3 +102,48 @@ def test_missing_file_is_reported(tmp_path):
     code = run_cli("solve", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--lam", "0"),
+    ("solve", "--lam", "-0.05"),
+    ("diagnose", "--traj", "unused.csv", "--lam", "nan"),
+    ("sweep", "--seed", "-1"),
+    ("estimate-set", "--r", "a,1"),
+    ("estimate-set", "--r", "-1"),
+    ("estimate-set", "--r", ","),
+    ("estimate-set", "--samples", "0"),
+    ("estimate-set", "--alpha-samples", "0"),
+])
+def test_bad_numeric_argument_is_one_error_line(tmp_path, drift_file, capsys, argv):
+    code = run_cli(argv[0], "--scenario", drift_file, "--out", str(tmp_path), *argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not any(tmp_path.iterdir())  # rejected before any work
+
+
+def test_sweep_integrates_each_lambda_once(tmp_path, drift_file, monkeypatch):
+    from sweepsolve import analysis, cli, dynamics
+
+    calls = []
+
+    def counting(scenario, lam):
+        calls.append(lam)
+        return dynamics.integrate(scenario, lam)
+
+    monkeypatch.setattr(analysis, "integrate", counting)
+    monkeypatch.setattr(cli, "integrate", counting)
+    assert run_cli("sweep", "--scenario", drift_file, "--out", str(tmp_path)) == 0
+    assert calls == json.loads(open(drift_file).read())["lambdas"]
+
+
+def test_sweep_csv_matches_solve_csv(tmp_path, drift_file):
+    sweep_out = tmp_path / "sweep"
+    assert run_cli("sweep", "--scenario", drift_file, "--out", str(sweep_out)) == 0
+    for lam in json.loads(open(drift_file).read())["lambdas"]:
+        solve_out = tmp_path / f"solve_{lam}"
+        assert run_cli("solve", "--scenario", drift_file, "--out", str(solve_out),
+                       "--lam", str(lam)) == 0
+        name = f"trajectory_lam{lam:g}.csv"
+        assert (sweep_out / name).read_bytes() == (solve_out / name).read_bytes(), name

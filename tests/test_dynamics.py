@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sweepsolve as sw
+from sweepsolve import dynamics
 from conftest import (
     decay_scenario,
     drift_halfspace_scenario,
@@ -32,6 +33,50 @@ def test_rhs_scales_with_operator_and_lambda():
     sc = decay_scenario(gamma=2.0)
     v = sw.penalized_rhs(sc, 0.5, 0.0, np.array([1.0]))
     assert v == pytest.approx(np.array([-4.0]))  # (0 - 2)/0.5
+
+
+class _QueryLog:
+    """Proxy of a set instance that records which attributes are used."""
+
+    def __init__(self, inst, log):
+        self._inst, self._log = inst, log
+
+    def __getattr__(self, name):
+        self._log.append(name)
+        return getattr(self._inst, name)
+
+
+_CORNER = (sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.0]))
+
+
+@pytest.mark.parametrize("spec, member, outside", [
+    (sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=0.4), [-1.0, 0.5], [2.0, 2.0]),
+    (sw.BallSpec(center=[1.0, -1.0], radius=0.7), [1.2, -0.8], [3.0, 0.0]),
+    (sw.BoxSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0]), [0.3, 1.0], [2.0, -3.0]),
+    (sw.WedgeSpec(apex=[0.5, -0.5]), [0.5, 1.0], [0.5, -2.0]),   # tie on the axis
+    (sw.HalfSpaceIntersectionSpec(_CORNER), [-1.0, -0.5], [1.0, 0.5]),
+    (sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5),
+                   sw.BallSpec(center=[2.0, 0.0], radius=0.5))), [2.0, 0.2], [0.0, 1.0]),
+], ids=["half_space", "ball", "box", "wedge", "intersection", "union"])
+def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
+    lam = 0.25
+    sc = sw.Scenario(n=2, T=1.0, x0=np.array(member), operator=sw.IdentityOperator(),
+                     moving_set=spec, lambdas=(lam,))
+    log = []
+    real = dynamics.instantiate
+    monkeypatch.setattr(dynamics, "instantiate",
+                        lambda *args: _QueryLog(real(*args), log))
+
+    v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
+    assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
+    assert log == ["project"]
+
+    log.clear()
+    z = np.array(outside)
+    v = sw.penalized_rhs(sc, lam, 0.0, z)
+    expected = (sw.select_projection(real(spec, 0.0, z).project(z)) - z) / lam
+    assert np.array_equal(v, expected) and np.any(v != 0.0)
+    assert log == ["project"]
 
 
 def test_rhs_requires_positive_lambda():

@@ -214,3 +214,22 @@ def test_csv_columns_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# lambda = ")
     assert lines[1] == "t,x_1,x_2,z_1,z_2,phi"
+
+
+@pytest.mark.parametrize("body", [
+    "t,x_1,z_1,phi\n0,0,0,0\n0.5,0.1,0.1\n1,0.2,0.2,0\n",        # ragged row
+    "t,x_1,z_1,phi\n0,0,0,0\n0.5,abc,0.1,0\n",                    # non-numeric cell
+    "t,x_1,z_1,phi\n",                                            # header only
+    "t,x_1,z_1,phi\n0,0,0,0\n",                                   # one node, no step
+    "# lambda = fast\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",     # bad lambda header
+])
+def test_malformed_trajectory_csv_is_a_parse_error(tmp_path, scenario_dir, body):
+    from sweepsolve.cli import main
+
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(sw.ParseError):
+        read_trajectory_csv(path)
+    code = main(["diagnose", "--scenario", str(scenario_dir / "drift_halfspace_1d.json"),
+                 "--traj", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
