@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hulls import _segment_min_norm, min_norm_point
-from .set_zoo import as_vector, instantiate
+from .set_zoo import as_vector, instantiate, row_norms
 
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
@@ -144,8 +144,9 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
     projection whose distance is within a relative ``tie_slack`` of the best
     (the multi-valued branch has zero measure, so an exact tie test would
     never fire under random sampling).  With <= 2 candidates the hull distance
-    is the closed-form point-to-segment distance.  The estimate decreases as
-    sampling grows; it upper-bounds the true infimum.
+    is the closed-form point-to-segment distance, computed for all samples at
+    once.  The estimate decreases as sampling grows; it upper-bounds the true
+    infimum.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -155,10 +156,11 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
     center = inst.anchor()
     spread = 4.0 * rho
 
-    collected = []
-    drawn = 0
+    # one candidate query per drawn batch feeds both the tube filter and alpha
+    Ys, Ps = [], []
+    found = drawn = 0
     budget = oversample * sample_count
-    while len(collected) < sample_count and drawn < budget:
+    while found < sample_count and drawn < budget:
         batch = min(4 * sample_count, budget - drawn)
         drawn += batch
         g = rng.standard_normal((batch, inst.n))
@@ -166,27 +168,35 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
         nrm[nrm == 0.0] = 1.0
         radii = spread * rng.uniform(size=batch) ** (1.0 / inst.n)
         Y = center + radii[:, None] * (g / nrm)
-        dists = inst.distance_many(Y)
-        inside = (dists > 1e-12) & (dists < rho)
-        collected.extend(Y[inside])
-    if not collected:
+        P, D = inst.candidates(Y)
+        d = D.min(0)
+        inside = (d > 1e-12) & (d < rho)
+        Ys.append(Y[inside])
+        Ps.append(P[:, inside])
+        found += int(np.count_nonzero(inside))
+    if not found:
         raise TubeSamplingFailed(
             f"no sample landed in the tube 0 < d < {rho:g} after {drawn} draws")
-    samples = collected[:sample_count]
+    Y = np.concatenate(Ys)[:sample_count]
+    P = np.concatenate(Ps, axis=1)[:, :sample_count]
 
-    alpha = 1.0
-    for y in samples:
-        cands = inst.projection_candidates(y)
-        d = min(dd for _, dd in cands)
-        grads = [(y - p) / d for p, dd in cands if dd <= d * (1.0 + tie_slack)]
-        if len(grads) == 1:
-            val = float(np.linalg.norm(grads[0]))
-        elif len(grads) == 2:
-            val = float(np.linalg.norm(_segment_min_norm(grads[0], grads[1])))
-        else:
-            val = min_norm_point(grads)[1]
-        alpha = min(alpha, val)
-    return alpha
+    # distances measured from the candidates themselves, so the nearest
+    # gradient has unit norm even where a closed-form distance cancels (d << |y|)
+    R = Y - P
+    D = row_norms(R)
+    d = D.min(0)
+    tied = D <= d * (1.0 + tie_slack)
+    n_tied = tied.sum(0)
+    # tied gradients first, each row keeping its candidate order
+    order = np.argsort(~tied, axis=0, kind="stable")
+    G = np.take_along_axis(R / d[:, None], order[:, :, None], axis=0)
+    vals = row_norms(G[0])
+    two = n_tied == 2
+    if two.any():
+        vals[two] = row_norms(_segment_min_norm(G[0, two], G[1, two]))
+    for i in np.flatnonzero(n_tied > 2):
+        vals[i] = min_norm_point(G[:n_tied[i], i])[1]
+    return min(1.0, float(vals.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import FarParameters, SamplerConfig
 from .dynamics import integrate
-from .errors import SweepSolveError, UsageError
+from .errors import DimensionMismatch, SweepSolveError, UsageError
 from .scenario_io import (
     diagnostics_to_dict,
     dump_json,
@@ -185,6 +185,9 @@ def _run_sweep(args, scenario, digest, out_dir) -> int:
 
 def _run_diagnose(args, scenario, digest, out_dir) -> int:
     traj = read_trajectory_csv(args.traj)
+    if traj.states.shape[1] != scenario.n:
+        raise DimensionMismatch(f"{args.traj}: trajectory has dimension {traj.states.shape[1]}, "
+                                f"scenario has {scenario.n}")
     lam = args.lam if args.lam is not None else traj.lam
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")

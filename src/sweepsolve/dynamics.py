@@ -99,15 +99,15 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """Velocity of the penalized dynamics at (t, x).
 
     Returns (p - A(x))/lambda with p the lexicographic selection among the
-    nearest points of A(x); exactly +0.0 whenever A(x) is a member, because
-    the projection of a member is the point itself.
+    nearest points of A(x), the first entry of the sorted ``project`` list;
+    exactly +0.0 whenever A(x) is a member, because the projection of a
+    member is the point itself.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    x = as_vector(x, scenario.n, "x")
+    inst = instantiate(scenario.moving_set, t, x)  # validates x against the scenario
     z = scenario.operator.apply(x)
-    p = select_projection(instantiate(scenario.moving_set, t, x).project(z))
-    return (p - z) / lam
+    return (inst.project(z)[0] - z) / lam
 
 
 def _phi(scenario, t, x, z):

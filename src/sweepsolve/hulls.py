@@ -49,14 +49,11 @@ def min_norm_distance(points) -> float:
 
 
 def _segment_min_norm(a, b):
-    """Closed-form projection of the origin onto segment [a, b]."""
+    """Closed-form projection of the origin onto segment [a, b], row-wise over the last axis."""
     d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return a.copy()
-    t = -float(a @ d) / dd
-    t = min(max(t, 0.0), 1.0)
-    return a + t * d
+    dd = np.vecdot(d, d)
+    t = np.clip(-np.vecdot(a, d) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
+    return a + t[..., None] * d
 
 
 def _face_weights(S):

@@ -1,12 +1,21 @@
 """Moving-set zoo: parametric families C(t, x), frozen instances, distances, projections.
 
 Every set family is described by an immutable spec that can be frozen at a
-given (t, x) into a :class:`SetInstance`.  Instances answer exact distance
-queries and return the full (possibly multi-valued) nearest-point set.  The
-nearest-point set of a point at distance 0 is that point alone, so one
-projection query also answers membership.  Spec properties shared by several
+given (t, x) into a :class:`SetInstance`.  Spec properties shared by several
 families are defined once: in ``_GainDriven`` for the families moved by a
 scalar state gain, and in ``_Composite`` for the families built from members.
+
+Each instance kind answers every geometric query through one batched method,
+``candidates(Z)``.  For a pre-validated finite (N, n) float array Z it returns
+``(P, D)``: candidate nearest points P of shape (k, N, n) and their distances
+D of shape (k, N), where k is fixed by the kind (1 for the convex kinds, 2
+for the wedge, the member count for a union).  The nearest points of row i
+are the P[j, i] whose D[j, i] is smallest; other candidates may be strictly
+farther (the far ray of a wedge).  A member row comes back as itself, bit
+for bit, at distance 0, so projecting a point of the set returns that point.
+Row results do not depend on the other rows of the batch.  ``SetInstance``
+derives ``distance_many``, ``distance``, ``member`` and ``project`` from
+``candidates``, validating their inputs once at that public boundary.
 """
 
 from __future__ import annotations
@@ -34,14 +43,33 @@ _SQRT2 = float(np.sqrt(2.0))
 
 def as_vector(x, n=None, name="vector"):
     """Validate and return a finite 1-d float array."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.array(x, dtype=float, copy=None, ndmin=1)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
     if n is not None and v.size != n:
         raise DimensionMismatch(f"{name} has dimension {v.size}, expected {n}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidVector(f"{name} contains non-finite entries")
     return v
+
+
+def as_rows(Z, n, name="points"):
+    """Validate and return a finite (N, n) float array."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise DimensionMismatch(f"{name} must have shape (N, {n}), got {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise InvalidVector(f"{name} contains non-finite entries")
+    return Z
+
+
+def row_norms(G):
+    """Euclidean norms along the last axis.
+
+    Row by row this is the same arithmetic as ``np.linalg.norm`` of a single
+    vector, so a batch of one and a row of a larger batch agree bit for bit.
+    """
+    return np.sqrt(np.vecdot(G, G))
 
 
 def _unit(v, name, tol=1e-9):
@@ -70,35 +98,40 @@ class SetInstance:
     def __init__(self, n):
         self.n = int(n)
 
-    def distance(self, z) -> float:
-        raise NotImplementedError
+    def candidates(self, Z):
+        """Candidate nearest points (k, N, n) and distances (k, N) of each row of Z.
 
-    def distance_many(self, Z) -> np.ndarray:
-        """Distances for each row of Z; variants override with vectorized forms."""
-        Z = np.asarray(Z, dtype=float)
-        return np.array([self.distance(row) for row in Z])
-
-    def projection_candidates(self, z):
-        """All candidate nearest points as (point, distance) pairs.
-
-        The list may contain strictly suboptimal candidates (e.g. the far ray
-        of a wedge); :meth:`project` filters them.
+        Z must already be a finite (N, n) float array; see the module docstring.
         """
         raise NotImplementedError
-
-    def member(self, z) -> bool:
-        return self.distance(z) <= self.member_tol
 
     def anchor(self) -> np.ndarray:
         """A deterministic point of the set, used to center samplers."""
         raise NotImplementedError
 
+    def distance_many(self, Z) -> np.ndarray:
+        """Distance of each row of the (N, n) array Z."""
+        return self.candidates(as_rows(Z, self.n, "Z"))[1].min(0)
+
+    def distance(self, z) -> float:
+        return float(self.candidates(as_vector(z, self.n, "z")[None])[1].min())
+
+    def member(self, z) -> bool:
+        return self.distance(z) <= self.member_tol
+
     def project(self, z, tie_gap=TIE_TOL):
-        """All nearest points of z, near-ties within ``tie_gap`` included."""
-        z = as_vector(z, self.n, "z")
-        cands = self.projection_candidates(z)
-        dmin = min(d for _, d in cands)
-        keep = [p for p, d in cands if d <= dmin + tie_gap]
+        """All nearest points of z, near-ties within ``tie_gap`` included.
+
+        The list is sorted lexicographically, so its first entry is the
+        deterministic selection of :func:`select_projection`.
+        """
+        P, D = self.candidates(as_vector(z, self.n, "z")[None])
+        if len(D) == 1:
+            return [P[0, 0]]
+        d = D[:, 0]
+        dmin = d.min()
+        # a member is its own unique projection: no near-tie admits another point
+        keep = P[d <= dmin + (tie_gap if dmin > 0.0 else 0.0), 0]
         out = []
         for p in keep:
             if not any(np.linalg.norm(p - q) <= 1e-12 for q in out):
@@ -115,25 +148,9 @@ class HalfSpaceInstance(SetInstance):
         self.zeta = _frozen(zeta)
         self.beta = float(beta)
 
-    def violation(self, z) -> float:
-        return float(self.zeta @ z) - self.beta
-
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        return max(self.violation(z), 0.0)
-
-    def distance_many(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.maximum(Z @ self.zeta - self.beta, 0.0)
-
-    def project_point(self, z) -> np.ndarray:
-        """Single nearest point (used directly by Dykstra's scheme)."""
-        excess = max(self.violation(z), 0.0)
-        return z - excess * self.zeta
-
-    def projection_candidates(self, z):
-        p = self.project_point(z)
-        return [(p, float(np.linalg.norm(z - p)))]
+    def candidates(self, Z):
+        v = (np.vecdot(Z, self.zeta) - self.beta)[:, None]
+        return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
 
     def anchor(self):
         return self.beta * self.zeta
@@ -147,21 +164,12 @@ class BallInstance(SetInstance):
         self.center = _frozen(center)
         self.radius = float(radius)
 
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        return max(float(np.linalg.norm(z - self.center)) - self.radius, 0.0)
-
-    def distance_many(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.maximum(np.linalg.norm(Z - self.center, axis=1) - self.radius, 0.0)
-
-    def projection_candidates(self, z):
-        gap = z - self.center
-        nrm = float(np.linalg.norm(gap))
-        if nrm <= self.radius:
-            return [(z.copy(), 0.0)]
-        p = self.center + (self.radius / nrm) * gap
-        return [(p, nrm - self.radius)]
+    def candidates(self, Z):
+        gap = Z - self.center
+        nrm = row_norms(gap)[:, None]
+        radial = self.center + self.radius / np.maximum(nrm, self.radius) * gap
+        return (np.where(nrm <= self.radius, Z, radial)[None],
+                np.maximum(nrm - self.radius, 0.0).T)
 
     def anchor(self):
         return self.center.copy()
@@ -175,19 +183,12 @@ class BoxInstance(SetInstance):
         self.lower = _frozen(lower)
         self.upper = _frozen(upper)
 
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        p = np.clip(z, self.lower, self.upper)
-        return float(np.linalg.norm(z - p))
-
-    def distance_many(self, Z):
-        Z = np.asarray(Z, dtype=float)
+    def candidates(self, Z):
         P = np.clip(Z, self.lower, self.upper)
-        return np.linalg.norm(Z - P, axis=1)
-
-    def projection_candidates(self, z):
-        p = np.clip(z, self.lower, self.upper)
-        return [(p, float(np.linalg.norm(z - p)))]
+        D = row_norms(Z - P)
+        # clipping may turn -0.0 into +0.0, and a gap below 1e-154 squares to 0
+        P = np.where((D == 0.0)[:, None], Z, P)
+        return P[None], D[None]
 
     def anchor(self):
         return 0.5 * (self.lower + self.upper)
@@ -197,41 +198,41 @@ class WedgeInstance(SetInstance):
     """Translate of {(a, b) : b >= -|a|}; nonconvex, projections on two rays."""
 
     # boundary ray directions of the reference wedge, apex at the origin
-    _RAYS = (np.array([1.0, -1.0]) / _SQRT2, np.array([-1.0, -1.0]) / _SQRT2)
+    _RAYS = np.array([[1.0, -1.0], [-1.0, -1.0]]) / _SQRT2
 
     def __init__(self, apex):
         super().__init__(2)
         self.apex = _frozen(apex)
 
-    def _local(self, z):
-        return z - self.apex
-
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        a, b = self._local(z)
-        if b >= -abs(a):
-            return 0.0
-        return (-b - abs(a)) / _SQRT2
-
-    def distance_many(self, Z):
-        Z = np.asarray(Z, dtype=float)
+    def candidates(self, Z):
         W = Z - self.apex
-        out = (-W[:, 1] - np.abs(W[:, 0])) / _SQRT2
-        return np.maximum(out, 0.0)
-
-    def projection_candidates(self, z):
-        w = self._local(z)
-        if w[1] >= -abs(w[0]):
-            return [(z.copy(), 0.0)]
-        cands = []
-        for ray in self._RAYS:
-            s = max(float(w @ ray), 0.0)
-            p = self.apex + s * ray
-            cands.append((p, float(np.linalg.norm(z - p))))
-        return cands
+        a, b = W[:, 0], W[:, 1]
+        inside = b >= -np.abs(a)
+        # outside the wedge <w, ray> > 0 for both rays, so each candidate is the
+        # foot of the perpendicular on its ray's line, at distance |a + b|/sqrt(2)
+        # or |b - a|/sqrt(2); the nearer one is (-b - |a|)/sqrt(2)
+        S = np.vecdot(W, self._RAYS[:, None, :])                               # (2, N)
+        P = np.where(inside[:, None], Z, self.apex + S[:, :, None] * self._RAYS[:, None, :])
+        return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
 
     def anchor(self):
         return self.apex.copy()
+
+
+def _stack(members):
+    """Unit normals (m, n) and offsets (m,) of the half-space ``members``."""
+    return np.array([hs.zeta for hs in members]), np.array([hs.beta for hs in members])
+
+
+def _excess(normals, offsets, Z):
+    """Largest half-space violation of each row of Z, clipped at 0."""
+    return np.maximum((np.vecdot(Z, normals[:, None, :]) - offsets[:, None]).max(0), 0.0)
+
+
+def _halfspace_step(Y, zeta, beta):
+    """Rows of Y projected onto {<zeta, z> <= beta}: the inner step of cyclic
+    projections, without the member-row guarantee of ``candidates``."""
+    return Y - np.maximum(np.vecdot(Y, zeta) - beta, 0.0)[:, None] * zeta
 
 
 class HalfSpaceIntersectionInstance(SetInstance):
@@ -244,16 +245,10 @@ class HalfSpaceIntersectionInstance(SetInstance):
             raise EmptyCandidates("intersection needs at least one half-space")
         super().__init__(members[0].n)
         self.members = tuple(members)
+        self._normals, self._offsets = _stack(self.members)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self._feasible_point = None
-
-    def violation(self, z) -> float:
-        return max(hs.violation(z) for hs in self.members)
-
-    def member(self, z):
-        z = as_vector(z, self.n, "z")
-        return self.violation(z) <= self.member_tol
 
     def ensure_nonempty(self):
         """Find a feasible point or raise EmptyInstance; result is cached."""
@@ -261,16 +256,14 @@ class HalfSpaceIntersectionInstance(SetInstance):
             return self._feasible_point
         # cheap probe: cyclic projections from the origin settle quickly when
         # the intersection is comfortably nonempty
-        x = np.zeros(self.n)
+        x = np.zeros((1, self.n))
         for _ in range(200):
-            for hs in self.members:
-                x = hs.project_point(x)
-            if self.violation(x) <= 1e-12:
-                self._feasible_point = _frozen(x)
+            for zeta, beta in zip(self._normals, self._offsets):
+                x = _halfspace_step(x, zeta, beta)
+            if _excess(self._normals, self._offsets, x)[0] <= 1e-12:
+                self._feasible_point = _frozen(x[0])
                 return self._feasible_point
-        A = np.array([hs.zeta for hs in self.members])
-        b = np.array([hs.beta for hs in self.members])
-        res = linprog(np.zeros(self.n), A_ub=A, b_ub=b,
+        res = linprog(np.zeros(self.n), A_ub=self._normals, b_ub=self._offsets,
                       bounds=[(None, None)] * self.n, method="highs")
         if res.status == 2:
             raise EmptyInstance("half-space intersection is empty")
@@ -279,32 +272,23 @@ class HalfSpaceIntersectionInstance(SetInstance):
         self._feasible_point = _frozen(np.asarray(res.x, dtype=float))
         return self._feasible_point
 
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        if self.violation(z) <= MEMBER_TOL:
-            return 0.0
-        p, _ = self._dykstra(z)
-        return float(np.linalg.norm(z - p))
-
-    def projection_candidates(self, z):
-        if self.violation(z) <= MEMBER_TOL:
-            return [(z.copy(), 0.0)]
-        p, _ = self._dykstra(z)
-        return [(p, float(np.linalg.norm(z - p)))]
-
-    def _dykstra(self, z):
-        try:
-            return dykstra_project(self.members, z, self.tol, self.max_iter)
-        except ProjectionNotConverged:
-            self.ensure_nonempty()  # raises EmptyInstance when that is the cause
-            raise
+    def candidates(self, Z):
+        P = Z.copy()
+        outside = _excess(self._normals, self._offsets, Z) > MEMBER_TOL
+        if outside.any():
+            try:
+                P[outside] = dykstra_project(self.members, Z[outside], self.tol, self.max_iter)[0]
+            except ProjectionNotConverged:
+                self.ensure_nonempty()  # raises EmptyInstance when that is the cause
+                raise
+        return P[None], row_norms(Z - P)[None]
 
     def anchor(self):
         return np.asarray(self.ensure_nonempty(), dtype=float).copy()
 
 
 class UnionInstance(SetInstance):
-    """Union of convex instances; distance is the member minimum."""
+    """Union of convex instances; each member contributes its candidates."""
 
     def __init__(self, members):
         if not members:
@@ -312,23 +296,9 @@ class UnionInstance(SetInstance):
         super().__init__(members[0].n)
         self.members = tuple(members)
 
-    def distance(self, z):
-        z = as_vector(z, self.n, "z")
-        return min(m.distance(z) for m in self.members)
-
-    def distance_many(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.min([m.distance_many(Z) for m in self.members], axis=0)
-
-    def projection_candidates(self, z):
-        cands = []
-        for m in self.members:
-            d = m.distance(z)
-            if d == 0.0:
-                return [(z.copy(), 0.0)]
-            p = m.project(z)[0]
-            cands.append((p, float(np.linalg.norm(z - p))))
-        return cands
+    def candidates(self, Z):
+        parts = [m.candidates(Z) for m in self.members]
+        return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
 
     def anchor(self):
         return self.members[0].anchor()
@@ -583,31 +553,39 @@ def select_projection(candidates) -> np.ndarray:
     return min(arrs, key=lambda p: tuple(p.tolist()))
 
 
-def dykstra_project(members, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
-    """Nearest point of z on an intersection of half-spaces.
+def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
+    """Nearest point of z, or of each row of Z, on an intersection of half-spaces.
 
-    Returns (point, cycles).  Convergence is declared when a full cycle moves
-    the iterate by at most tol/10 and all constraints are met within tol; the
-    scheme raises ProjectionNotConverged past ``max_iter`` cycles.
+    Returns (points, cycles) with points shaped like the input.  Each row
+    stops at its own convergence test: a full cycle moves it by at most
+    tol/10 and it meets every constraint within tol.  ``cycles`` is the
+    largest per-row count; a row needing more than ``max_iter`` cycles raises
+    ProjectionNotConverged.
     """
     members = list(members)
     if not members:
         raise EmptyCandidates("need at least one half-space")
     if tol <= 0:
         raise InvalidVector("tol must be positive")
-    z = as_vector(z, members[0].n, "z")
-    x = z.copy()
-    increments = [np.zeros_like(z) for _ in members]
+    n = members[0].n
+    single = np.ndim(Z) == 1
+    X = as_vector(Z, n, "z")[None] if single else as_rows(Z, n, "Z")
+    normals, offsets = _stack(members)
+    out = np.empty_like(X)
+    rows = np.arange(len(X))
+    increments = np.zeros((len(members),) + X.shape)
     for cycle in range(1, max_iter + 1):
-        x_start = x.copy()
-        for i, hs in enumerate(members):
-            y = x + increments[i]
-            p = hs.project_point(y)
-            increments[i] = y - p
-            x = p
-        moved = float(np.linalg.norm(x - x_start))
-        worst = max(max(hs.violation(x), 0.0) for hs in members)
-        if moved <= 0.1 * tol and worst <= tol:
-            return x, cycle
+        start = X
+        for i in range(len(members)):
+            Y = X + increments[i]
+            X = _halfspace_step(Y, normals[i], offsets[i])
+            increments[i] = Y - X
+        done = (row_norms(X - start) <= 0.1 * tol) & (_excess(normals, offsets, X) <= tol)
+        if done.all():
+            out[rows] = X
+            return (out[0] if single else out), cycle
+        if done.any():  # only the rows still moving cycle on
+            out[rows[done]] = X[done]
+            rows, X, increments = rows[~done], X[~done], increments[:, ~done]
     raise ProjectionNotConverged(
         f"Dykstra exceeded {max_iter} cycles at tol {tol:g}")

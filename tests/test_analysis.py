@@ -190,6 +190,35 @@ def test_alpha_monotone_under_sample_doubling():
     assert a2 <= a1 + 0.01
 
 
+_CORNER = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0]),
+                                        sw.HalfSpaceSpec(normal=[0.0, 1.0])))
+_BALL = sw.BallSpec(center=[-2.5, 0.0], radius=1.0)
+_ALPHA_KINDS = {
+    "wedge": sw.WedgeSpec(apex=[0.5, -0.5]),
+    "corner": _CORNER,
+    "ball_or_corner": sw.UnionSpec((_BALL, _CORNER)),
+    # a repeated member makes three candidates tie, taking the hull branch
+    "ball_or_corner_or_ball": sw.UnionSpec((_BALL, _CORNER, _BALL)),
+}
+
+
+@pytest.mark.parametrize("kind, seed, expected", [
+    # per-sample values of the scalar implementation this one replaced
+    ("wedge", 3, 0.7072998409305422),
+    ("wedge", 11, 0.7098465583532223),
+    ("corner", 3, 0.9999999999999998),
+    ("corner", 11, 0.9999999999999999),
+    ("ball_or_corner", 3, 0.8159162292909535),
+    ("ball_or_corner", 11, 0.784713705453816),
+    ("ball_or_corner_or_ball", 3, 0.8159162292909535),
+    ("ball_or_corner_or_ball", 11, 0.784713705453816),
+])
+def test_alpha_matches_pinned_values(kind, seed, expected):
+    inst = sw.instantiate(_ALPHA_KINDS[kind], 0.0, np.zeros(2))
+    a = sw.estimate_alpha(inst, rho=1.0, sample_count=400, seed=seed)
+    assert a == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_alpha_tube_sampling_failure():
     # rho so small that no random point lands strictly inside the tube
     inst = sw.instantiate(sw.BallSpec(center=[0.0, 0.0], radius=1.0), 0.0, np.zeros(2))

@@ -222,14 +222,22 @@ def test_csv_columns_layout(tmp_path):
     "t,x_1,z_1,phi\n",                                            # header only
     "t,x_1,z_1,phi\n0,0,0,0\n",                                   # one node, no step
     "# lambda = fast\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",     # bad lambda header
+    "# lambda = 0.1\nt,x_1,x_2,z_1,z_2,phi\n0,0,0,0,0,0\n1,0.1,0,0.1,0,0\n",  # 2-d, scenario 1-d
 ])
-def test_malformed_trajectory_csv_is_a_parse_error(tmp_path, scenario_dir, body):
+def test_malformed_trajectory_csv_is_a_parse_error(tmp_path, scenario_dir, capsys, body):
+    """Every body is rejected by the reader, except the well-formed 2-d one,
+    which ``diagnose`` must reject because the scenario is 1-d."""
     from sweepsolve.cli import main
 
     path = tmp_path / "bad.csv"
     path.write_text(body)
-    with pytest.raises(sw.ParseError):
-        read_trajectory_csv(path)
+    if "x_2" in body:
+        assert read_trajectory_csv(path).states.shape[1] == 2
+    else:
+        with pytest.raises(sw.ParseError):
+            read_trajectory_csv(path)
     code = main(["diagnose", "--scenario", str(scenario_dir / "drift_halfspace_1d.json"),
                  "--traj", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

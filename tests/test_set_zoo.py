@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweepsolve as sw
+from sweepsolve import set_zoo
 from sweepsolve.set_zoo import HalfSpaceInstance
 
 SQRT2 = math.sqrt(2.0)
@@ -160,17 +161,23 @@ def test_ball_projection_radial():
     assert np.allclose(p, [1.0, 0.0], atol=1e-15)
 
 
+# one instance of every set kind; the intersection has an oblique corner, so
+# Dykstra needs several cycles, and the union mixes a ball with it
+_OBLIQUE = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=0.5),
+                                         sw.HalfSpaceSpec(normal=[SQRT2 / 2, SQRT2 / 2])))
+ZOO = {
+    "half_space": sw.HalfSpaceSpec(normal=[0.6, 0.8]),
+    "ball": sw.BallSpec(center=[1.0, -1.0], radius=0.7),
+    "box": sw.BoxSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
+    "wedge": sw.WedgeSpec(apex=[0.5, -0.5]),
+    "intersection": _OBLIQUE,
+    "union": sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5), _OBLIQUE)),
+}
+
+
 def test_projected_points_are_members_and_consistent():
-    specs = [
-        sw.HalfSpaceSpec(normal=[0.6, 0.8]),
-        sw.BallSpec(center=[1.0, -1.0], radius=0.7),
-        sw.BoxSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
-        sw.WedgeSpec(apex=[0.5, -0.5]),
-        sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5),
-                      sw.BallSpec(center=[2.0, 0.0], radius=0.5))),
-    ]
     rng = np.random.default_rng(3)
-    for spec in specs:
+    for spec in ZOO.values():
         inst = sw.instantiate(spec, 0.0, np.zeros(2))
         for _ in range(40):
             z = rng.uniform(-4, 4, size=2)
@@ -245,9 +252,58 @@ def test_dykstra_budget_exhaustion_raises():
         sw.dykstra_project(members, np.array([5.0, 4.0]), tol=1e-14, max_iter=2)
 
 
+def test_union_asks_each_member_once(monkeypatch):
+    calls = []
+    real = set_zoo.dykstra_project
+    monkeypatch.setattr(set_zoo, "dykstra_project",
+                        lambda *args: calls.append(args) or real(*args))
+    corner = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0]),
+                                           sw.HalfSpaceSpec(normal=[0.0, 1.0])))
+    spec = sw.UnionSpec((sw.BallSpec(center=[-2.5, 0.0], radius=1.0), corner))
+    inst = sw.instantiate(spec, 0.0, np.zeros(2))
+    calls.clear()
+    (p,) = inst.project([1.0, 0.5])
+    assert np.array_equal(p, [0.0, 0.0])
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
+
+points = st.lists(st.tuples(finite_coord, finite_coord), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("kind", list(ZOO))
+@settings(max_examples=40, deadline=None)
+@given(Z=points)
+def test_batched_and_single_point_geometry_agree(kind, Z):
+    inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
+    Z = np.array(Z)
+    many = inst.distance_many(Z)
+    for i, z in enumerate(Z):
+        d = inst.distance(z)
+        assert many[i] == d
+        for p in inst.project(z):
+            assert abs(np.linalg.norm(z - p) - d) <= 1e-10
+            assert inst.member(p)
+        for m in (z, inst.anchor()):
+            if inst.distance(m) == 0.0:
+                (p,) = inst.project(m)
+                assert p.tobytes() == m.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z=points)
+def test_batched_dykstra_rows_match_single_calls(Z):
+    members = sw.instantiate(_OBLIQUE, 0.0, np.zeros(2)).members
+    Z = np.array(Z)
+    P, cycles = sw.dykstra_project(members, Z)
+    singles = [sw.dykstra_project(members, z) for z in Z]
+    assert cycles == max(c for _, c in singles)
+    for p, (q, _) in zip(P, singles):
+        assert np.max(np.abs(p - q)) <= 1e-12
+
 
 @settings(max_examples=60, deadline=None)
 @given(z1=st.tuples(finite_coord, finite_coord), z2=st.tuples(finite_coord, finite_coord))
