@@ -1,24 +1,31 @@
 """Penalized dynamics: right-hand side construction, time stepping, catching-up oracle.
 
 The penalized motion follows -dx/dt = (A(x) - p)/lambda with p the selected
-nearest point of A(x) on the instantaneous set.  Each right-hand-side
-evaluation makes one set query, the projection: for a member A(x) every set
-kind returns A(x) itself, so the velocity vanishes exactly there.  Explicit
-steppers must resolve the 1/lambda decay, hence every method is capped by the
-stiffness guard h <= c*lambda/(1 + M).  Once the grid is fixed, each node's
-operator image is computed once and feeds both the stored images and phi.
+nearest point of A(x) on the instantaneous set.  Explicit steppers must
+resolve the 1/lambda decay, hence every method is capped by the stiffness
+guard h <= c*lambda/(1 + M).
+
+Inputs are validated once, at the boundary: lambda and (t, x) in
+``penalized_rhs``, lambda in ``integrate`` (the start state when the
+``Scenario`` is built) and states after every step.  Each right-hand-side
+stage then makes exactly one set query, ``candidates`` on the instance
+frozen at its (t, x): for a member A(x) every set kind returns A(x) itself,
+so the velocity vanishes exactly there.  A node's operator image and phi come
+from the query of the first stage k1 of the step leaving it; only the last
+node needs a query of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import StepFailure, UnsupportedScenario
+from .errors import InvalidVector, StepFailure, UnsupportedScenario
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import as_vector, instantiate, select_projection
+from .set_zoo import as_vector, instantiate, nearest_points, select_projection
 
 H_MIN_FACTOR = 1e-12  # adaptive step underflow threshold, relative to T
 
@@ -95,8 +102,18 @@ class Trajectory:
         return len(self.times)
 
 
+def _stage(op, freeze, lam, t, x):
+    """(A(x), phi, velocity) at a validated (t, x) from one set query; a
+    non-finite image A(x) raises before the set is frozen or queried."""
+    z = op.image(x)
+    if not np.isfinite(z).all():
+        raise InvalidVector("operator image A(x) contains non-finite entries")
+    P, D = freeze(t, x).candidates(z[None])
+    return z, float(D.min()), (nearest_points(P, D)[0] - z) / lam
+
+
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
-    """Velocity of the penalized dynamics at (t, x).
+    """Velocity of the penalized dynamics at (t, x), with t, x and lambda validated.
 
     Returns (p - A(x))/lambda with p the lexicographic selection among the
     nearest points of A(x), the first entry of the sorted ``project`` list;
@@ -105,21 +122,15 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    inst = instantiate(scenario.moving_set, t, x)  # validates x against the scenario
-    z = scenario.operator.apply(x)
-    return (inst.project(z)[0] - z) / lam
+    x = as_vector(x, scenario.n, "x")
+    return _stage(scenario.operator, partial(instantiate, scenario.moving_set), lam, t, x)[2]
 
 
-def _phi(scenario, t, x, z):
-    """Distance of the image z = A(x) to C(t, x)."""
-    return float(instantiate(scenario.moving_set, t, x).distance(z))
-
-
-def _rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
+def _rk4_step(f, t, x, h, k1):
+    """One classical RK4 step from (t, x) whose first stage k1 is already known."""
+    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)[2]
+    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)[2]
+    k4 = f(t + h, x + h * k3)[2]
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -129,26 +140,14 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     The tracking gap phi is recomputed from the geometry at every accepted
     node, never propagated from its differential inequality.
     """
-    cfg = scenario.integrator
-    op = scenario.operator
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    guard = cfg.safety * lam / (1.0 + op.M)
-
-    evals = [0]
-
-    def f(t, x):
-        evals[0] += 1
-        return penalized_rhs(scenario, lam, t, x)
-
-    if cfg.method in ("euler", "rk4"):
-        traj = _integrate_fixed(scenario, lam, f, guard)
-    else:
-        traj = _integrate_adaptive(scenario, lam, f, guard)
-    stats = traj.stats
-    return Trajectory(traj.times, traj.states, traj.images, traj.phis, lam,
-                      StepStats(stats.n_accepted, stats.n_rejected, evals[0],
-                                stats.h_min_used, stats.h_max_used))
+    op = scenario.operator
+    guard = scenario.integrator.safety * lam / (1.0 + op.M)
+    f = partial(_stage, op, scenario.moving_set.freeze, lam)
+    if scenario.integrator.method in ("euler", "rk4"):
+        return _integrate_fixed(scenario, lam, f, guard)
+    return _integrate_adaptive(scenario, lam, f, guard)
 
 
 def _integrate_fixed(scenario, lam, f, guard):
@@ -157,48 +156,51 @@ def _integrate_fixed(scenario, lam, f, guard):
     h_target = min(guard, cfg.h_max, T)
     n_steps = max(1, math.ceil(T / h_target - 1e-12))
     h = T / n_steps
+    euler = cfg.method == "euler"
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, scenario.n))
-    x = scenario.x0.copy()
-    times[0] = 0.0
-    states[0] = x
-    for k in range(n_steps):
-        t = k * h
-        if cfg.method == "euler":
-            x = x + h * f(t, x)
-        else:
-            x = _rk4_step(f, t, x, h)
+    images = np.empty((n_steps + 1, scenario.n))
+    phis = np.empty(n_steps + 1)
+    t, x = 0.0, scenario.x0.copy()
+    for k in range(n_steps + 1):
+        times[k], states[k] = t, x
+        images[k], phis[k], k1 = f(t, x)
+        if k == n_steps:
+            break
+        x = x + h * k1 if euler else _rk4_step(f, t, x, h, k1)
         if not np.all(np.isfinite(x)):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
-        times[k + 1] = (k + 1) * h
-        states[k + 1] = x
-    times[-1] = T
-    return _assemble(scenario, lam, times, states,
-                     StepStats(n_steps, 0, 0, h, h))
+        t = (k + 1) * h if k + 1 < n_steps else T
+    stats = StepStats(n_steps, 0, n_steps * (1 if euler else 4), h, h)
+    return Trajectory(times, states, images, phis, lam, stats)
 
 
 def _integrate_adaptive(scenario, lam, f, guard):
+    """Step doubling: one RK4 step of h against two of h/2.
+
+    Both start with the node's k1, so a node's first attempt costs 11 velocity
+    evaluations and each retry from it 10.
+    """
     cfg = scenario.integrator
     T = float(scenario.T)
     h_min = H_MIN_FACTOR * T
     h = min(guard, cfg.h_max, T)
 
-    times = [0.0]
-    states = [scenario.x0.copy()]
     t = 0.0
     x = scenario.x0.copy()
-    accepted = 0
+    nodes = [(t, x, *f(t, x))]      # (t, x, A(x), phi, k1) of each accepted node
     rejected = 0
     h_lo, h_hi = math.inf, 0.0
 
     while t < T * (1.0 - 1e-14):
         h = min(h, cfg.h_max, guard, T - t)
-        big = _rk4_step(f, t, x, h)
-        half = _rk4_step(f, t, x, 0.5 * h)
-        fine = _rk4_step(f, t + 0.5 * h, half, 0.5 * h)
+        k1 = nodes[-1][4]
+        big = _rk4_step(f, t, x, h, k1)
+        half = _rk4_step(f, t, x, 0.5 * h, k1)
+        fine = _rk4_step(f, t + 0.5 * h, half, 0.5 * h, f(t + 0.5 * h, half)[2])
         if np.all(np.isfinite(fine)) and np.all(np.isfinite(big)):
             err = float(np.linalg.norm(big - fine)) / 15.0
         else:
@@ -206,9 +208,7 @@ def _integrate_adaptive(scenario, lam, f, guard):
         if err <= cfg.tol_adapt:
             t += h
             x = fine
-            times.append(t)
-            states.append(x.copy())
-            accepted += 1
+            nodes.append((t, x, *f(t, x)))
             h_lo = min(h_lo, h)
             h_hi = max(h_hi, h)
             growth = 5.0 if err == 0.0 else min(5.0, 0.9 * (cfg.tol_adapt / err) ** 0.2)
@@ -221,15 +221,10 @@ def _integrate_adaptive(scenario, lam, f, guard):
                 raise StepFailure(
                     f"adaptive step underflow at t = {t:g} (h = {h:g} < {h_min:g})")
 
-    return _assemble(scenario, lam, np.array(times), np.array(states),
-                     StepStats(accepted, rejected, 0,
-                               0.0 if accepted == 0 else h_lo, h_hi))
-
-
-def _assemble(scenario, lam, times, states, stats):
-    op = scenario.operator
-    images = np.array([op.apply(x) for x in states])
-    phis = np.array([_phi(scenario, t, x, z) for t, x, z in zip(times, states, images)])
+    accepted = len(nodes) - 1
+    stats = StepStats(accepted, rejected, 11 * accepted + 10 * rejected,
+                      0.0 if accepted == 0 else h_lo, h_hi)
+    times, states, images, phis = map(np.array, list(zip(*nodes))[:4])
     return Trajectory(times, states, images, phis, lam, stats)
 
 
@@ -269,7 +264,7 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     times[0] = 0.0
     states[0] = x
     images[0] = z
-    phis[0] = _phi(scenario, 0.0, x, z)
+    phis[0] = float(instantiate(spec, 0.0, x).distance(z))
     for k in range(n_steps):
         t = (k + 1) * h_eff
         inst = instantiate(spec, t, x)

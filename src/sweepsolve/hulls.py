@@ -18,7 +18,7 @@ def min_norm_point(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("need at least one point")
-    P = _dedupe(P)
+    P = dedupe(P)
     k = P.shape[0]
     if k == 1:
         return P[0].copy(), float(np.linalg.norm(P[0]))
@@ -76,7 +76,8 @@ def _face_weights(S):
     return w
 
 
-def _dedupe(P, tol=1e-12):
+def dedupe(P, tol=1e-12):
+    """Rows of P, each dropped when within tol of an earlier kept row."""
     out = []
     for row in P:
         if not any(np.linalg.norm(row - q) <= tol for q in out):

@@ -1,4 +1,9 @@
-"""Strongly monotone Lipschitz operators with exact (m, M) constants."""
+"""Strongly monotone Lipschitz operators with exact (m, M) constants.
+
+Each kind defines one unvalidated kernel, ``image(x)``: A(x) as a new array
+for a finite (n,) float array x.  The public ``apply`` validates its input and
+calls it; the integrator calls ``image`` on states it has already checked.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +20,23 @@ class Operator:
 
     m = 1.0
     M = 1.0
+    n = None    # dimension the operator acts on; None for any dimension
+
+    def image(self, x) -> np.ndarray:
+        raise NotImplementedError
 
     def apply(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.image(as_vector(x, self.n, "x"))
 
     def check_dim(self, n):
         """Raise unless the operator acts on dimension n."""
+        if self.n not in (None, n):
+            raise DimensionMismatch(f"operator is {self.n}x{self.n}, state has dimension {n}")
 
 
 class IdentityOperator(Operator):
-    def apply(self, x):
-        return as_vector(x, name="x").copy()
+    def image(self, x):
+        return x.copy()
 
 
 class ScaledIdentityOperator(Operator):
@@ -37,8 +48,8 @@ class ScaledIdentityOperator(Operator):
         self.m = gamma
         self.M = gamma
 
-    def apply(self, x):
-        return self.gamma * as_vector(x, name="x")
+    def image(self, x):
+        return self.gamma * x
 
 
 class LinearSPDOperator(Operator):
@@ -62,17 +73,12 @@ class LinearSPDOperator(Operator):
             raise ValidationError(
                 "H_A1", f"matrix is not positive definite (min eigenvalue {eigs[0]:g})")
         self.matrix = K
+        self.n = K.shape[0]
         self.m = float(eigs[0])
         self.M = float(eigs[-1])
 
-    def apply(self, x):
-        x = as_vector(x, self.matrix.shape[0], "x")
+    def image(self, x):
         return self.matrix @ x
-
-    def check_dim(self, n):
-        if self.matrix.shape[0] != n:
-            raise DimensionMismatch(
-                f"operator is {self.matrix.shape[0]}x{self.matrix.shape[0]}, state has dimension {n}")
 
 
 @dataclass(frozen=True)

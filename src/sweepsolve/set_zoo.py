@@ -16,6 +16,8 @@ for bit, at distance 0, so projecting a point of the set returns that point.
 Row results do not depend on the other rows of the batch.  ``SetInstance``
 derives ``distance_many``, ``distance``, ``member`` and ``project`` from
 ``candidates``, validating their inputs once at that public boundary.
+``nearest_points`` selects among one row's candidates, for ``project`` and
+for the integrator, which queries ``candidates`` on its pre-validated states.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     InvalidVector,
     ProjectionNotConverged,
 )
+from .hulls import dedupe
 
 MEMBER_TOL = 1e-12          # membership slack for analytic variants
 TIE_TOL = 1e-9              # absolute distance gap below which projections tie
@@ -120,24 +123,8 @@ class SetInstance:
         return self.distance(z) <= self.member_tol
 
     def project(self, z, tie_gap=TIE_TOL):
-        """All nearest points of z, near-ties within ``tie_gap`` included.
-
-        The list is sorted lexicographically, so its first entry is the
-        deterministic selection of :func:`select_projection`.
-        """
-        P, D = self.candidates(as_vector(z, self.n, "z")[None])
-        if len(D) == 1:
-            return [P[0, 0]]
-        d = D[:, 0]
-        dmin = d.min()
-        # a member is its own unique projection: no near-tie admits another point
-        keep = P[d <= dmin + (tie_gap if dmin > 0.0 else 0.0), 0]
-        out = []
-        for p in keep:
-            if not any(np.linalg.norm(p - q) <= 1e-12 for q in out):
-                out.append(p)
-        out.sort(key=lambda p: tuple(p.tolist()))
-        return out
+        """All nearest points of z, near-ties within ``tie_gap`` included (see nearest_points)."""
+        return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]), tie_gap)
 
 
 class HalfSpaceInstance(SetInstance):
@@ -367,12 +354,9 @@ class HalfSpaceSpec(_GainDriven):
     def __post_init__(self):
         e1 = _unit(self.normal, "normal")
         object.__setattr__(self, "normal", _frozen(e1))
-        if self.state_gain != 0.0:
-            if self.state_direction is None:
-                raise InvalidVector("state_direction required when state_gain != 0")
-            u = _unit(self.state_direction, "state_direction")
-            object.__setattr__(self, "state_direction", _frozen(u))
-        elif self.state_direction is not None:
+        if self.state_gain != 0.0 and self.state_direction is None:
+            raise InvalidVector("state_direction required when state_gain != 0")
+        if self.state_direction is not None:
             u = _unit(self.state_direction, "state_direction")
             object.__setattr__(self, "state_direction", _frozen(u))
         if self.rotation_rate != 0.0:
@@ -542,6 +526,19 @@ def instantiate(spec, t, x) -> SetInstance:
         raise InvalidVector(f"time must be finite, got {t!r}")
     x = as_vector(x, spec.n, "x")
     return spec.freeze(float(t), x)
+
+
+def nearest_points(P, D, tie_gap=TIE_TOL):
+    """Nearest points of a one-row ``candidates`` result (P, D), ties within
+    ``tie_gap`` included, deduplicated and sorted lexicographically: the first
+    entry is the deterministic selection of :func:`select_projection`."""
+    if len(D) == 1:
+        return [P[0, 0]]
+    d = D[:, 0]
+    dmin = d.min()
+    # a member is its own unique projection: no near-tie admits another point
+    keep = P[d <= dmin + (tie_gap if dmin > 0.0 else 0.0), 0]
+    return sorted(dedupe(keep), key=lambda p: tuple(p.tolist()))
 
 
 def select_projection(candidates) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sweepsolve as sw
-from sweepsolve import dynamics
+from sweepsolve import dynamics, set_zoo
 from conftest import (
     decay_scenario,
     drift_halfspace_scenario,
@@ -69,14 +69,14 @@ def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
 
     v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
     assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
-    assert log == ["project"]
+    assert log == ["candidates"]
 
     log.clear()
     z = np.array(outside)
     v = sw.penalized_rhs(sc, lam, 0.0, z)
     expected = (sw.select_projection(real(spec, 0.0, z).project(z)) - z) / lam
     assert np.array_equal(v, expected) and np.any(v != 0.0)
-    assert log == ["project"]
+    assert log == ["candidates"]
 
 
 def test_rhs_requires_positive_lambda():
@@ -199,6 +199,170 @@ def test_phi_recomputed_from_geometry():
     for i in (0, len(traj) // 2, len(traj) - 1):
         inst = sw.instantiate(sc.moving_set, traj.times[i], traj.states[i])
         assert traj.phis[i] == inst.distance(traj.images[i])
+
+
+# ---------------------------------------------------------------------------
+# integrate: one set query per stage
+# ---------------------------------------------------------------------------
+
+def _reference_integrate(sc, lam):
+    """The integrator loop before stages shared a node's query.
+
+    Every stage calls the public ``penalized_rhs``, every adaptive attempt
+    recomputes k1, and each node's image and phi come from a fresh
+    ``apply`` and ``distance`` once the grid is fixed.
+    """
+    cfg, T = sc.integrator, float(sc.T)
+    guard = cfg.safety * lam / (1.0 + sc.operator.M)
+
+    def f(t, x):
+        return sw.penalized_rhs(sc, lam, t, x)
+
+    def rk4(t, x, h):
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x = sc.x0.copy()
+    times, states = [0.0], [x.copy()]
+    if cfg.method in ("euler", "rk4"):
+        n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
+        h = T / n_steps
+        for k in range(n_steps):
+            t = k * h
+            x = x + h * f(t, x) if cfg.method == "euler" else rk4(t, x, h)
+            times.append((k + 1) * h)
+            states.append(x)
+        times[-1] = T
+    else:
+        t, h = 0.0, min(guard, cfg.h_max, T)
+        while t < T * (1.0 - 1e-14):
+            h = min(h, cfg.h_max, guard, T - t)
+            big = rk4(t, x, h)
+            fine = rk4(t + 0.5 * h, rk4(t, x, 0.5 * h), 0.5 * h)
+            if np.all(np.isfinite(fine)) and np.all(np.isfinite(big)):
+                err = float(np.linalg.norm(big - fine)) / 15.0
+            else:
+                err = math.inf
+            if err <= cfg.tol_adapt:
+                t += h
+                x = fine
+                times.append(t)
+                states.append(x.copy())
+                growth = 5.0 if err == 0.0 else min(5.0, 0.9 * (cfg.tol_adapt / err) ** 0.2)
+                h = max(h * max(growth, 0.2), dynamics.H_MIN_FACTOR * T)
+            else:
+                shrink = 0.2 if not math.isfinite(err) else max(0.2, 0.9 * (cfg.tol_adapt / err) ** 0.2)
+                h = h * shrink
+    images = [sc.operator.apply(x) for x in states]
+    phis = [sw.instantiate(sc.moving_set, t, x).distance(z)
+            for t, x, z in zip(times, states, images)]
+    return tuple(np.array(a) for a in (times, states, images, phis))
+
+
+_CORNER_DRIFT = (sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
+                 sw.HalfSpaceSpec(normal=[0.0, -1.0], drift=-0.5))
+
+ORACLE_CASES = {
+    "half_space": (sw.HalfSpaceSpec(normal=[0.6, -0.8], beta0=-0.1, drift=-1.0), None),
+    "ball": (sw.BallSpec(center=[0.0, 0.0], radius=0.3, velocity=[1.5, 0.5]), None),
+    "box": (sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[4.0, 0.0],
+                       upper_velocity=[4.0, 0.0]), None),
+    "wedge": (sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[0.0, 1.0]), None),  # ties on the axis
+    "intersection": (sw.HalfSpaceIntersectionSpec(_CORNER_DRIFT), None),
+    "union": (sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5, velocity=[2.0, 1.0]),
+                            sw.HalfSpaceIntersectionSpec(_CORNER_DRIFT))), None),
+    "linear_spd": (sw.BallSpec(center=[0.0, 0.0], radius=0.3, velocity=[1.0, -1.0]),
+                   sw.LinearSPDOperator([[2.0, 0.5], [0.5, 1.0]])),
+    "state_half_space": (sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0, state_gain=-0.5,
+                                          state_direction=[0.6, 0.8]), None),
+    "state_ball": (sw.BallSpec(center=[0.0, 0.0], radius=0.3, velocity=[1.5, 0.0],
+                               state_gain=0.3), None),
+}
+
+
+def _oracle_scenario(kind, method, lam):
+    # T = 0.47 is not n*(T/n) in floating point, so the last node must sit at T
+    spec, op = ORACLE_CASES[kind]
+    return sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
+                       moving_set=spec, lambdas=(lam,),
+                       integrator=sw.IntegratorConfig(method=method))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4", "adaptive"])
+@pytest.mark.parametrize("kind", list(ORACLE_CASES))
+def test_integrate_bit_identical_to_per_node_reassembly(kind, method):
+    lam = 0.1
+    sc = _oracle_scenario(kind, method, lam)
+    traj = sw.integrate(sc, lam)
+    ref = _reference_integrate(sc, lam)
+    got = (traj.times, traj.states, traj.images, traj.phis)
+    for name, a, b in zip(("times", "states", "images", "phis"), got, ref):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert traj.phis.max() > 0.0  # the set pushes: the velocity is not trivially zero
+    if method != "adaptive":
+        n = traj.stats.n_accepted
+        assert traj.stats.rhs_evals == (n if method == "euler" else 4 * n)
+
+
+def _count_queries(monkeypatch, spec_cls):
+    """Log every attribute the integrator uses on the instances ``freeze`` returns."""
+    log = []
+    real = spec_cls.freeze
+    monkeypatch.setattr(spec_cls, "freeze",
+                        lambda self, t, x: _QueryLog(real(self, t, x), log))
+    return log
+
+
+@pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
+def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
+    lam = 0.05
+    sc = drift_halfspace_scenario(lambdas=(lam,), method=method)
+    log = _count_queries(monkeypatch, sw.HalfSpaceSpec)
+    traj = sw.integrate(sc, lam)
+    n_steps = traj.stats.n_accepted
+    assert set(log) == {"candidates"}
+    assert len(log) == per_step * n_steps + 1       # the node at T adds one query
+    assert traj.stats.rhs_evals == per_step * n_steps
+
+
+def test_adaptive_shares_each_nodes_k1(monkeypatch):
+    # the kink at t = 0 (the start sits on the moving boundary) forces rejections
+    lam = 0.05
+    sc = drift_halfspace_scenario(lambdas=(lam,), method="adaptive", tol_adapt=1e-12)
+    log = _count_queries(monkeypatch, sw.HalfSpaceSpec)
+    stats = sw.integrate(sc, lam).stats
+    assert stats.n_accepted > 0 and stats.n_rejected > 0
+    # a node's first attempt: k1 + 3 (step h) + 3 (first h/2) + 4 (second h/2);
+    # each retry from the same node reuses k1
+    assert stats.rhs_evals == 11 * stats.n_accepted + 10 * stats.n_rejected
+    assert set(log) == {"candidates"} and len(log) == stats.rhs_evals + 1
+
+
+_OVERFLOW_SETS = {
+    "half_space": sw.HalfSpaceSpec(normal=[1.0]),
+    "intersection": sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0]),)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", list(_OVERFLOW_SETS))
+def test_overflowing_image_is_a_named_error(monkeypatch, kind):
+    # x0 is finite, but A(x0) = 4*x0 overflows to inf
+    sc = sw.Scenario(n=1, T=1.0, x0=np.array([1e308]), operator=sw.ScaledIdentityOperator(4.0),
+                     moving_set=_OVERFLOW_SETS[kind], lambdas=(0.1,),
+                     allow_infeasible_start=True)
+    calls = []
+    real = set_zoo.dykstra_project
+    monkeypatch.setattr(set_zoo, "dykstra_project",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    with pytest.raises(sw.InvalidVector):
+        sw.integrate(sc, 0.1)
+    with pytest.raises(sw.InvalidVector):
+        sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
