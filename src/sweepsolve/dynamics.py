@@ -5,14 +5,12 @@ nearest point of A(x) on the instantaneous set.  Explicit steppers must
 resolve the 1/lambda decay, hence every method is capped by the stiffness
 guard h <= c*lambda/(1 + M).
 
-Inputs are validated once, at the boundary: lambda and (t, x) in
-``penalized_rhs``, lambda in ``integrate`` (the start state when the
-``Scenario`` is built) and states after every step.  Each right-hand-side
-stage then makes exactly one set query, ``candidates`` on the instance
-frozen at its (t, x): for a member A(x) every set kind returns A(x) itself,
-so the velocity vanishes exactly there.  A node's operator image and phi come
-from the query of the first stage k1 of the step leaving it; only the last
-node needs a query of its own.
+Inputs are validated once, at the boundary: x0 and the set and operator
+dimensions in ``Scenario``, lambda and (t, x) in ``penalized_rhs``, lambda in
+``integrate``, and each new state's finiteness.  Each right-hand-side stage
+makes one set query, ``candidates`` at its (t, x); a member A(x) is its own
+candidate, so the velocity vanishes exactly there.  A node's image and phi
+come from its k1 query; only the node at T needs a query of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidVector, StepFailure, UnsupportedScenario
+from .errors import DimensionMismatch, InvalidVector, StepFailure, UnsupportedScenario
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
 from .set_zoo import as_vector, instantiate, nearest_points, select_projection
 
@@ -66,6 +64,9 @@ class Scenario:
 
     def __post_init__(self):
         x0 = as_vector(self.x0, self.n, "x0")
+        if self.moving_set.n != self.n:
+            raise DimensionMismatch(f"set has dimension {self.moving_set.n}, state {self.n}")
+        self.operator.check_dim(self.n)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
 
@@ -103,12 +104,13 @@ class Trajectory:
 
 
 def _stage(op, freeze, lam, t, x):
-    """(A(x), phi, velocity) at a validated (t, x) from one set query; a
-    non-finite image A(x) raises before the set is frozen or queried."""
+    """(A(x), phi, velocity) at (t, x) from one query of the instance
+    ``freeze(t, x)``; a non-finite image A(x) raises before the query."""
+    inst = freeze(t, x)
     z = op.image(x)
     if not np.isfinite(z).all():
         raise InvalidVector("operator image A(x) contains non-finite entries")
-    P, D = freeze(t, x).candidates(z[None])
+    P, D = inst.candidates(z[None])
     return z, float(D.min()), (nearest_points(P, D)[0] - z) / lam
 
 
@@ -122,7 +124,7 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    x = as_vector(x, scenario.n, "x")
+    x = np.array(x, dtype=float, copy=None, ndmin=1)   # instantiate validates t and x
     return _stage(scenario.operator, partial(instantiate, scenario.moving_set), lam, t, x)[2]
 
 
@@ -142,9 +144,8 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    op = scenario.operator
-    guard = scenario.integrator.safety * lam / (1.0 + op.M)
-    f = partial(_stage, op, scenario.moving_set.freeze, lam)
+    guard = scenario.integrator.safety * lam / (1.0 + scenario.operator.M)
+    f = partial(_stage, scenario.operator, scenario.moving_set.freeze, lam)
     if scenario.integrator.method in ("euler", "rk4"):
         return _integrate_fixed(scenario, lam, f, guard)
     return _integrate_adaptive(scenario, lam, f, guard)
@@ -179,11 +180,8 @@ def _integrate_fixed(scenario, lam, f, guard):
 
 
 def _integrate_adaptive(scenario, lam, f, guard):
-    """Step doubling: one RK4 step of h against two of h/2.
-
-    Both start with the node's k1, so a node's first attempt costs 11 velocity
-    evaluations and each retry from it 10.
-    """
+    """Step doubling: one RK4 step of h against two of h/2, both from the node's
+    k1, so a node's first attempt costs 11 velocity evaluations and a retry 10."""
     cfg = scenario.integrator
     T = float(scenario.T)
     h_min = H_MIN_FACTOR * T

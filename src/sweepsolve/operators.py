@@ -1,8 +1,7 @@
 """Strongly monotone Lipschitz operators with exact (m, M) constants.
 
-Each kind defines one unvalidated kernel, ``image(x)``: A(x) as a new array
-for a finite (n,) float array x.  The public ``apply`` validates its input and
-calls it; the integrator calls ``image`` on states it has already checked.
+Each kind defines the unvalidated kernel ``image(x)``, a new array, for a finite
+(n,) x; ``apply`` validates x and calls it, the integrator calls it on checked states.
 """
 
 from __future__ import annotations

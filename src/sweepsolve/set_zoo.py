@@ -354,9 +354,12 @@ class HalfSpaceSpec(_GainDriven):
     def __post_init__(self):
         e1 = _unit(self.normal, "normal")
         object.__setattr__(self, "normal", _frozen(e1))
-        if self.state_gain != 0.0 and self.state_direction is None:
-            raise InvalidVector("state_direction required when state_gain != 0")
-        if self.state_direction is not None:
+        if self.state_gain != 0.0:
+            if self.state_direction is None:
+                raise InvalidVector("state_direction required when state_gain != 0")
+            u = _unit(self.state_direction, "state_direction")
+            object.__setattr__(self, "state_direction", _frozen(u))
+        elif self.state_direction is not None:
             u = _unit(self.state_direction, "state_direction")
             object.__setattr__(self, "state_direction", _frozen(u))
         if self.rotation_rate != 0.0:

@@ -85,6 +85,28 @@ def test_rhs_requires_positive_lambda():
         sw.penalized_rhs(sc, 0.0, 0.0, np.array([1.0]))
 
 
+@pytest.mark.parametrize("spec, op", [
+    (sw.BoxSpec(lower=[-1.0], upper=[1.0]), None),       # would broadcast over both axes
+    (sw.BallSpec(center=[0.0], radius=1.0), None),
+    (sw.HalfSpaceSpec(normal=[1.0, 0.0, 0.0]), None),
+    (sw.BallSpec(center=[0.0, 0.0], radius=1.0), sw.LinearSPDOperator(np.eye(3))),
+], ids=["box_1d", "ball_1d", "half_space_3d", "linear_spd_3x3"])
+def test_mismatched_dimensions_never_integrate(spec, op):
+    with pytest.raises(sw.DimensionMismatch):
+        sc = sw.Scenario(n=2, T=1.0, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
+                         moving_set=spec, lambdas=(0.1,))
+        sw.integrate(sc, 0.1)
+
+
+@pytest.mark.parametrize("x, error", [
+    ([0.0, 0.0], sw.DimensionMismatch), ([math.nan], sw.InvalidVector)])
+def test_rhs_validates_state(x, error):
+    with pytest.raises(error):
+        sw.penalized_rhs(decay_scenario(), 0.1, 0.0, x)
+    with pytest.raises(sw.InvalidVector):
+        sw.penalized_rhs(decay_scenario(), 0.1, math.inf, [1.0])
+
+
 # ---------------------------------------------------------------------------
 # integrate: closed forms
 # ---------------------------------------------------------------------------
