@@ -105,12 +105,11 @@ class Trajectory:
 
 def _stage(op, freeze, lam, t, x):
     """(A(x), phi, velocity) at (t, x) from one query of the instance
-    ``freeze(t, x)``; a non-finite image A(x) raises before the query."""
-    inst = freeze(t, x)
+    ``freeze(t, x)``; a non-finite image A(x) raises before the set is frozen."""
     z = op.image(x)
     if not np.isfinite(z).all():
         raise InvalidVector("operator image A(x) contains non-finite entries")
-    P, D = inst.candidates(z[None])
+    P, D = freeze(t, x).candidates(z[None])
     return z, float(D.min()), (nearest_points(P, D)[0] - z) / lam
 
 
@@ -124,8 +123,9 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    x = np.array(x, dtype=float, copy=None, ndmin=1)   # instantiate validates t and x
-    return _stage(scenario.operator, partial(instantiate, scenario.moving_set), lam, t, x)[2]
+    inst = instantiate(scenario.moving_set, t, x)     # validates t and x
+    x = np.array(x, dtype=float, copy=None, ndmin=1)
+    return _stage(scenario.operator, lambda t, x: inst, lam, t, x)[2]
 
 
 def _rk4_step(f, t, x, h, k1):
