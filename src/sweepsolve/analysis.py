@@ -290,8 +290,12 @@ def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
 
     R is set to twice the expected travel T*kappa/(m*alpha^2 - L), resolved by
     one fixed-point pass from a first estimate at unit travel radius.
-    Overestimating R only loosens the resulting modulus conservatively.
+    Overestimating R only loosens the resulting modulus conservatively.  The
+    default result is kept on the scenario: the parse-time gate and CLI share it.
     """
+    memo = vars(scenario) if params is None and sampler is None else {}
+    if "_kappa_tilde" in memo:
+        return memo["_kappa_tilde"]
     params = params or FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
     sampler = sampler or SamplerConfig()
     op = scenario.operator
@@ -309,8 +313,9 @@ def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
     travel = 2.0 * scenario.T * k1 / margin
     r2 = max(a0 + op.M * travel, 1e-3)
     k2, L2 = estimate_kappa(spec, r2, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
-    return KappaTildeResult(value=k2, radius=r2,
-                            estimates={r1: k1, r2: k2}, L_hat=max(L1, L2))
+    memo["_kappa_tilde"] = KappaTildeResult(value=k2, radius=r2,
+                                            estimates={r1: k1, r2: k2}, L_hat=max(L1, L2))
+    return memo["_kappa_tilde"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +417,7 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
     lambdas on a common uniform grid.
     """
     params = FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
-    kt = kt or kappa_tilde(scenario, params)
+    kt = kt or kappa_tilde(scenario)
     margin = params.margin(scenario.operator.m, scenario.state_lipschitz)
 
     def run(lam):

@@ -10,14 +10,15 @@ dimensions in ``Scenario``, lambda and (t, x) in ``penalized_rhs``, lambda in
 ``integrate``, and each new state's finiteness.  Each right-hand-side stage
 makes one set query, ``candidates`` at its (t, x); a member A(x) is its own
 candidate, so the velocity vanishes exactly there.  A node's image and phi
-come from its k1 query; only the node at T needs a query of its own.
+come from its k1 query (phi is taken at nodes only); only the node at T needs
+a query of its own.  A state-independent set is frozen once per stage time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -104,13 +105,13 @@ class Trajectory:
 
 
 def _stage(op, freeze, lam, t, x):
-    """(A(x), phi, velocity) at (t, x) from one query of the instance
-    ``freeze(t, x)``; a non-finite image A(x) raises before the set is frozen."""
+    """(A(x), candidate distances D, velocity) at (t, x) from one query of
+    ``freeze(t, x)``; phi = D.min(), and a non-finite A(x) raises before it."""
     z = op.image(x)
-    if not np.isfinite(z).all():
+    if not all(map(math.isfinite, z.tolist())):      # also false on NaN and +-inf
         raise InvalidVector("operator image A(x) contains non-finite entries")
     P, D = freeze(t, x).candidates(z[None])
-    return z, float(D.min()), (nearest_points(P, D)[0] - z) / lam
+    return z, D, (nearest_points(P, D)[0] - z) / lam
 
 
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
@@ -145,7 +146,12 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     guard = scenario.integrator.safety * lam / (1.0 + scenario.operator.M)
-    f = partial(_stage, scenario.operator, scenario.moving_set.freeze, lam)
+    freeze = scenario.moving_set.freeze
+    if not scenario.moving_set.state_dependent:
+        # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h when equal
+        at = lru_cache(maxsize=1)(partial(freeze, x=scenario.x0))
+        freeze = lambda t, x: at(t)
+    f = partial(_stage, scenario.operator, freeze, lam)
     if scenario.integrator.method in ("euler", "rk4"):
         return _integrate_fixed(scenario, lam, f, guard)
     return _integrate_adaptive(scenario, lam, f, guard)
@@ -166,11 +172,12 @@ def _integrate_fixed(scenario, lam, f, guard):
     t, x = 0.0, scenario.x0.copy()
     for k in range(n_steps + 1):
         times[k], states[k] = t, x
-        images[k], phis[k], k1 = f(t, x)
+        images[k], D, k1 = f(t, x)
+        phis[k] = D.min()
         if k == n_steps:
             break
         x = x + h * k1 if euler else _rk4_step(f, t, x, h, k1)
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, x.tolist())):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
@@ -189,7 +196,7 @@ def _integrate_adaptive(scenario, lam, f, guard):
 
     t = 0.0
     x = scenario.x0.copy()
-    nodes = [(t, x, *f(t, x))]      # (t, x, A(x), phi, k1) of each accepted node
+    nodes = [(t, x, *f(t, x))]      # (t, x, A(x), D, k1) of each accepted node
     rejected = 0
     h_lo, h_hi = math.inf, 0.0
 
@@ -222,8 +229,8 @@ def _integrate_adaptive(scenario, lam, f, guard):
     accepted = len(nodes) - 1
     stats = StepStats(accepted, rejected, 11 * accepted + 10 * rejected,
                       0.0 if accepted == 0 else h_lo, h_hi)
-    times, states, images, phis = map(np.array, list(zip(*nodes))[:4])
-    return Trajectory(times, states, images, phis, lam, stats)
+    times, states, images, Ds = list(zip(*nodes))[:4]
+    return Trajectory(*map(np.array, (times, states, images, [D.min() for D in Ds])), lam, stats)
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:

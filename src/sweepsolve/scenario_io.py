@@ -374,9 +374,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         if traj.lam is not None:
             fh.write(f"# lambda = {_fmt(traj.lam)}\n")
         fh.write(",".join(cols) + "\n")
-        for i in range(len(traj)):
-            row = [traj.times[i], *traj.states[i], *traj.images[i], traj.phis[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.column_stack([traj.times, traj.states, traj.images, traj.phis]):
+            fh.write(",".join([_fmt(v) for v in row.tolist()]) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:

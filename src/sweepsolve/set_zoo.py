@@ -40,6 +40,7 @@ MEMBER_TOL = 1e-12          # membership slack for analytic variants
 TIE_TOL = 1e-9              # absolute distance gap below which projections tie
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 100_000
+RANK_TOL = 1e-6             # least singular value of independent normals (squared: eigvalsh of N N^T)
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -84,9 +85,14 @@ def _unit(v, name, tol=1e-9):
 
 
 def _frozen(v):
-    v = np.array(v, dtype=float)
-    v.flags.writeable = False
-    return v
+    """v as a read-only float64 array; copied unless it is one that owns its data."""
+    if isinstance(v, np.ndarray) and v.dtype == float and v.base is None and not v.flags.writeable:
+        return v
+    return _readonly(np.array(v, dtype=float))
+
+
+def _readonly(v):
+    return v.setflags(write=False) or v
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +386,7 @@ class HalfSpaceSpec(_GainDriven):
         if self.rotation_rate == 0.0:
             return self.normal
         ang = self.rotation_rate * t
-        return np.cos(ang) * self.normal + np.sin(ang) * self.rotation_partner
+        return _readonly(np.cos(ang) * self.normal + np.sin(ang) * self.rotation_partner)
 
     def beta(self, t, x):
         b = self.beta0 + self.drift * t
@@ -417,7 +423,7 @@ class BallSpec(_GainDriven):
         c = self.center + t * self.velocity
         if self.state_gain != 0.0:
             c = c + self.state_gain * x
-        return BallInstance(c, self.radius)
+        return BallInstance(_readonly(c), self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,7 +460,7 @@ class BoxSpec:
         hi = self.upper + t * self.upper_velocity
         if np.any(lo > hi):
             raise EmptyInstance(f"box has crossed bounds at t = {t!r}")
-        return BoxInstance(lo, hi)
+        return BoxInstance(_readonly(lo), _readonly(hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,20 +482,28 @@ class WedgeSpec:
     state_dependent = False
 
     def freeze(self, t, x):
-        return WedgeInstance(self.apex + t * self.apex_velocity)
+        return WedgeInstance(_readonly(self.apex + t * self.apex_velocity))
 
 
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
-    """Intersection of half-space families."""
+    """Intersection of half-space families.  Fixed independent normals make it
+    nonempty for all offsets, so only other intersections are probed at freeze."""
 
     members: tuple
 
     convex = True
 
+    def __post_init__(self):
+        super().__post_init__()
+        N = np.array([m.normal for m in self.members])
+        object.__setattr__(self, "_always_nonempty", bool(np.linalg.eigvalsh(N @ N.T)[0] > RANK_TOL ** 2)
+                           and all(m.rotation_rate == 0.0 for m in self.members))
+
     def freeze(self, t, x):
         inst = HalfSpaceIntersectionInstance([m.freeze(t, x) for m in self.members])
-        inst.ensure_nonempty()
+        if not self._always_nonempty:
+            inst.ensure_nonempty()
         return inst
 
 

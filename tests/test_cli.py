@@ -147,3 +147,28 @@ def test_sweep_csv_matches_solve_csv(tmp_path, drift_file):
                        "--lam", str(lam)) == 0
         name = f"trajectory_lam{lam:g}.csv"
         assert (sweep_out / name).read_bytes() == (solve_out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, extra, payload", [
+    ("sweep", [], "report.json"), ("solve", ["--lam", "0.05"], "summary.json")])
+def test_finite_rho_computes_kappa_tilde_once(tmp_path, drift_file, monkeypatch,
+                                              command, extra, payload):
+    # the penalty gate needs kappa_tilde at parse time; the command reuses it
+    from sweepsolve import analysis, parse_scenario
+    from sweepsolve.analysis import FarParameters, SamplerConfig
+
+    doc = json.loads(open(drift_file).read())
+    doc["assumed"] = {"alpha": 1.0, "rho": 10.0}
+    path = tmp_path / "finite_rho.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = analysis.estimate_kappa
+    monkeypatch.setattr(analysis, "estimate_kappa",
+                        lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+    out = tmp_path / "out"
+    assert run_cli(command, "--scenario", str(path), "--out", str(out), *extra) == 0
+    assert len(calls) == 2          # one kappa_tilde: one estimate at each of two radii
+    got = json.loads((out / payload).read_text())["kappa_tilde"]
+    fresh = analysis.kappa_tilde(parse_scenario(path.read_text()),
+                                 FarParameters(1.0, 10.0), SamplerConfig())
+    assert got == fresh.value

@@ -372,19 +372,101 @@ _OVERFLOW_SETS = {
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", list(_OVERFLOW_SETS))
 def test_overflowing_image_is_a_named_error(monkeypatch, kind):
-    # x0 is finite, but A(x0) = 4*x0 overflows to inf
-    sc = sw.Scenario(n=1, T=1.0, x0=np.array([1e308]), operator=sw.ScaledIdentityOperator(4.0),
-                     moving_set=_OVERFLOW_SETS[kind], lambdas=(0.1,),
-                     allow_infeasible_start=True)
+    # x0 is finite, but A(x0) = 4*x0 overflows to +-inf
     calls = []
     real = set_zoo.dykstra_project
     monkeypatch.setattr(set_zoo, "dykstra_project",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
-    with pytest.raises(sw.InvalidVector):
-        sw.integrate(sc, 0.1)
-    with pytest.raises(sw.InvalidVector):
-        sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)
+    for x0 in (1e308, -1e308):     # A(x0) = +inf, then -inf
+        sc = sw.Scenario(n=1, T=1.0, x0=np.array([x0]), operator=sw.ScaledIdentityOperator(4.0),
+                         moving_set=_OVERFLOW_SETS[kind], lambdas=(0.1,),
+                         allow_infeasible_start=True)
+        with pytest.raises(sw.InvalidVector):
+            sw.integrate(sc, 0.1)
+        with pytest.raises(sw.InvalidVector):
+            sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_state_is_a_step_failure():
+    # A(x0) = x0 is finite, but the pull toward {z >= 0} overflows the first
+    # Euler step; the check on the new state must catch it before A(x1)
+    sc = sw.Scenario(n=1, T=1.0, x0=np.array([-1e308]), operator=sw.IdentityOperator(),
+                     moving_set=sw.HalfSpaceSpec(normal=[-1.0]), lambdas=(0.1,),
+                     integrator=sw.IntegratorConfig(method="euler"),
+                     allow_infeasible_start=True)
+    assert np.isinf(sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)).all()
+    with pytest.raises(sw.StepFailure):
+        sw.integrate(sc, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# integrate: a state-independent set is frozen once per stage time
+# ---------------------------------------------------------------------------
+
+def _count_freezes(monkeypatch, spec_cls):
+    calls = []
+    real = spec_cls.freeze
+    monkeypatch.setattr(spec_cls, "freeze",
+                        lambda self, t, x: calls.append(t) or real(self, t, x))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["half_space", "ball", "box", "wedge", "intersection", "union"])
+def test_state_independent_set_freezes_at_most_three_times_per_step(monkeypatch, kind):
+    sc = _oracle_scenario(kind, "rk4", 0.1)
+    calls = _count_freezes(monkeypatch, type(sc.moving_set))
+    n = sw.integrate(sc, 0.1).stats.n_accepted
+    # k2 and k3 share t + h/2; k4 shares t + h with the next node's k1
+    assert len(calls) <= 3 * n + 1
+    assert len(set(calls)) == len(calls)   # no time is frozen twice
+
+
+def test_state_dependent_set_freezes_at_every_stage(monkeypatch):
+    sc = _oracle_scenario("state_half_space", "rk4", 0.1)
+    calls = _count_freezes(monkeypatch, sw.HalfSpaceSpec)
+    n = sw.integrate(sc, 0.1).stats.n_accepted
+    assert len(calls) == 4 * n + 1
+
+
+def test_threaded_sweep_matches_serial_sweep():
+    sc = drift_halfspace_scenario(lambdas=(0.1, 0.05, 0.02, 0.01))
+    serial = sw.lambda_sweep(sc, jobs=1, alpha_samples=0).trajectories
+    threaded = sw.lambda_sweep(sc, jobs=2, alpha_samples=0).trajectories
+    assert list(serial) == list(threaded) == list(sc.lambdas)
+    for lam, a in serial.items():
+        b = threaded[lam]
+        for name in ("times", "states", "images", "phis"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (lam, name)
+
+
+def test_full_rank_intersection_is_never_probed(monkeypatch, scenario_dir):
+    sc = sw.load_scenario(scenario_dir / "corner_push_dykstra.json")
+    calls = []
+    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
+    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
+                        lambda self: calls.append(1) or real(self))
+    traj = sw.integrate(sc, sc.lambdas[0])
+    assert traj.phis.max() > 0.0 and calls == []
+
+
+# z <= 1 - t and z >= 0 cross at t = 1: parallel normals, so every freeze probes
+_CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1.0, drift=-1.0),
+                                          sw.HalfSpaceSpec(normal=[-1.0])))
+
+
+def test_crossing_intersection_raises_when_empty():
+    assert _CROSSING.freeze(0.5, np.zeros(1)).distance([2.0]) == pytest.approx(1.5)
+    with pytest.raises(sw.EmptyInstance):
+        _CROSSING.freeze(1.5, np.zeros(1))
+
+
+def test_union_skips_an_empty_intersection_member():
+    union = sw.UnionSpec((_CROSSING, sw.BallSpec(center=[5.0], radius=1.0)))
+    assert len(union.freeze(0.5, np.zeros(1)).members) == 2
+    inst = union.freeze(1.5, np.zeros(1))
+    assert len(inst.members) == 1 and inst.distance([0.0]) == 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,24 @@ def test_csv_columns_layout(tmp_path):
     assert lines[1] == "t,x_1,x_2,z_1,z_2,phi"
 
 
+def test_csv_text_is_pinned(tmp_path):
+    # signed zeros, the smallest subnormal, a value near overflow and 0.1
+    traj = sw.Trajectory(
+        np.array([0.0, 0.1, 1.0]),
+        np.array([[-0.0, 0.1], [5e-324, 1e308], [1 / 3, -2.5]]),
+        np.array([[1e308, -0.0], [0.1, 5e-324], [-1e-5, 123456789.0]]),
+        np.array([5e-324, -0.0, 0.1]), 0.1)
+    path = tmp_path / "pinned.csv"
+    write_trajectory_csv(path, traj)
+    assert path.read_bytes().decode("utf-8") == (
+        "# lambda = 0.10000000000000001\n"
+        "t,x_1,x_2,z_1,z_2,phi\n"
+        "0,-0,0.10000000000000001,1e+308,-0,4.9406564584124654e-324\n"
+        "0.10000000000000001,4.9406564584124654e-324,1e+308,0.10000000000000001,"
+        "4.9406564584124654e-324,-0\n"
+        "1,0.33333333333333331,-2.5,-1.0000000000000001e-05,123456789,0.10000000000000001\n")
+
+
 @pytest.mark.parametrize("body", [
     "t,x_1,z_1,phi\n0,0,0,0\n0.5,0.1,0.1\n1,0.2,0.2,0\n",        # ragged row
     "t,x_1,z_1,phi\n0,0,0,0\n0.5,abc,0.1,0\n",                    # non-numeric cell

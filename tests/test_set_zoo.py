@@ -53,6 +53,31 @@ def test_instantiate_is_deterministic():
     assert np.array_equal(a.zeta, b.zeta) and a.beta == b.beta
 
 
+@pytest.mark.parametrize("spec, arrays", [
+    (sw.HalfSpaceSpec(normal=[0.6, 0.8]), ("zeta",)),
+    (sw.HalfSpaceSpec(normal=[1.0, 0.0], rotation_rate=1.0, rotation_partner=[0.0, 1.0]),
+     ("zeta",)),
+    (sw.BallSpec(center=[1.0, 2.0], radius=0.5, velocity=[1.0, 0.0]), ("center",)),
+    (sw.BoxSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], upper_velocity=[1.0, 1.0]),
+     ("lower", "upper")),
+    (sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[0.0, 1.0]), ("apex",)),
+], ids=["half_space", "rotating_half_space", "ball", "box", "wedge"])
+def test_frozen_instances_are_read_only(spec, arrays):
+    inst = spec.freeze(0.5, np.zeros(2))
+    for name in arrays:
+        with pytest.raises(ValueError):
+            getattr(inst, name)[0] = 9.0
+
+
+def test_frozen_keeps_read_only_arrays_and_copies_the_rest():
+    spec = sw.HalfSpaceSpec(normal=[0.6, 0.8])
+    assert spec.freeze(0.0, np.zeros(2)).zeta is spec.normal    # no copy per freeze
+    center = np.array([1.0, 2.0])
+    inst = set_zoo.BallInstance(center, 0.5)
+    center[0] = 9.0                                             # the caller's array
+    assert inst.center.tolist() == [1.0, 2.0] and not inst.center.flags.writeable
+
+
 def test_instantiate_rejects_dimension_mismatch():
     spec = sw.HalfSpaceSpec(normal=[1.0, 0.0])
     with pytest.raises(sw.DimensionMismatch):
