@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .dynamics import Scenario, Trajectory, integrate
 from .errors import (
@@ -66,10 +65,31 @@ class SamplerConfig:
             raise ValueError("sampler count must be >= 1")
 
 
+def halton(d: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in [0, 1)^d:
+    radical inverses of 0, 1, ... in the first d primes, summed lowest digit first
+    with place values divided down, bit for bit ``qmc.Halton(d, scramble=False)``."""
+    primes = [2]
+    while len(primes) < d:      # Bertrand: a prime lies in (p, 2p]
+        primes.append(next(q for q in range(primes[-1] + 1, 2 * primes[-1] + 1)
+                           if all(q % p for p in primes)))
+    # whole numbers below 2**52 as floats: floor(q / p) is exact, and faster than //
+    quotient = np.tile(np.arange(count, dtype=float), (d, 1))
+    bases = np.array(primes, dtype=float)[:, None]
+    out = np.zeros((d, count))
+    place = 1.0 / bases
+    while quotient.any():
+        higher = np.floor(quotient / bases)
+        out += (quotient - higher * bases) * place
+        place = place / bases
+        quotient = higher
+    return out.T
+
+
 def ball_points(n: int, r: float, sampler: SamplerConfig) -> np.ndarray:
     """Points covering the radius-r ball, deterministic for the grid sampler."""
     if sampler.kind == "grid":
-        u = qmc.Halton(d=n + 1, scramble=False).random(sampler.count + 1)[1:]
+        u = halton(n + 1, sampler.count + 1)[1:]
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
         g = ndtri(u[:, :n])
     else:

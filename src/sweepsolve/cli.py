@@ -6,7 +6,8 @@ trajectory CSV from the trajectory ``lambda_sweep`` integrated and diagnosed,
 so every lambda is integrated exactly once.
 
 Exit codes: 0 when every requested check passes, 2 when a bound check fails,
-1 on any error (arguments, parse, validation, I/O, integration).  Artifacts
+1 on any error (arguments, parse, validation, I/O, integration); argparse's
+usage errors are ``UsageError``s too, not its exit 2.  Artifacts
 written under --out are byte-deterministic for a fixed (scenario, seed);
 timing goes to stderr only.
 """
@@ -46,8 +47,13 @@ def _common_flags(sub):
     sub.add_argument("--jobs", type=int, default=1, help="parallel lambda integrations")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # argparse would print usage and exit 2
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sweepsolve",
         description="Penalized solver and bound certification for degenerate "
                     "state-dependent sweeping dynamics")
@@ -77,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         code = _dispatch(args)
     except SweepSolveError as exc:

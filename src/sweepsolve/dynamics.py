@@ -8,10 +8,16 @@ guard h <= c*lambda/(1 + M).
 Inputs are validated once, at the boundary: x0 and the set and operator
 dimensions in ``Scenario``, lambda and (t, x) in ``penalized_rhs``, lambda in
 ``integrate``, and each new state's finiteness.  Each right-hand-side stage
-makes one set query, ``candidates`` at its (t, x); a member A(x) is its own
-candidate, so the velocity vanishes exactly there.  A node's image and phi
+makes one set query, ``nearest`` at its (t, x); a member A(x) is its own
+nearest point, so the velocity vanishes exactly there.  A node's image and phi
 come from its k1 query (phi is taken at nodes only); only the node at T needs
 a query of its own.  A state-independent set is frozen once per stage time.
+
+States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
+point costs a few float operations, not a NumPy call each; ``Operator.image``
+and ``SetInstance.nearest`` take lists.  Stages combine in the order of the
+array expressions in the comments and dot products run left to right
+(``set_zoo._dot``): one bit pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidVector, StepFailure, UnsupportedScenario
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import as_vector, instantiate, nearest_points, select_projection
+from .set_zoo import _dot, as_vector, instantiate
 
 H_MIN_FACTOR = 1e-12  # adaptive step underflow threshold, relative to T
 
@@ -105,13 +111,13 @@ class Trajectory:
 
 
 def _stage(op, freeze, lam, t, x):
-    """(A(x), candidate distances D, velocity) at (t, x) from one query of
-    ``freeze(t, x)``; phi = D.min(), and a non-finite A(x) raises before it."""
+    """(A(x), phi, velocity) at the list state (t, x) from one ``nearest`` query
+    of ``freeze(t, x)``; a non-finite A(x) raises before the query."""
     z = op.image(x)
-    if not all(map(math.isfinite, z.tolist())):      # also false on NaN and +-inf
+    if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
         raise InvalidVector("operator image A(x) contains non-finite entries")
-    P, D = freeze(t, x).candidates(z[None])
-    return z, D, (nearest_points(P, D)[0] - z) / lam
+    p, phi = freeze(t, x).nearest(z)
+    return z, phi, [(pi - zi) / lam for pi, zi in zip(p, z)]     # (p - z)/lam
 
 
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
@@ -125,16 +131,17 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     inst = instantiate(scenario.moving_set, t, x)     # validates t and x
-    x = np.array(x, dtype=float, copy=None, ndmin=1)
-    return _stage(scenario.operator, lambda t, x: inst, lam, t, x)[2]
+    x = np.array(x, dtype=float, ndmin=1).tolist()
+    return np.array(_stage(scenario.operator, lambda t, x: inst, lam, t, x)[2])
 
 
 def _rk4_step(f, t, x, h, k1):
     """One classical RK4 step from (t, x) whose first stage k1 is already known."""
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)[2]
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)[2]
-    k4 = f(t + h, x + h * k3)[2]
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])[2]
+    k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])[2]
+    k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])[2]
+    c = h / 6.0      # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4)
+    return [xi + c * (a + 2.0 * b + 2.0 * d + e) for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
@@ -146,47 +153,46 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     guard = scenario.integrator.safety * lam / (1.0 + scenario.operator.M)
-    freeze = scenario.moving_set.freeze
-    if not scenario.moving_set.state_dependent:
+    spec = scenario.moving_set
+    if spec.state_dependent:
+        freeze = lambda t, x: spec.freeze(t, np.array(x))     # specs read x as an array
+    else:
         # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h when equal
-        at = lru_cache(maxsize=1)(partial(freeze, x=scenario.x0))
+        at = lru_cache(maxsize=1)(partial(spec.freeze, x=scenario.x0))
         freeze = lambda t, x: at(t)
     f = partial(_stage, scenario.operator, freeze, lam)
     if scenario.integrator.method in ("euler", "rk4"):
-        return _integrate_fixed(scenario, lam, f, guard)
-    return _integrate_adaptive(scenario, lam, f, guard)
+        nodes, stats = _integrate_fixed(scenario, f, guard)
+    else:
+        nodes, stats = _integrate_adaptive(scenario, f, guard)
+    return Trajectory(*map(np.array, zip(*nodes)), lam, stats)
 
 
-def _integrate_fixed(scenario, lam, f, guard):
+def _integrate_fixed(scenario, f, guard):
+    """(t, x, A(x), phi) of each node, and the step counts."""
     cfg = scenario.integrator
     T = float(scenario.T)
-    h_target = min(guard, cfg.h_max, T)
-    n_steps = max(1, math.ceil(T / h_target - 1e-12))
+    n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
     h = T / n_steps
     euler = cfg.method == "euler"
 
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, scenario.n))
-    images = np.empty((n_steps + 1, scenario.n))
-    phis = np.empty(n_steps + 1)
-    t, x = 0.0, scenario.x0.copy()
+    nodes = []
+    t, x = 0.0, scenario.x0.tolist()
     for k in range(n_steps + 1):
-        times[k], states[k] = t, x
-        images[k], D, k1 = f(t, x)
-        phis[k] = D.min()
+        z, phi, k1 = f(t, x)
+        nodes.append((t, x, z, phi))
         if k == n_steps:
             break
-        x = x + h * k1 if euler else _rk4_step(f, t, x, h, k1)
-        if not all(map(math.isfinite, x.tolist())):
+        x = [xi + h * ki for xi, ki in zip(x, k1)] if euler else _rk4_step(f, t, x, h, k1)
+        if not all(map(math.isfinite, x)):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
         t = (k + 1) * h if k + 1 < n_steps else T
-    stats = StepStats(n_steps, 0, n_steps * (1 if euler else 4), h, h)
-    return Trajectory(times, states, images, phis, lam, stats)
+    return nodes, StepStats(n_steps, 0, n_steps * (1 if euler else 4), h, h)
 
 
-def _integrate_adaptive(scenario, lam, f, guard):
+def _integrate_adaptive(scenario, f, guard):
     """Step doubling: one RK4 step of h against two of h/2, both from the node's
     k1, so a node's first attempt costs 11 velocity evaluations and a retry 10."""
     cfg = scenario.integrator
@@ -194,26 +200,26 @@ def _integrate_adaptive(scenario, lam, f, guard):
     h_min = H_MIN_FACTOR * T
     h = min(guard, cfg.h_max, T)
 
-    t = 0.0
-    x = scenario.x0.copy()
-    nodes = [(t, x, *f(t, x))]      # (t, x, A(x), D, k1) of each accepted node
+    t, x = 0.0, scenario.x0.tolist()
+    z, phi, k1 = f(t, x)
+    nodes = [(t, x, z, phi)]
     rejected = 0
     h_lo, h_hi = math.inf, 0.0
 
     while t < T * (1.0 - 1e-14):
         h = min(h, cfg.h_max, guard, T - t)
-        k1 = nodes[-1][4]
         big = _rk4_step(f, t, x, h, k1)
         half = _rk4_step(f, t, x, 0.5 * h, k1)
         fine = _rk4_step(f, t + 0.5 * h, half, 0.5 * h, f(t + 0.5 * h, half)[2])
-        if np.all(np.isfinite(fine)) and np.all(np.isfinite(big)):
-            err = float(np.linalg.norm(big - fine)) / 15.0
+        if all(map(math.isfinite, fine + big)):
+            gap = [b - c for b, c in zip(big, fine)]
+            err = math.sqrt(_dot(gap, gap)) / 15.0
         else:
             err = math.inf
         if err <= cfg.tol_adapt:
-            t += h
-            x = fine
-            nodes.append((t, x, *f(t, x)))
+            t, x = t + h, fine
+            z, phi, k1 = f(t, x)
+            nodes.append((t, x, z, phi))
             h_lo = min(h_lo, h)
             h_hi = max(h_hi, h)
             growth = 5.0 if err == 0.0 else min(5.0, 0.9 * (cfg.tol_adapt / err) ** 0.2)
@@ -229,8 +235,7 @@ def _integrate_adaptive(scenario, lam, f, guard):
     accepted = len(nodes) - 1
     stats = StepStats(accepted, rejected, 11 * accepted + 10 * rejected,
                       0.0 if accepted == 0 else h_lo, h_hi)
-    times, states, images, Ds = list(zip(*nodes))[:4]
-    return Trajectory(*map(np.array, (times, states, images, [D.min() for D in Ds])), lam, stats)
+    return nodes, stats
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:
@@ -260,26 +265,12 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / h - 1e-12))
     h_eff = T / n_steps
 
-    x = scenario.x0.copy()
-    z = op.apply(x)
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, scenario.n))
-    images = np.empty((n_steps + 1, scenario.n))
-    phis = np.empty(n_steps + 1)
-    times[0] = 0.0
-    states[0] = x
-    images[0] = z
-    phis[0] = float(instantiate(spec, 0.0, x).distance(z))
+    z = op.image(scenario.x0.tolist())
+    nodes = [(0.0, scenario.x0, z, instantiate(spec, 0.0, scenario.x0).nearest(z)[1])]
     for k in range(n_steps):
-        t = (k + 1) * h_eff
-        inst = instantiate(spec, t, x)
-        z = select_projection(inst.project(z))
-        x = z / gamma
-        times[k] = k * h_eff
-        times[k + 1] = t
-        states[k + 1] = x
-        images[k + 1] = z
-        phis[k + 1] = float(inst.distance(z))
-    times[-1] = T
-    return Trajectory(times, states, images, phis, None,
-                      StepStats(n_steps, 0, 0, h_eff, h_eff))
+        t = (k + 1) * h_eff if k + 1 < n_steps else T
+        inst = instantiate(spec, t, scenario.x0)      # state-independent
+        z = inst.nearest(z)[0]
+        x = [zi / gamma for zi in z]
+        nodes.append((t, x, z, inst.nearest(z)[1]))
+    return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff, h_eff))

@@ -1,7 +1,8 @@
 """Strongly monotone Lipschitz operators with exact (m, M) constants.
 
-Each kind defines the unvalidated kernel ``image(x)``, a new array, for a finite
-(n,) x; ``apply`` validates x and calls it, the integrator calls it on checked states.
+Each kind defines one unvalidated kernel, ``image(x)``, from a finite list of
+floats to a new list; ``apply`` validates x and wraps it in arrays.  Matrix rows
+are summed by ``set_zoo._dot``, left to right: one bit pattern on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, ValidationError
-from .set_zoo import as_vector
+from .set_zoo import _dot, as_vector
 
 
 class Operator:
@@ -21,11 +22,11 @@ class Operator:
     M = 1.0
     n = None    # dimension the operator acts on; None for any dimension
 
-    def image(self, x) -> np.ndarray:
+    def image(self, x) -> list:
         raise NotImplementedError
 
     def apply(self, x) -> np.ndarray:
-        return self.image(as_vector(x, self.n, "x"))
+        return np.array(self.image(as_vector(x, self.n, "x").tolist()))
 
     def check_dim(self, n):
         """Raise unless the operator acts on dimension n."""
@@ -35,7 +36,7 @@ class Operator:
 
 class IdentityOperator(Operator):
     def image(self, x):
-        return x.copy()
+        return list(x)
 
 
 class ScaledIdentityOperator(Operator):
@@ -48,7 +49,7 @@ class ScaledIdentityOperator(Operator):
         self.M = gamma
 
     def image(self, x):
-        return self.gamma * x
+        return [self.gamma * xi for xi in x]
 
 
 class LinearSPDOperator(Operator):
@@ -72,12 +73,13 @@ class LinearSPDOperator(Operator):
             raise ValidationError(
                 "H_A1", f"matrix is not positive definite (min eigenvalue {eigs[0]:g})")
         self.matrix = K
+        self._rows = K.tolist()
         self.n = K.shape[0]
         self.m = float(eigs[0])
         self.M = float(eigs[-1])
 
     def image(self, x):
-        return self.matrix @ x
+        return [_dot(row, x) for row in self._rows]
 
 
 @dataclass(frozen=True)

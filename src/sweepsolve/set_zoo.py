@@ -16,16 +16,22 @@ for bit, at distance 0, so projecting a point of the set returns that point.
 Row results do not depend on the other rows of the batch.  ``SetInstance``
 derives ``distance_many``, ``distance``, ``member`` and ``project`` from
 ``candidates``, validating their inputs once at that public boundary.
-``nearest_points`` selects among one row's candidates, for ``project`` and
-for the integrator, which queries ``candidates`` on its pre-validated states.
+``nearest_points`` selects among one row's candidates.
+
+The integrator's one-point query ``nearest(z)`` maps a finite list of floats
+to the list ``select_projection(project(z))`` and ``distance(z)``: one row of
+``candidates``, or for the half-space, ball and box a closed form on floats in
+the batched kernel's order.  Dot products are ``_dot``, left to right from
+0.0: BLAS (``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels,
+and one fixed order gives one bit pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -67,18 +73,25 @@ def as_rows(Z, n, name="points"):
     return Z
 
 
-def row_norms(G):
-    """Euclidean norms along the last axis.
+def _dot(a, b):
+    """Sum of a*b over the last axis, left to right from 0.0; arrays broadcast
+    like ``np.vecdot``, two lists of floats give a float."""
+    if isinstance(a, np.ndarray):
+        a, b = ([v[..., j] for j in range(a.shape[-1])] for v in (a, b))
+    s = 0.0
+    for u, v in zip(a, b):
+        s = s + u * v
+    return s
 
-    Row by row this is the same arithmetic as ``np.linalg.norm`` of a single
-    vector, so a batch of one and a row of a larger batch agree bit for bit.
-    """
-    return np.sqrt(np.vecdot(G, G))
+
+def row_norms(G):
+    """Euclidean norms along the last axis, summed in ``_dot``'s fixed order."""
+    return np.sqrt(_dot(G, G))
 
 
 def _unit(v, name, tol=1e-9):
     v = as_vector(v, name=name)
-    nrm = float(np.linalg.norm(v))
+    nrm = math.sqrt(_dot(v, v))
     if abs(nrm - 1.0) > tol:
         raise InvalidVector(f"{name} must have unit norm, got {nrm!r}")
     return v / nrm
@@ -132,6 +145,11 @@ class SetInstance:
         """All nearest points of z, near-ties within ``tie_gap`` included (see nearest_points)."""
         return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]), tie_gap)
 
+    def nearest(self, z):
+        """(selected nearest point, distance) of the finite point z, a list of floats."""
+        P, D = self.candidates(np.array([z]))
+        return nearest_points(P, D)[0].tolist(), float(D.min())
+
 
 class HalfSpaceInstance(SetInstance):
     """{z : <zeta, z> <= beta} with unit normal zeta."""
@@ -140,10 +158,15 @@ class HalfSpaceInstance(SetInstance):
         super().__init__(len(zeta))
         self.zeta = _frozen(zeta)
         self.beta = float(beta)
+        self._zeta = self.zeta.tolist()
 
     def candidates(self, Z):
-        v = (np.vecdot(Z, self.zeta) - self.beta)[:, None]
+        v = (_dot(Z, self.zeta) - self.beta)[:, None]
         return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
+
+    def nearest(self, z):
+        v = _dot(z, self._zeta) - self.beta
+        return ([zi - v * ci for zi, ci in zip(z, self._zeta)], v) if v > 0.0 else (z, 0.0)
 
     def anchor(self):
         return self.beta * self.zeta
@@ -156,6 +179,7 @@ class BallInstance(SetInstance):
         super().__init__(len(center))
         self.center = _frozen(center)
         self.radius = float(radius)
+        self._center = self.center.tolist()
 
     def candidates(self, Z):
         gap = Z - self.center
@@ -163,6 +187,13 @@ class BallInstance(SetInstance):
         radial = self.center + self.radius / np.maximum(nrm, self.radius) * gap
         return (np.where(nrm <= self.radius, Z, radial)[None],
                 np.maximum(nrm - self.radius, 0.0).T)
+
+    def nearest(self, z):
+        gap = [zi - ci for zi, ci in zip(z, self._center)]
+        nrm = math.sqrt(_dot(gap, gap))
+        if nrm <= self.radius:
+            return z, 0.0
+        return [ci + self.radius / nrm * gi for ci, gi in zip(self._center, gap)], nrm - self.radius
 
     def anchor(self):
         return self.center.copy()
@@ -182,6 +213,14 @@ class BoxInstance(SetInstance):
         # clipping may turn -0.0 into +0.0, and a gap below 1e-154 squares to 0
         P = np.where((D == 0.0)[:, None], Z, P)
         return P[None], D[None]
+
+    def nearest(self, z):
+        # np.clip's order, where a bound equal to z_i (0.0 against -0.0) wins
+        p = [zi if zi > lo else lo for zi, lo in zip(z, self.lower.tolist())]
+        p = [pi if pi < hi else hi for pi, hi in zip(p, self.upper.tolist())]
+        gap = [zi - pi for zi, pi in zip(z, p)]
+        d = math.sqrt(_dot(gap, gap))
+        return (z if d == 0.0 else p), d
 
     def anchor(self):
         return 0.5 * (self.lower + self.upper)
@@ -204,7 +243,7 @@ class WedgeInstance(SetInstance):
         # outside the wedge <w, ray> > 0 for both rays, so each candidate is the
         # foot of the perpendicular on its ray's line, at distance |a + b|/sqrt(2)
         # or |b - a|/sqrt(2); the nearer one is (-b - |a|)/sqrt(2)
-        S = np.vecdot(W, self._RAYS[:, None, :])                               # (2, N)
+        S = _dot(W, self._RAYS[:, None, :])                                    # (2, N)
         P = np.where(inside[:, None], Z, self.apex + S[:, :, None] * self._RAYS[:, None, :])
         return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
 
@@ -219,13 +258,13 @@ def _stack(members):
 
 def _excess(normals, offsets, Z):
     """Largest half-space violation of each row of Z, clipped at 0."""
-    return np.maximum((np.vecdot(Z, normals[:, None, :]) - offsets[:, None]).max(0), 0.0)
+    return np.maximum((_dot(Z, normals[:, None, :]) - offsets[:, None]).max(0), 0.0)
 
 
 def _halfspace_step(Y, zeta, beta):
     """Rows of Y projected onto {<zeta, z> <= beta}: the inner step of cyclic
     projections, without the member-row guarantee of ``candidates``."""
-    return Y - np.maximum(np.vecdot(Y, zeta) - beta, 0.0)[:, None] * zeta
+    return Y - np.maximum(_dot(Y, zeta) - beta, 0.0)[:, None] * zeta
 
 
 class HalfSpaceIntersectionInstance(SetInstance):
@@ -256,6 +295,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
             if _excess(self._normals, self._offsets, x)[0] <= 1e-12:
                 self._feasible_point = _frozen(x[0])
                 return self._feasible_point
+        from scipy.optimize import linprog   # rarely needed, and slow to import
         res = linprog(np.zeros(self.n), A_ub=self._normals, b_ub=self._offsets,
                       bounds=[(None, None)] * self.n, method="highs")
         if res.status == 2:
@@ -372,10 +412,10 @@ class HalfSpaceSpec(_GainDriven):
             if self.rotation_partner is None:
                 raise InvalidVector("rotation_partner required when rotation_rate != 0")
             e2 = _unit(self.rotation_partner, "rotation_partner")
-            if abs(float(e1 @ e2)) > 1e-9:
+            if abs(float(_dot(e1, e2))) > 1e-9:
                 raise InvalidVector("rotation_partner must be orthogonal to normal")
-            e2 = e2 - float(e1 @ e2) * e1
-            e2 = e2 / float(np.linalg.norm(e2))
+            e2 = e2 - float(_dot(e1, e2)) * e1
+            e2 = e2 / math.sqrt(_dot(e2, e2))
             object.__setattr__(self, "rotation_partner", _frozen(e2))
 
     @property
@@ -391,7 +431,7 @@ class HalfSpaceSpec(_GainDriven):
     def beta(self, t, x):
         b = self.beta0 + self.drift * t
         if self.state_gain != 0.0:
-            b += self.state_gain * float(self.state_direction @ x)
+            b += self.state_gain * float(_dot(self.state_direction, x))
         return b
 
     def freeze(self, t, x):

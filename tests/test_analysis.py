@@ -317,3 +317,15 @@ def test_diagnose_trajectory_fields():
     assert d.status == "ok"
     assert d.phi_bound == pytest.approx(lam)
     assert d.bound_satisfied and d.lipschitz_ok
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_halton_matches_scipy_bit_for_bit(d):
+    from scipy.stats import qmc
+
+    from sweepsolve.analysis import halton
+
+    for count in (1, 5, 4097):
+        want = qmc.Halton(d=d, scramble=False).random(count)
+        got = halton(d, count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

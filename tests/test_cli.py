@@ -114,13 +114,25 @@ def test_missing_file_is_reported(tmp_path):
     ("estimate-set", "--r", ","),
     ("estimate-set", "--samples", "0"),
     ("estimate-set", "--alpha-samples", "0"),
+    ("sweep", "--bogus"),           # unknown option
+    ("solve", None),                # None: no --scenario
+    ("bogus",),                     # unknown subcommand
 ])
 def test_bad_numeric_argument_is_one_error_line(tmp_path, drift_file, capsys, argv):
-    code = run_cli(argv[0], "--scenario", drift_file, "--out", str(tmp_path), *argv[1:])
+    scenario = () if None in argv else ("--scenario", drift_file)
+    code = run_cli(argv[0], *scenario, "--out", str(tmp_path),
+                   *(a for a in argv[1:] if a is not None))
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not any(tmp_path.iterdir())  # rejected before any work
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--help")
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
 
 
 def test_sweep_integrates_each_lambda_once(tmp_path, drift_file, monkeypatch):

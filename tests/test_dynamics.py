@@ -69,14 +69,14 @@ def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
 
     v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
     assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
-    assert log == ["candidates"]
+    assert log == ["nearest"]
 
     log.clear()
     z = np.array(outside)
     v = sw.penalized_rhs(sc, lam, 0.0, z)
     expected = (sw.select_projection(real(spec, 0.0, z).project(z)) - z) / lam
     assert np.array_equal(v, expected) and np.any(v != 0.0)
-    assert log == ["candidates"]
+    assert log == ["nearest"]
 
 
 def test_rhs_requires_positive_lambda():
@@ -345,7 +345,7 @@ def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
     log = _count_queries(monkeypatch, sw.HalfSpaceSpec)
     traj = sw.integrate(sc, lam)
     n_steps = traj.stats.n_accepted
-    assert set(log) == {"candidates"}
+    assert set(log) == {"nearest"}
     assert len(log) == per_step * n_steps + 1       # the node at T adds one query
     assert traj.stats.rhs_evals == per_step * n_steps
 
@@ -360,7 +360,7 @@ def test_adaptive_shares_each_nodes_k1(monkeypatch):
     # a node's first attempt: k1 + 3 (step h) + 3 (first h/2) + 4 (second h/2);
     # each retry from the same node reuses k1
     assert stats.rhs_evals == 11 * stats.n_accepted + 10 * stats.n_rejected
-    assert set(log) == {"candidates"} and len(log) == stats.rhs_evals + 1
+    assert set(log) == {"nearest"} and len(log) == stats.rhs_evals + 1
 
 
 _OVERFLOW_SETS = {

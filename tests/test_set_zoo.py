@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sweepsolve as sw
@@ -360,3 +360,63 @@ def test_halfspace_distance_matches_positive_part(z, t):
     expected = max(float(inst.zeta @ z) - inst.beta, 0.0)
     assert inst.distance(z) == pytest.approx(expected, abs=1e-12)
     assert abs(np.linalg.norm(inst.zeta) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one-point queries: nearest(z) on lists
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ZOO))
+@settings(max_examples=60, deadline=None)
+@given(z=st.tuples(finite_coord, finite_coord))
+@example(z=(-0.0, 0.0))
+@example(z=(0.0, -0.0))
+@example(z=(2.0, -0.0))       # box: the clipped point keeps the bound's +0.0
+@example(z=(-0.0, 3.0))
+@example(z=(0.5, -2.0))       # wedge: on the axis
+def test_nearest_matches_project_and_distance_bit_for_bit(kind, z):
+    inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
+    z = np.array(z)
+    for point in (z, sw.select_projection(inst.project(z)), inst.anchor()):  # members too
+        p, d = inst.nearest(point.tolist())
+        assert type(p) is list and all(type(c) is float for c in p)
+        assert _bits(p) == _bits(sw.select_projection(inst.project(point)))
+        assert _bits(d) == _bits(inst.distance(point))
+        if d == 0.0:
+            assert _bits(p) == _bits(point)
+
+
+@pytest.mark.parametrize("kind", list(ZOO))
+@settings(max_examples=40, deadline=None)
+@given(z=st.tuples(finite_coord, finite_coord), seed=st.integers(0, 2**32 - 1))
+def test_nearest_is_no_farther_than_any_sampled_member(kind, z, seed):
+    inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
+    W = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(200, 2))
+    members = np.vstack([W[inst.distance_many(W) == 0.0], inst.anchor()])
+    p, d = inst.nearest(list(z))
+    gap = float(np.linalg.norm(np.array(z) - p))
+    assert abs(gap - d) <= 1e-9
+    assert gap <= np.linalg.norm(members - np.array(z), axis=1).min() + 1e-9
+
+
+def test_nearest_on_the_wedge_axis_takes_the_lexicographically_smaller_foot():
+    inst = sw.instantiate(ZOO["wedge"], 0.0, np.zeros(2))     # apex (0.5, -0.5)
+    z = [0.5, -2.0]
+    feet = inst.project(z)
+    assert len(feet) == 2
+    p, d = inst.nearest(z)
+    assert np.allclose(p, [-0.25, -1.25]) and _bits(p) == _bits(feet[0])
+    assert d == pytest.approx(1.5 / SQRT2)
+
+
+def test_ball_distance_sums_left_to_right_unfused():
+    # a gap whose squared norm differs by one ulp when the multiply-add is fused
+    g0, g1 = -0.56, -0.42
+    inst = sw.instantiate(sw.BallSpec(center=[0.0, 0.0], radius=0.5), 0.0, np.zeros(2))
+    want = math.sqrt(g0 * g0 + g1 * g1) - 0.5
+    assert inst.distance_many(np.array([[g0, g1]]))[0] == want
+    assert inst.distance([g0, g1]) == want and inst.nearest([g0, g1])[1] == want
