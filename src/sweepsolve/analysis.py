@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .hulls import _segment_min_norm, min_norm_point
-from .set_zoo import as_vector, instantiate, row_norms
+from .set_zoo import _dot, as_vector, instantiate, row_norms
 
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
@@ -54,13 +54,9 @@ class FarParameters:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "grid"       # grid (deterministic low-discrepancy) | monte_carlo
-    count: int = DEFAULT_SAMPLES
-    seed: int = 0
+    count: int = DEFAULT_SAMPLES    # points of the deterministic Halton grid of ball_points
 
     def __post_init__(self):
-        if self.kind not in ("grid", "monte_carlo"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("sampler count must be >= 1")
 
@@ -87,15 +83,9 @@ def halton(d: int, count: int) -> np.ndarray:
 
 
 def ball_points(n: int, r: float, sampler: SamplerConfig) -> np.ndarray:
-    """Points covering the radius-r ball, deterministic for the grid sampler."""
-    if sampler.kind == "grid":
-        u = halton(n + 1, sampler.count + 1)[1:]
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        g = ndtri(u[:, :n])
-    else:
-        rng = np.random.default_rng(sampler.seed)
-        g = rng.standard_normal((sampler.count, n))
-        u = np.column_stack([np.zeros((sampler.count, n)), rng.uniform(size=sampler.count)])
+    """Halton points covering the radius-r ball, deterministic in (n, r, count)."""
+    u = np.clip(halton(n + 1, sampler.count + 1)[1:], 1e-12, 1.0 - 1e-12)
+    g = ndtri(u[:, :n])
     nrm = np.linalg.norm(g, axis=1, keepdims=True)
     nrm[nrm == 0.0] = 1.0
     radii = r * u[:, n] ** (1.0 / n)
@@ -123,11 +113,11 @@ def truncated_hausdorff(inst_a, inst_b, r: float, sampler: SamplerConfig | None 
 
 
 def estimate_kappa(spec, r: float, t_pairs, x_pairs, sampler: SamplerConfig | None = None,
-                   x_ref=None, t_ref: float = 0.0):
+                   x_ref=None):
     """Sampled envelope fit of the moduli in the bound kappa_r*|t-s| + L*|x-y|.
 
     kappa_r_hat is the largest time quotient at frozen state x_ref; L_hat the
-    largest state quotient at frozen time t_ref.  Coincident pairs are
+    largest state quotient at frozen time 0.  Coincident pairs are
     skipped.  Both values are sample-based lower bounds of the true moduli.
     """
     sampler = sampler or SamplerConfig()
@@ -145,23 +135,22 @@ def estimate_kappa(spec, r: float, t_pairs, x_pairs, sampler: SamplerConfig | No
     for x, y in x_pairs:
         x = as_vector(x, spec.n, "x")
         y = as_vector(y, spec.n, "y")
-        gap = float(np.linalg.norm(x - y))
+        gap = math.sqrt(_dot(x - y, x - y))
         if gap <= 1e-12:
             continue
-        inst_x = instantiate(spec, t_ref, x)
-        inst_y = instantiate(spec, t_ref, y)
+        inst_x = instantiate(spec, 0.0, x)
+        inst_y = instantiate(spec, 0.0, y)
         L_hat = max(L_hat, truncated_hausdorff(inst_x, inst_y, r, sampler) / gap)
 
     return kappa_hat, L_hat
 
 
-def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
-                   tie_slack: float = ALPHA_TIE_SLACK, oversample: int = 100) -> float:
+def estimate_alpha(inst, rho: float, sample_count: int, seed: int) -> float:
     """Sampled infimum of the distance from the origin to the hull of
     normalized projection gradients over the tube {0 < d < rho}.
 
     For each tube point y the vectors (y - p_i)/d(y) are collected over every
-    projection whose distance is within a relative ``tie_slack`` of the best
+    projection whose distance is within a relative ``ALPHA_TIE_SLACK`` of the best
     (the multi-valued branch has zero measure, so an exact tie test would
     never fire under random sampling).  With <= 2 candidates the hull distance
     is the closed-form point-to-segment distance, computed for all samples at
@@ -179,7 +168,7 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
     # one candidate query per drawn batch feeds both the tube filter and alpha
     Ys, Ps = [], []
     found = drawn = 0
-    budget = oversample * sample_count
+    budget = 100 * sample_count
     while found < sample_count and drawn < budget:
         batch = min(4 * sample_count, budget - drawn)
         drawn += batch
@@ -205,7 +194,7 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
     R = Y - P
     D = row_norms(R)
     d = D.min(0)
-    tied = D <= d * (1.0 + tie_slack)
+    tied = D <= d * (1.0 + ALPHA_TIE_SLACK)
     n_tied = tied.sum(0)
     # tied gradients first, each row keeping its candidate order
     order = np.argsort(~tied, axis=0, kind="stable")
@@ -224,7 +213,7 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def check_phi_bound(traj: Trajectory, scenario: Scenario, kappa_tilde: float,
-                    params: FarParameters, tol_disc: float = PHI_BOUND_TOL):
+                    params: FarParameters):
     """Compare max phi against kappa_tilde*lambda/(m*alpha^2 - L).
 
     Returns (ok, worst_ratio); a vanishing bound with vanishing phi counts as
@@ -239,7 +228,7 @@ def check_phi_bound(traj: Trajectory, scenario: Scenario, kappa_tilde: float,
         worst = 0.0 if phi_max <= 1e-15 else math.inf
     else:
         worst = phi_max / bound
-    return worst <= 1.0 + tol_disc, worst
+    return worst <= 1.0 + PHI_BOUND_TOL, worst
 
 
 def lipschitz_estimate(traj: Trajectory) -> float:
@@ -293,12 +282,13 @@ def default_time_pairs(T: float):
     return pairs
 
 
-def default_state_pairs(x0, scale: float = 0.5):
+def default_state_pairs(x0):
+    """x0 paired with x0 + 0.5*e_i and with x0 - 0.5*e_i for each axis i."""
     x0 = np.asarray(x0, dtype=float)
     pairs = []
     for i in range(x0.size):
         e = np.zeros_like(x0)
-        e[i] = scale
+        e[i] = 0.5
         pairs.append((x0, x0 + e))
         pairs.append((x0, x0 - e))
     return pairs
@@ -324,7 +314,8 @@ def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
     if margin <= 0:
         raise ValidationError("H2", f"stability margin m*alpha^2 - L = {margin:g} <= 0")
 
-    a0 = float(np.linalg.norm(op.apply(scenario.x0)))
+    z0 = op.image(scenario.x0.tolist())
+    a0 = math.sqrt(_dot(z0, z0))
     t_pairs = default_time_pairs(scenario.T)
     x_pairs = default_state_pairs(scenario.x0) if spec.state_dependent else []
 

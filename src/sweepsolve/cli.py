@@ -44,7 +44,6 @@ def _common_flags(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON document")
     sub.add_argument("--out", default=None, help="output directory (default: scenario output.dir)")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled estimators")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel lambda integrations")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,7 +173,7 @@ def _run_solve(args, scenario, digest, out_dir) -> int:
 
 def _run_sweep(args, scenario, digest, out_dir) -> int:
     report = analysis.lambda_sweep(scenario, grid_points=scenario.output.grid_points,
-                                   seed=args.seed, jobs=max(1, args.jobs))
+                                   seed=args.seed)
     for lam, traj in report.trajectories.items():
         write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
     payload = {"subcommand": "sweep", "scenario_hash": digest, "seed": args.seed,
@@ -211,7 +210,7 @@ def _run_diagnose(args, scenario, digest, out_dir) -> int:
 
 
 def _run_estimate_set(args, scenario, digest, out_dir) -> int:
-    sampler = SamplerConfig(kind="grid", count=args.samples, seed=args.seed)
+    sampler = SamplerConfig(count=args.samples)
     spec = scenario.moving_set
     t_pairs = analysis.default_time_pairs(scenario.T)
     x_pairs = analysis.default_state_pairs(scenario.x0) if spec.state_dependent else []
@@ -238,7 +237,7 @@ def _run_estimate_set(args, scenario, digest, out_dir) -> int:
         "subcommand": "estimate-set",
         "scenario_hash": digest,
         "seed": args.seed,
-        "sampler": {"kind": sampler.kind, "count": sampler.count},
+        "sampler": {"kind": "grid", "count": sampler.count},
         "alpha_estimate": alpha_estimate,
         "alpha_tube_rho": rho,
         "alpha_samples": args.alpha_samples,

@@ -1,9 +1,9 @@
 """Penalized dynamics: right-hand side construction, time stepping, catching-up oracle.
 
 The penalized motion follows -dx/dt = (A(x) - p)/lambda with p the selected
-nearest point of A(x) on the instantaneous set.  Explicit steppers must
-resolve the 1/lambda decay, hence every method is capped by the stiffness
-guard h <= c*lambda/(1 + M).
+nearest point of A(x) on the instantaneous set.  The explicit fixed-step
+Euler and RK4 must resolve the 1/lambda decay, hence their step is capped by
+the stiffness guard h <= c*lambda/(1 + M).
 
 Inputs are validated once, at the boundary: x0 and the set and operator
 dimensions in ``Scenario``, lambda and (t, x) in ``penalized_rhs``, lambda in
@@ -30,27 +30,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidVector, StepFailure, UnsupportedScenario
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import _dot, as_vector, instantiate
-
-H_MIN_FACTOR = 1e-12  # adaptive step underflow threshold, relative to T
+from .set_zoo import as_vector, instantiate
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"          # euler | rk4 | adaptive
+    method: str = "rk4"          # euler | rk4
     safety: float = 0.2          # c in the guard h <= c*lambda/(1+M)
     h_max: float = math.inf
-    tol_adapt: float = 1e-7
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4", "adaptive"):
+        if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must lie in (0, 1]")
         if not self.h_max > 0.0:
             raise ValueError("h_max must be positive")
-        if not self.tol_adapt > 0.0:
-            raise ValueError("tol_adapt must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +80,9 @@ class Scenario:
 @dataclass(frozen=True)
 class StepStats:
     n_accepted: int
-    n_rejected: int
+    n_rejected: int     # 0 for fixed steps; kept for the report's steps_rejected
     rhs_evals: int
-    h_min_used: float
-    h_max_used: float
+    h: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +94,7 @@ class Trajectory:
     images: np.ndarray
     phis: np.ndarray
     lam: float | None
-    stats: StepStats = field(default=StepStats(0, 0, 0, 0.0, 0.0))
+    stats: StepStats = field(default=StepStats(0, 0, 0, 0.0))
 
     @property
     def horizon(self) -> float:
@@ -145,33 +139,25 @@ def _rk4_step(f, t, x, h, k1):
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
-    """Integrate the penalized dynamics over [0, T] with the configured method.
+    """Integrate the penalized dynamics over [0, T] with fixed steps of the
+    configured method, h = T/n the largest such step under the guard and h_max.
 
-    The tracking gap phi is recomputed from the geometry at every accepted
-    node, never propagated from its differential inequality.
+    The tracking gap phi is recomputed from the geometry at every node, never
+    propagated from its differential inequality.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    guard = scenario.integrator.safety * lam / (1.0 + scenario.operator.M)
+    cfg = scenario.integrator
     spec = scenario.moving_set
     if spec.state_dependent:
         freeze = lambda t, x: spec.freeze(t, np.array(x))     # specs read x as an array
     else:
-        # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h when equal
+        # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h
         at = lru_cache(maxsize=1)(partial(spec.freeze, x=scenario.x0))
         freeze = lambda t, x: at(t)
     f = partial(_stage, scenario.operator, freeze, lam)
-    if scenario.integrator.method in ("euler", "rk4"):
-        nodes, stats = _integrate_fixed(scenario, f, guard)
-    else:
-        nodes, stats = _integrate_adaptive(scenario, f, guard)
-    return Trajectory(*map(np.array, zip(*nodes)), lam, stats)
-
-
-def _integrate_fixed(scenario, f, guard):
-    """(t, x, A(x), phi) of each node, and the step counts."""
-    cfg = scenario.integrator
     T = float(scenario.T)
+    guard = cfg.safety * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
     h = T / n_steps
     euler = cfg.method == "euler"
@@ -189,53 +175,8 @@ def _integrate_fixed(scenario, f, guard):
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
         t = (k + 1) * h if k + 1 < n_steps else T
-    return nodes, StepStats(n_steps, 0, n_steps * (1 if euler else 4), h, h)
-
-
-def _integrate_adaptive(scenario, f, guard):
-    """Step doubling: one RK4 step of h against two of h/2, both from the node's
-    k1, so a node's first attempt costs 11 velocity evaluations and a retry 10."""
-    cfg = scenario.integrator
-    T = float(scenario.T)
-    h_min = H_MIN_FACTOR * T
-    h = min(guard, cfg.h_max, T)
-
-    t, x = 0.0, scenario.x0.tolist()
-    z, phi, k1 = f(t, x)
-    nodes = [(t, x, z, phi)]
-    rejected = 0
-    h_lo, h_hi = math.inf, 0.0
-
-    while t < T * (1.0 - 1e-14):
-        h = min(h, cfg.h_max, guard, T - t)
-        big = _rk4_step(f, t, x, h, k1)
-        half = _rk4_step(f, t, x, 0.5 * h, k1)
-        fine = _rk4_step(f, t + 0.5 * h, half, 0.5 * h, f(t + 0.5 * h, half)[2])
-        if all(map(math.isfinite, fine + big)):
-            gap = [b - c for b, c in zip(big, fine)]
-            err = math.sqrt(_dot(gap, gap)) / 15.0
-        else:
-            err = math.inf
-        if err <= cfg.tol_adapt:
-            t, x = t + h, fine
-            z, phi, k1 = f(t, x)
-            nodes.append((t, x, z, phi))
-            h_lo = min(h_lo, h)
-            h_hi = max(h_hi, h)
-            growth = 5.0 if err == 0.0 else min(5.0, 0.9 * (cfg.tol_adapt / err) ** 0.2)
-            h = max(h * max(growth, 0.2), h_min)
-        else:
-            rejected += 1
-            shrink = 0.2 if not math.isfinite(err) else max(0.2, 0.9 * (cfg.tol_adapt / err) ** 0.2)
-            h = h * shrink
-            if h < h_min:
-                raise StepFailure(
-                    f"adaptive step underflow at t = {t:g} (h = {h:g} < {h_min:g})")
-
-    accepted = len(nodes) - 1
-    stats = StepStats(accepted, rejected, 11 * accepted + 10 * rejected,
-                      0.0 if accepted == 0 else h_lo, h_hi)
-    return nodes, stats
+    stats = StepStats(n_steps, 0, n_steps * (1 if euler else 4), h)
+    return Trajectory(*map(np.array, zip(*nodes)), lam, stats)
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:
@@ -273,4 +214,4 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
         z = inst.nearest(z)[0]
         x = [zi / gamma for zi in z]
         nodes.append((t, x, z, inst.nearest(z)[1]))
-    return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff, h_eff))
+    return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff))

@@ -34,7 +34,7 @@ class UnsupportedScenario(SweepSolveError):
 
 
 class StepFailure(SweepSolveError):
-    """The adaptive integrator underflowed the minimum step size."""
+    """An integration step left a non-finite state."""
 
 
 class GridMismatch(SweepSolveError):

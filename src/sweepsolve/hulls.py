@@ -3,12 +3,17 @@
 Used to evaluate how far the origin stays from the hull of normalized
 projection gradients around a nonconvex set.  The optimum lies on a face of
 the hull, so for the handful of points produced by the set zoo an exact
-face enumeration beats iterative schemes.
+face enumeration beats iterative schemes.  Norms and the one- and two-point
+closed forms sum left to right (``set_zoo._dot``), as the set kernels do; the
+face weights come from a LAPACK solve, so their Gram matrix and weighted sum
+keep BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .set_zoo import _dot, dedupe, row_norms
 
 _MAX_POINTS = 16
 
@@ -21,10 +26,10 @@ def min_norm_point(points):
     P = dedupe(P)
     k = P.shape[0]
     if k == 1:
-        return P[0].copy(), float(np.linalg.norm(P[0]))
+        return P[0].copy(), float(row_norms(P[0]))
     if k == 2:
         p = _segment_min_norm(P[0], P[1])
-        return p, float(np.linalg.norm(p))
+        return p, float(row_norms(p))
     if k > _MAX_POINTS:
         raise ValueError(f"hull enumeration capped at {_MAX_POINTS} points, got {k}")
 
@@ -37,7 +42,7 @@ def min_norm_point(points):
         if w is None or np.any(w < -1e-12):
             continue
         p = w @ S
-        d = float(np.linalg.norm(p))
+        d = float(row_norms(p))
         if d < best_d:
             best_d = d
             best_p = p
@@ -51,8 +56,8 @@ def min_norm_distance(points) -> float:
 def _segment_min_norm(a, b):
     """Closed-form projection of the origin onto segment [a, b], row-wise over the last axis."""
     d = b - a
-    dd = np.vecdot(d, d)
-    t = np.clip(-np.vecdot(a, d) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
+    dd = _dot(d, d)
+    t = np.clip(-_dot(a, d) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
     return a + t[..., None] * d
 
 
@@ -74,12 +79,3 @@ def _face_weights(S):
     if abs(float(np.sum(w)) - 1.0) > 1e-9:
         return None
     return w
-
-
-def dedupe(P, tol=1e-12):
-    """Rows of P, each dropped when within tol of an earlier kept row."""
-    out = []
-    for row in P:
-        if not any(np.linalg.norm(row - q) <= tol for q in out):
-            out.append(row)
-    return np.array(out)

@@ -2,11 +2,13 @@
 
 Each kind defines one unvalidated kernel, ``image(x)``, from a finite list of
 floats to a new list; ``apply`` validates x and wraps it in arrays.  Matrix rows
-are summed by ``set_zoo._dot``, left to right: one bit pattern on every BLAS kernel.
+and the sums of ``verify_constants`` run through ``set_zoo._dot``, left to right:
+one bit pattern on every BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +111,12 @@ def verify_constants(op: Operator, n: int, sample_count: int, radius: float,
         x = _ball_point(rng, n, radius)
         y = _ball_point(rng, n, radius)
         gap = x - y
-        nrm2 = float(gap @ gap)
+        nrm2 = _dot(gap, gap)
         if nrm2 <= (1e-14 * max(radius, 1.0)) ** 2:
             continue  # coincident pair, no quotient
         img = op.apply(x) - op.apply(y)
-        m_hat = min(m_hat, float(img @ gap) / nrm2)
-        M_hat = max(M_hat, float(np.linalg.norm(img)) / np.sqrt(nrm2))
+        m_hat = min(m_hat, _dot(img, gap) / nrm2)
+        M_hat = max(M_hat, math.sqrt(_dot(img, img)) / math.sqrt(nrm2))
         used += 1
     if used == 0:
         raise DegenerateSample("all sampled pairs were coincident")
@@ -124,7 +126,7 @@ def verify_constants(op: Operator, n: int, sample_count: int, radius: float,
 
 def _ball_point(rng, n, radius):
     g = rng.standard_normal(n)
-    nrm = np.linalg.norm(g)
+    nrm = math.sqrt(_dot(g, g))
     if nrm == 0.0:
         return np.zeros(n)
     r = radius * rng.uniform() ** (1.0 / n)

@@ -205,9 +205,8 @@ def _build_integrator(node, path):
     if node is None:
         return IntegratorConfig()
     node = _expect_object(node, path)
-    _check_keys(node, path, {"method", "safety", "h_max", "tol_adapt"})
-    kwargs = {key: _number(node[key], f"{path}.{key}")
-              for key in ("safety", "h_max", "tol_adapt") if key in node}
+    _check_keys(node, path, {"method", "safety", "h_max"})
+    kwargs = {key: _number(node[key], f"{path}.{key}") for key in ("safety", "h_max") if key in node}
     if "method" in node:
         kwargs["method"] = node["method"]
     try:
@@ -415,7 +414,7 @@ def read_trajectory_csv(path) -> Trajectory:
     rows = np.array(values)
     return Trajectory(times=rows[:, 0], states=rows[:, 1:1 + n],
                       images=rows[:, 1 + n:1 + 2 * n], phis=rows[:, -1],
-                      lam=lam, stats=StepStats(rows.shape[0] - 1, 0, 0, 0.0, 0.0))
+                      lam=lam, stats=StepStats(rows.shape[0] - 1, 0, 0, 0.0))
 
 
 def jsonable(obj):

@@ -40,7 +40,6 @@ from .errors import (
     InvalidVector,
     ProjectionNotConverged,
 )
-from .hulls import dedupe
 
 MEMBER_TOL = 1e-12          # membership slack for analytic variants
 TIE_TOL = 1e-9              # absolute distance gap below which projections tie
@@ -75,9 +74,12 @@ def as_rows(Z, n, name="points"):
 
 def _dot(a, b):
     """Sum of a*b over the last axis, left to right from 0.0; arrays broadcast
-    like ``np.vecdot``, two lists of floats give a float."""
+    like ``np.vecdot``, two lists of floats or two 1-d arrays give a float."""
     if isinstance(a, np.ndarray):
-        a, b = ([v[..., j] for j in range(a.shape[-1])] for v in (a, b))
+        if a.ndim == 1 == b.ndim:       # as floats: 0-d array arithmetic is slow
+            a, b = a.tolist(), b.tolist()
+        else:
+            a, b = ([v[..., j] for j in range(a.shape[-1])] for v in (a, b))
     s = 0.0
     for u, v in zip(a, b):
         s = s + u * v
@@ -141,9 +143,9 @@ class SetInstance:
     def member(self, z) -> bool:
         return self.distance(z) <= self.member_tol
 
-    def project(self, z, tie_gap=TIE_TOL):
-        """All nearest points of z, near-ties within ``tie_gap`` included (see nearest_points)."""
-        return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]), tie_gap)
+    def project(self, z):
+        """All nearest points of z, near-ties within TIE_TOL included (see nearest_points)."""
+        return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]))
 
     def nearest(self, z):
         """(selected nearest point, distance) of the finite point z, a list of floats."""
@@ -272,14 +274,12 @@ class HalfSpaceIntersectionInstance(SetInstance):
 
     member_tol = 1e-10  # limited by the Dykstra tolerance
 
-    def __init__(self, members, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
+    def __init__(self, members):
         if not members:
             raise EmptyCandidates("intersection needs at least one half-space")
         super().__init__(members[0].n)
         self.members = tuple(members)
         self._normals, self._offsets = _stack(self.members)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self._feasible_point = None
 
     def ensure_nonempty(self):
@@ -310,7 +310,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
         outside = _excess(self._normals, self._offsets, Z) > MEMBER_TOL
         if outside.any():
             try:
-                P[outside] = dykstra_project(self.members, Z[outside], self.tol, self.max_iter)[0]
+                P[outside] = dykstra_project(self.members, Z[outside])[0]
             except ProjectionNotConverged:
                 self.ensure_nonempty()  # raises EmptyInstance when that is the cause
                 raise
@@ -585,17 +585,26 @@ def instantiate(spec, t, x) -> SetInstance:
     return spec.freeze(float(t), x)
 
 
-def nearest_points(P, D, tie_gap=TIE_TOL):
+def nearest_points(P, D):
     """Nearest points of a one-row ``candidates`` result (P, D), ties within
-    ``tie_gap`` included, deduplicated and sorted lexicographically: the first
+    TIE_TOL included, deduplicated and sorted lexicographically: the first
     entry is the deterministic selection of :func:`select_projection`."""
     if len(D) == 1:
         return [P[0, 0]]
     d = D[:, 0]
     dmin = d.min()
     # a member is its own unique projection: no near-tie admits another point
-    keep = P[d <= dmin + (tie_gap if dmin > 0.0 else 0.0), 0]
+    keep = P[d <= dmin + (TIE_TOL if dmin > 0.0 else 0.0), 0]
     return sorted(dedupe(keep), key=lambda p: tuple(p.tolist()))
+
+
+def dedupe(P):
+    """Rows of P, each dropped when within 1e-12 of an earlier kept row."""
+    out = []
+    for row in P:
+        if not any(row_norms(row - q) <= 1e-12 for q in out):
+            out.append(row)
+    return np.array(out)
 
 
 def select_projection(candidates) -> np.ndarray:

@@ -309,6 +309,16 @@ def test_kappa_tilde_pipeline_drift():
     assert len(kt.estimates) == 2
 
 
+def test_kappa_tilde_radius_sums_left_to_right_unfused():
+    # |A(x0)| for an x0 whose squared norm differs by one ulp when the
+    # multiply-add is fused; the first radius is |A(x0)| + M*1
+    x0 = [-0.56, -0.42]
+    sc = sw.Scenario(n=2, T=1.0, x0=np.array(x0), operator=sw.IdentityOperator(),
+                     moving_set=sw.HalfSpaceSpec(normal=[0.0, 1.0], drift=1.0), lambdas=(0.1,))
+    kt = kappa_tilde(sc, sampler=SamplerConfig(count=64))
+    assert min(kt.estimates) == math.sqrt(x0[0] * x0[0] + x0[1] * x0[1]) + 1.0
+
+
 def test_diagnose_trajectory_fields():
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,))

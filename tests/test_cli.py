@@ -90,14 +90,6 @@ def test_outputs_byte_identical_for_same_inputs(tmp_path, drift_file):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_jobs_parallel_outputs_identical(tmp_path, drift_file):
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    assert run_cli("sweep", "--scenario", drift_file, "--out", str(out1), "--jobs", "1") == 0
-    assert run_cli("sweep", "--scenario", drift_file, "--out", str(out2), "--jobs", "3") == 0
-    for name in sorted(p.name for p in out1.iterdir()):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
 def test_missing_file_is_reported(tmp_path):
     code = run_cli("solve", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))
@@ -117,6 +109,7 @@ def test_missing_file_is_reported(tmp_path):
     ("sweep", "--bogus"),           # unknown option
     ("solve", None),                # None: no --scenario
     ("bogus",),                     # unknown subcommand
+    ("sweep", "--jobs", "2"),       # removed option
 ])
 def test_bad_numeric_argument_is_one_error_line(tmp_path, drift_file, capsys, argv):
     scenario = () if None in argv else ("--scenario", drift_file)

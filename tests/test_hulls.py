@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,12 @@ def test_matches_dense_convex_combinations():
 
 def test_min_norm_distance_shortcut():
     assert min_norm_distance([[0.0, 2.0]]) == pytest.approx(2.0)
+
+
+def test_distances_sum_left_to_right_unfused():
+    # a point whose squared norm differs by one ulp when the multiply-add is fused
+    a = [-0.56, -0.42]
+    want = math.sqrt(a[0] * a[0] + a[1] * a[1])
+    assert min_norm_point([a])[1] == want
+    # the segment's nearest point to the origin is its vertex a
+    assert min_norm_point([a, [-1.56, -1.42]])[1] == want

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sweepsolve as sw
+from sweepsolve.cli import main
 from sweepsolve.scenario_io import write_trajectory_csv, read_trajectory_csv
 
 MINIMAL = {
@@ -52,6 +53,19 @@ def test_unknown_nested_key_rejected_with_path():
     with pytest.raises(sw.ParseError) as err:
         sw.parse_scenario(json.dumps(d))
     assert "set" in str(err.value) and "slope" in str(err.value)
+
+
+@pytest.mark.parametrize("integrator", [{"method": "adaptive"}, {"tol_adapt": 1e-7}])
+def test_adaptive_integrator_settings_are_parse_errors(tmp_path, capsys, integrator):
+    text = json.dumps(doc(integrator=integrator))
+    with pytest.raises(sw.ParseError) as err:
+        sw.parse_scenario(text)
+    assert str(err.value).startswith("integrator")
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: integrator"), err
 
 
 def test_missing_section_rejected():
