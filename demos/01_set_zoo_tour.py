@@ -32,8 +32,7 @@ def main():
     z = [0.0, -1.0]
     print("distance((0, -1))  =", inst.distance(z), " (= sqrt(2)/2)")
     print("project((0, -1))   =", inst.project(z), " <- two nearest points")
-    print("selection          =", sw.select_projection(inst.project(z)),
-          " (lexicographic tie-break)")
+    print("selection          =", inst.project(z)[0], " (lexicographic tie-break)")
 
     print("\n== intersection of half-spaces via Dykstra ==")
     members = (sw.HalfSpaceSpec(normal=[1.0, 0.0]),

@@ -15,13 +15,13 @@ import numpy as np
 import sweepsolve as sw
 
 
-def scenario(gamma, T, method="rk4", h_max=math.inf, safety=0.2):
+def scenario(gamma, T, method="rk4", h_max=math.inf):
     op = sw.IdentityOperator() if gamma == 1.0 else sw.ScaledIdentityOperator(gamma)
     return sw.Scenario(
         n=1, T=T, x0=np.array([1.0]), operator=op,
         moving_set=sw.HalfSpaceSpec(normal=[1.0]),
         lambdas=(0.1,),
-        integrator=sw.IntegratorConfig(method=method, h_max=h_max, safety=safety),
+        integrator=sw.IntegratorConfig(method=method, h_max=h_max),
         allow_infeasible_start=True)
 
 
@@ -46,7 +46,7 @@ def main():
     for method, nominal, steps in (("euler", 1, (16, 32)), ("rk4", 4, (16, 32))):
         errs = []
         for k in steps:
-            sc = scenario(2.0, T=T, method=method, h_max=lam / k, safety=1.0)
+            sc = scenario(2.0, T=T, method=method, h_max=lam / k)
             errs.append(abs(sw.integrate(sc, lam).states[-1, 0] - exact))
         order = math.log2(errs[0] / errs[1])
         print(f"{method:6s}: errors {errs[0]:.3e} -> {errs[1]:.3e}, "

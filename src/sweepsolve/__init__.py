@@ -9,7 +9,6 @@ constant, truncated-Hausdorff moduli, far parameter alpha) on the results.
 
 from .analysis import (
     DiagnosticsReport,
-    FarParameters,
     LambdaDiagnostics,
     SamplerConfig,
     check_phi_bound,
@@ -72,7 +71,6 @@ from .set_zoo import (
     WedgeSpec,
     dykstra_project,
     instantiate,
-    select_projection,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BallSpec", "BoxSpec", "ConstantsCheck", "DegenerateSample",
     "DiagnosticsReport", "DimensionMismatch", "EmptyCandidates",
-    "EmptyInstance", "FarParameters", "GridMismatch", "HalfSpaceIntersectionSpec",
+    "EmptyInstance", "GridMismatch", "HalfSpaceIntersectionSpec",
     "HalfSpaceSpec", "IdentityOperator", "IntegratorConfig", "InvalidVector",
     "LambdaDiagnostics", "LinearSPDOperator", "Operator", "OutputConfig",
     "ParseError", "ProjectionNotConverged", "SamplerConfig", "Scenario",
@@ -91,7 +89,7 @@ __all__ = [
     "instantiate", "integrate", "kappa_tilde", "lambda_sweep",
     "lipschitz_estimate", "load_scenario", "min_norm_distance",
     "min_norm_point", "parse_scenario", "penalized_rhs",
-    "read_trajectory_csv", "select_projection", "sup_diff",
+    "read_trajectory_csv", "sup_diff",
     "truncated_hausdorff", "validate_scenario", "verify_constants",
     "write_trajectory_csv",
 ]

@@ -5,6 +5,9 @@ the trajectory Lipschitz constant kappa_tilde/(m*alpha^2 - L), estimates the
 truncated-Hausdorff moduli (kappa_r, L) and the far parameter alpha, and runs
 lambda sweeps with empirical Cauchy diagnostics.
 
+Every bound divides by ``Scenario.margin`` = m*alpha^2 - L, which the
+scenario computes and checks positive (H2) when it is built.
+
 All sup/inf estimators are sample based: suprema are reported as lower
 estimates, the alpha infimum as an upper estimate, with the sampler recorded
 alongside.
@@ -25,7 +28,6 @@ from .errors import (
     GridMismatch,
     SweepSolveError,
     TubeSamplingFailed,
-    ValidationError,
 )
 from .hulls import _segment_min_norm, min_norm_point
 from .set_zoo import _dot, as_vector, instantiate, row_norms
@@ -33,23 +35,6 @@ from .set_zoo import _dot, as_vector, instantiate, row_norms
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
 DEFAULT_SAMPLES = 4096
-
-
-@dataclass(frozen=True)
-class FarParameters:
-    """Far parameter alpha in (0, 1] and tube radius rho (may be inf)."""
-
-    alpha: float = 1.0
-    rho: float = math.inf
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
-
-    def margin(self, m: float, L: float) -> float:
-        return m * self.alpha ** 2 - L
 
 
 @dataclass(frozen=True)
@@ -212,17 +197,13 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int) -> float:
 # trajectory checks
 # ---------------------------------------------------------------------------
 
-def check_phi_bound(traj: Trajectory, scenario: Scenario, kappa_tilde: float,
-                    params: FarParameters):
+def check_phi_bound(traj: Trajectory, scenario: Scenario, kappa_tilde: float):
     """Compare max phi against kappa_tilde*lambda/(m*alpha^2 - L).
 
     Returns (ok, worst_ratio); a vanishing bound with vanishing phi counts as
     a clean pass with ratio 0.
     """
-    margin = params.margin(scenario.operator.m, scenario.state_lipschitz)
-    if margin <= 0:
-        raise ValidationError("H2", f"stability margin m*alpha^2 - L = {margin:g} <= 0")
-    bound = kappa_tilde * traj.lam / margin
+    bound = kappa_tilde * traj.lam / scenario.margin
     phi_max = float(np.max(traj.phis))
     if bound <= 0.0:
         worst = 0.0 if phi_max <= 1e-15 else math.inf
@@ -294,8 +275,7 @@ def default_state_pairs(x0):
     return pairs
 
 
-def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
-                sampler: SamplerConfig | None = None) -> KappaTildeResult:
+def kappa_tilde(scenario: Scenario, sampler: SamplerConfig | None = None) -> KappaTildeResult:
     """Time modulus at the radius |A(x0)| + M*R the trajectory can reach.
 
     R is set to twice the expected travel T*kappa/(m*alpha^2 - L), resolved by
@@ -303,16 +283,12 @@ def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
     Overestimating R only loosens the resulting modulus conservatively.  The
     default result is kept on the scenario: the parse-time gate and CLI share it.
     """
-    memo = vars(scenario) if params is None and sampler is None else {}
+    memo = vars(scenario) if sampler is None else {}
     if "_kappa_tilde" in memo:
         return memo["_kappa_tilde"]
-    params = params or FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
     sampler = sampler or SamplerConfig()
     op = scenario.operator
     spec = scenario.moving_set
-    margin = params.margin(op.m, spec.state_lipschitz)
-    if margin <= 0:
-        raise ValidationError("H2", f"stability margin m*alpha^2 - L = {margin:g} <= 0")
 
     z0 = op.image(scenario.x0.tolist())
     a0 = math.sqrt(_dot(z0, z0))
@@ -321,7 +297,7 @@ def kappa_tilde(scenario: Scenario, params: FarParameters | None = None,
 
     r1 = a0 + op.M * 1.0
     k1, L1 = estimate_kappa(spec, r1, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
-    travel = 2.0 * scenario.T * k1 / margin
+    travel = 2.0 * scenario.T * k1 / scenario.margin
     r2 = max(a0 + op.M * travel, 1e-3)
     k2, L2 = estimate_kappa(spec, r2, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
     memo["_kappa_tilde"] = KappaTildeResult(value=k2, radius=r2,
@@ -402,16 +378,14 @@ class DiagnosticsReport:
             d.lipschitz_ok for d in self.per_lambda if d.status == "ok")
 
 
-def diagnose_trajectory(traj: Trajectory, scenario: Scenario, kt: float,
-                        params: FarParameters) -> LambdaDiagnostics:
-    margin = params.margin(scenario.operator.m, scenario.state_lipschitz)
-    ok, worst = check_phi_bound(traj, scenario, kt, params)
+def diagnose_trajectory(traj: Trajectory, scenario: Scenario, kt: float) -> LambdaDiagnostics:
+    ok, worst = check_phi_bound(traj, scenario, kt)
     lip = lipschitz_estimate(traj)
-    lip_bound = kt / margin
+    lip_bound = kt / scenario.margin
     return LambdaDiagnostics(
         lam=traj.lam, status="ok",
         phi_max=float(np.max(traj.phis)),
-        phi_bound=kt * traj.lam / margin,
+        phi_bound=kt * traj.lam / scenario.margin,
         bound_satisfied=ok, worst_ratio=worst,
         lipschitz_estimate=lip, lipschitz_bound=lip_bound,
         lipschitz_ok=lip <= 1.05 * lip_bound + 1e-12,
@@ -427,9 +401,7 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
     convergence table lists sup-distance between consecutive successful
     lambdas on a common uniform grid.
     """
-    params = FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
     kt = kt or kappa_tilde(scenario)
-    margin = params.margin(scenario.operator.m, scenario.state_lipschitz)
 
     def run(lam):
         try:
@@ -450,7 +422,7 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
             per_lambda.append(LambdaDiagnostics(lam=lam, status=err))
             continue
         trajs[lam] = traj
-        per_lambda.append(diagnose_trajectory(traj, scenario, kt.value, params))
+        per_lambda.append(diagnose_trajectory(traj, scenario, kt.value))
 
     grid = np.linspace(0.0, scenario.T, grid_points)
     table = []
@@ -462,7 +434,7 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
 
     alpha_est = None
     if alpha_samples > 0:
-        rho_est = params.rho if math.isfinite(params.rho) else 1.0
+        rho_est = scenario.rho_assumed if math.isfinite(scenario.rho_assumed) else 1.0
         try:
             inst0 = instantiate(scenario.moving_set, 0.0, scenario.x0)
             alpha_est = estimate_alpha(inst0, rho_est, alpha_samples, seed)
@@ -470,8 +442,8 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
             alpha_est = None
 
     return DiagnosticsReport(
-        kappa_tilde=kt.value, alpha=params.alpha, rho=params.rho, margin=margin,
-        per_lambda=tuple(per_lambda), convergence_table=tuple(table),
+        kappa_tilde=kt.value, alpha=scenario.alpha_assumed, rho=scenario.rho_assumed,
+        margin=scenario.margin, per_lambda=tuple(per_lambda), convergence_table=tuple(table),
         sup_diff_monotone=monotone, kappa_estimates=dict(kt.estimates),
-        alpha_estimate=alpha_est, lipschitz_bound=kt.value / margin,
+        alpha_estimate=alpha_est, lipschitz_bound=kt.value / scenario.margin,
         trajectories=trajs)

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import analysis
-from .analysis import FarParameters, SamplerConfig
+from .analysis import SamplerConfig
 from .dynamics import integrate
 from .errors import DimensionMismatch, SweepSolveError, UsageError
 from .scenario_io import (
@@ -154,9 +154,8 @@ def _run_solve(args, scenario, digest, out_dir) -> int:
     csv_name = f"trajectory_lam{_lam_tag(lam)}.csv"
     write_trajectory_csv(out_dir / csv_name, traj)
 
-    params = FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
     kt = analysis.kappa_tilde(scenario)
-    diag = analysis.diagnose_trajectory(traj, scenario, kt.value, params)
+    diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
     summary = {
         "subcommand": "solve",
         "scenario_hash": digest,
@@ -197,9 +196,8 @@ def _run_diagnose(args, scenario, digest, out_dir) -> int:
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")
     traj = type(traj)(traj.times, traj.states, traj.images, traj.phis, lam, traj.stats)
-    params = FarParameters(scenario.alpha_assumed, scenario.rho_assumed)
     kt = analysis.kappa_tilde(scenario)
-    diag = analysis.diagnose_trajectory(traj, scenario, kt.value, params)
+    diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
     payload = {"subcommand": "diagnose", "scenario_hash": digest, "seed": args.seed,
                "kappa_tilde": kt.value, "trajectory_csv": str(args.traj),
                **diagnostics_to_dict(diag)}

@@ -3,15 +3,17 @@
 The penalized motion follows -dx/dt = (A(x) - p)/lambda with p the selected
 nearest point of A(x) on the instantaneous set.  The explicit fixed-step
 Euler and RK4 must resolve the 1/lambda decay, hence their step is capped by
-the stiffness guard h <= c*lambda/(1 + M).
+the stiffness guard h <= SAFETY*lambda/(1 + M).
 
-Inputs are validated once, at the boundary: x0 and the set and operator
-dimensions in ``Scenario``, lambda and (t, x) in ``penalized_rhs``, lambda in
-``integrate``, and each new state's finiteness.  Each right-hand-side stage
-makes one set query, ``nearest`` at its (t, x); a member A(x) is its own
-nearest point, so the velocity vanishes exactly there.  A node's image and phi
-come from its k1 query (phi is taken at nodes only); only the node at T needs
-a query of its own.  A state-independent set is frozen once per stage time.
+Inputs are validated once, at the boundary: x0, the set and operator
+dimensions, the far parameters and the hypotheses H1 (L < m) and H2 in
+``Scenario``, whose ``margin`` m*alpha^2 - L is the one source every bound
+divides by; lambda and (t, x) in ``penalized_rhs``, lambda in ``integrate``,
+and each new state's finiteness.  Each right-hand-side stage makes one set
+query, ``nearest`` at its (t, x); a member A(x) is its own nearest point, so
+the velocity vanishes exactly there.  A node's image and phi come from its k1
+query (phi is taken at nodes only); only the node at T needs a query of its
+own.  A state-independent set is frozen once per stage time.
 
 States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
 point costs a few float operations, not a NumPy call each; ``Operator.image``
@@ -28,29 +30,38 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidVector, StepFailure, UnsupportedScenario
+from .errors import (
+    DimensionMismatch,
+    InvalidVector,
+    StepFailure,
+    UnsupportedScenario,
+    ValidationError,
+)
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
 from .set_zoo import as_vector, instantiate
+
+SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"          # euler | rk4
-    safety: float = 0.2          # c in the guard h <= c*lambda/(1+M)
     h_max: float = math.inf
 
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
         if not self.h_max > 0.0:
             raise ValueError("h_max must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A complete problem description; immutable and shareable across workers."""
+    """A complete problem description; immutable and shareable across workers.
+
+    Building one checks alpha in (0, 1], rho > 0, H1 (L < m) and H2
+    (margin = m*alpha^2 - L > 0), so no bound divides by a margin <= 0.
+    """
 
     n: int
     T: float
@@ -63,14 +74,28 @@ class Scenario:
     rho_assumed: float = math.inf
     allow_infeasible_start: bool = False
     output: object = None   # optional OutputConfig from a scenario file
+    margin: float = field(init=False)   # m*alpha^2 - L, positive by H2
 
     def __post_init__(self):
         x0 = as_vector(self.x0, self.n, "x0")
         if self.moving_set.n != self.n:
             raise DimensionMismatch(f"set has dimension {self.moving_set.n}, state {self.n}")
         self.operator.check_dim(self.n)
+        if not 0.0 < self.alpha_assumed <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha_assumed!r}")
+        if not self.rho_assumed > 0.0:
+            raise ValueError(f"rho must be positive, got {self.rho_assumed!r}")
+        m, L = self.operator.m, self.moving_set.state_lipschitz
+        if not L < m:
+            raise ValidationError("H1", f"L < m required (L = {L:g}, m = {m:g})")
+        margin = m * self.alpha_assumed ** 2 - L
+        if not margin > 0:
+            raise ValidationError(
+                "H2", f"stability margin m*alpha^2 - L = {margin:g} must be positive "
+                      f"(alpha = {self.alpha_assumed:g})")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+        object.__setattr__(self, "margin", margin)
 
     @property
     def state_lipschitz(self) -> float:
@@ -157,7 +182,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
         freeze = lambda t, x: at(t)
     f = partial(_stage, scenario.operator, freeze, lam)
     T = float(scenario.T)
-    guard = cfg.safety * lam / (1.0 + scenario.operator.M)
+    guard = SAFETY * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
     h = T / n_steps
     euler = cfg.method == "euler"

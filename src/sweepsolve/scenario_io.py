@@ -205,8 +205,8 @@ def _build_integrator(node, path):
     if node is None:
         return IntegratorConfig()
     node = _expect_object(node, path)
-    _check_keys(node, path, {"method", "safety", "h_max"})
-    kwargs = {key: _number(node[key], f"{path}.{key}") for key in ("safety", "h_max") if key in node}
+    _check_keys(node, path, {"method", "h_max"})
+    kwargs = {"h_max": _number(node["h_max"], f"{path}.h_max")} if "h_max" in node else {}
     if "method" in node:
         kwargs["method"] = node["method"]
     try:
@@ -223,7 +223,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and validate one scenario document.
 
     Schema violations raise ParseError with the offending JSON path; violated
-    solvability hypotheses raise ValidationError with the hypothesis named.
+    solvability hypotheses raise ValidationError with the hypothesis named
+    (H1 and H2 from building the Scenario, the rest from validate_scenario).
     """
     try:
         doc = json.loads(text)
@@ -245,7 +246,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ParseError("problem.allow_infeasible_start: expected a boolean")
 
     operator = _build_operator(doc["operator"], n, "operator")
-    operator.check_dim(n)
     moving_set = _build_set(doc["set"], n, "set")
 
     lam_node = doc["lambdas"]
@@ -292,35 +292,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Check the solvability hypotheses, naming the first one violated."""
-    op = scenario.operator
-    spec = scenario.moving_set
-
-    L = spec.state_lipschitz
-    if not L < op.m:
-        raise ValidationError("H1", f"L < m required (L = {L:g}, m = {op.m:g})")
-
-    margin = op.m * scenario.alpha_assumed ** 2 - L
-    if not margin > 0:
-        raise ValidationError(
-            "H2", f"stability margin m*alpha^2 - L = {margin:g} must be positive "
-                  f"(alpha = {scenario.alpha_assumed:g})")
-
-    # unit normal sanity at sample times (rotation preserves the norm exactly)
-    ts = np.linspace(0.0, scenario.T, 5)
-    for spec_hs in _half_space_leaves(spec):
-        for t in ts:
-            nrm = float(np.linalg.norm(spec_hs.zeta(t)))
-            if abs(nrm - 1.0) > 1e-12:
-                raise ValidationError("H1", f"half-space normal drifts off unit norm at t = {t:g}")
-
+    """Check the hypotheses that depend on the geometry, naming the first one
+    violated; H1 and H2 hold for every Scenario, which checks them when built."""
     # nonempty instantiation at sample times (EmptyInstance propagates)
-    for t in ts:
-        instantiate(spec, t, scenario.x0)
+    inst0, *_ = [instantiate(scenario.moving_set, t, scenario.x0)
+                 for t in np.linspace(0.0, scenario.T, 5)]
 
     if not scenario.allow_infeasible_start:
-        inst0 = instantiate(spec, 0.0, scenario.x0)
-        gap = inst0.distance(op.apply(scenario.x0))
+        gap = inst0.distance(scenario.operator.apply(scenario.x0))
         if gap > FEASIBILITY_TOL:
             raise ValidationError(
                 "feasibility", f"A(x0) must start in C(0, x0); distance is {gap:g}")
@@ -328,24 +307,13 @@ def validate_scenario(scenario: Scenario) -> None:
     if math.isfinite(scenario.rho_assumed):
         kt = analysis.kappa_tilde(scenario)
         if kt.value > 0:
-            gate = margin * scenario.rho_assumed / kt.value
+            gate = scenario.margin * scenario.rho_assumed / kt.value
             bad = [lam for lam in scenario.lambdas if not lam < gate]
             if bad:
                 raise ValidationError(
                     "penalty-gate",
                     f"lambda < (m*alpha^2 - L)*rho/kappa_tilde = {gate:g} required, "
                     f"violated by {bad}")
-
-
-def _half_space_leaves(spec):
-    if isinstance(spec, HalfSpaceSpec):
-        return [spec]
-    if isinstance(spec, (HalfSpaceIntersectionSpec, UnionSpec)):
-        out = []
-        for m in spec.members:
-            out.extend(_half_space_leaves(m))
-        return out
-    return []
 
 
 def load_scenario(path) -> Scenario:
@@ -380,8 +348,9 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Round-trip reader for CSVs produced by write_trajectory_csv.
 
-    Any malformed content (bad lambda header, column layout, ragged row,
-    non-numeric cell, fewer than two data rows) raises ParseError.
+    Any malformed content (a lambda header that is not a positive finite
+    number, column layout, ragged row, non-numeric or non-finite cell, times
+    not strictly increasing, fewer than two data rows) raises ParseError.
     """
     lam = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -392,7 +361,10 @@ def read_trajectory_csv(path) -> Trajectory:
             try:
                 lam = float(head.split("=", 1)[1])
             except ValueError:
-                raise ParseError(f"{path}: lambda header is not a number: {head!r}") from None
+                lam = math.nan
+            if not (lam > 0 and math.isfinite(lam)):      # also false on NaN
+                raise ParseError(f"{path}: lambda header is not a positive finite number: "
+                                 f"{head!r}")
     if not lines:
         raise ParseError(f"{path}: empty trajectory file")
     header = lines.pop(0).split(",")
@@ -412,6 +384,12 @@ def read_trajectory_csv(path) -> Trajectory:
         except ValueError:
             raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
     rows = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(rows).all(1))
+    if bad.size:
+        raise ParseError(f"{path}: data row {bad[0] + 1} has a non-finite cell")
+    bad = np.flatnonzero(np.diff(rows[:, 0]) <= 0)
+    if bad.size:
+        raise ParseError(f"{path}: data row {bad[0] + 2}: times must increase strictly")
     return Trajectory(times=rows[:, 0], states=rows[:, 1:1 + n],
                       images=rows[:, 1 + n:1 + 2 * n], phis=rows[:, -1],
                       lam=lam, stats=StepStats(rows.shape[0] - 1, 0, 0, 0.0))

@@ -19,7 +19,7 @@ derives ``distance_many``, ``distance``, ``member`` and ``project`` from
 ``nearest_points`` selects among one row's candidates.
 
 The integrator's one-point query ``nearest(z)`` maps a finite list of floats
-to the list ``select_projection(project(z))`` and ``distance(z)``: one row of
+to the list ``project(z)[0]`` and ``distance(z)``: one row of
 ``candidates``, or for the half-space, ball and box a closed form on floats in
 the batched kernel's order.  Dot products are ``_dot``, left to right from
 0.0: BLAS (``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels,
@@ -588,7 +588,7 @@ def instantiate(spec, t, x) -> SetInstance:
 def nearest_points(P, D):
     """Nearest points of a one-row ``candidates`` result (P, D), ties within
     TIE_TOL included, deduplicated and sorted lexicographically: the first
-    entry is the deterministic selection of :func:`select_projection`."""
+    entry, the lexicographically smallest, is the deterministic selection."""
     if len(D) == 1:
         return [P[0, 0]]
     d = D[:, 0]
@@ -605,15 +605,6 @@ def dedupe(P):
         if not any(row_norms(row - q) <= 1e-12 for q in out):
             out.append(row)
     return np.array(out)
-
-
-def select_projection(candidates) -> np.ndarray:
-    """Deterministic tie-break: lexicographically smallest coordinate vector."""
-    cands = list(candidates)
-    if not cands:
-        raise EmptyCandidates("projection candidate list is empty")
-    arrs = [np.asarray(p, dtype=float) for p in cands]
-    return min(arrs, key=lambda p: tuple(p.tolist()))
 
 
 def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):

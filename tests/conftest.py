@@ -15,25 +15,25 @@ def scenario_dir():
 
 
 def drift_halfspace_scenario(lambdas=(0.05,), T=1.0, gamma=1.0, method="rk4",
-                             h_max=math.inf, safety=0.2):
+                             h_max=math.inf):
     """Moving half-line {z >= t}: x(t) = t - lam*(1 - exp(-t/lam)) for gamma = 1."""
     op = sw.IdentityOperator() if gamma == 1.0 else sw.ScaledIdentityOperator(gamma)
     return sw.Scenario(
         n=1, T=T, x0=np.array([0.0]), operator=op,
         moving_set=sw.HalfSpaceSpec(normal=[-1.0], drift=-1.0),
         lambdas=tuple(lambdas),
-        integrator=sw.IntegratorConfig(method=method, safety=safety, h_max=h_max))
+        integrator=sw.IntegratorConfig(method=method, h_max=h_max))
 
 
 def decay_scenario(gamma=2.0, T=0.1, x0=1.0, lambdas=(0.1,), method="rk4",
-                   h_max=math.inf, safety=0.2):
+                   h_max=math.inf):
     """Static {z <= 0} with infeasible start: x(t) = x0*exp(-gamma*t/lam)."""
     op = sw.IdentityOperator() if gamma == 1.0 else sw.ScaledIdentityOperator(gamma)
     return sw.Scenario(
         n=1, T=T, x0=np.array([float(x0)]), operator=op,
         moving_set=sw.HalfSpaceSpec(normal=[1.0]),
         lambdas=tuple(lambdas),
-        integrator=sw.IntegratorConfig(method=method, safety=safety, h_max=h_max),
+        integrator=sw.IntegratorConfig(method=method, h_max=h_max),
         allow_infeasible_start=True)
 
 

@@ -87,8 +87,7 @@ def test_criterion_05_trajectory_lipschitz(scenario_dir):
             continue
         seen.add(path.name)
         kt = kappa_tilde(sc)
-        margin = sc.operator.m * sc.alpha_assumed ** 2 - sc.state_lipschitz
-        bound = kt.value / margin
+        bound = kt.value / sc.margin
         traj = sw.integrate(sc, sc.lambdas[-1])
         lip = sw.lipschitz_estimate(traj)
         good = lip <= 1.05 * bound + 1e-12

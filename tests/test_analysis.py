@@ -24,7 +24,7 @@ def test_phi_bound_drifting_halfspace():
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,))
     traj = sw.integrate(sc, lam)
-    ok, ratio = sw.check_phi_bound(traj, sc, 1.0, sw.FarParameters(1.0, math.inf))
+    ok, ratio = sw.check_phi_bound(traj, sc, 1.0)
     assert ok
     assert 0.9 <= ratio <= 1.02
 
@@ -32,7 +32,7 @@ def test_phi_bound_drifting_halfspace():
 def test_phi_bound_static_interior_ratio_zero():
     sc = static_interior_scenario()
     traj = sw.integrate(sc, 0.1)
-    ok, ratio = sw.check_phi_bound(traj, sc, 0.0, sw.FarParameters(1.0, math.inf))
+    ok, ratio = sw.check_phi_bound(traj, sc, 0.0)
     assert ok and ratio == 0.0
 
 
@@ -40,17 +40,28 @@ def test_phi_bound_state_feedback_tight():
     lam = 0.04
     sc = state_feedback_scenario(lambdas=(lam,))
     traj = sw.integrate(sc, lam)
-    ok, ratio = sw.check_phi_bound(traj, sc, 1.0, sw.FarParameters(1.0, math.inf))
+    ok, ratio = sw.check_phi_bound(traj, sc, 1.0)
     # margin = 1 - 0.5, bound = 2*lam = 0.08 and phi approaches it from below
     assert ok and ratio <= 1.02
     assert np.max(traj.phis) == pytest.approx(2 * lam, rel=0.01)
+
+
+def test_phi_bound_wedge_divides_by_scenario_margin():
+    lam = 0.05
+    sc = wedge_scenario(lambdas=(lam,))
+    traj = sw.integrate(sc, lam)
+    ok, ratio = sw.check_phi_bound(traj, sc, SQRT2_HALF)
+    # margin = alpha^2 = 1/2 and phi -> kappa*lam, so the ratio is 1/2, not 1
+    assert sc.margin == pytest.approx(0.5, abs=1e-12)
+    assert ratio == float(np.max(traj.phis)) / (SQRT2_HALF * lam / sc.margin)
+    assert ok and ratio == pytest.approx(0.5, rel=1e-3)
 
 
 def test_phi_bound_flags_violation():
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,))
     traj = sw.integrate(sc, lam)
-    ok, ratio = sw.check_phi_bound(traj, sc, 0.5, sw.FarParameters(1.0, math.inf))
+    ok, ratio = sw.check_phi_bound(traj, sc, 0.5)
     assert not ok and ratio > 1.02
 
 
@@ -323,7 +334,7 @@ def test_diagnose_trajectory_fields():
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,))
     traj = sw.integrate(sc, lam)
-    d = diagnose_trajectory(traj, sc, 1.0, sw.FarParameters(1.0, math.inf))
+    d = diagnose_trajectory(traj, sc, 1.0)
     assert d.status == "ok"
     assert d.phi_bound == pytest.approx(lam)
     assert d.bound_satisfied and d.lipschitz_ok

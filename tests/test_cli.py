@@ -160,7 +160,7 @@ def test_finite_rho_computes_kappa_tilde_once(tmp_path, drift_file, monkeypatch,
                                               command, extra, payload):
     # the penalty gate needs kappa_tilde at parse time; the command reuses it
     from sweepsolve import analysis, parse_scenario
-    from sweepsolve.analysis import FarParameters, SamplerConfig
+    from sweepsolve.analysis import SamplerConfig
 
     doc = json.loads(open(drift_file).read())
     doc["assumed"] = {"alpha": 1.0, "rho": 10.0}
@@ -174,6 +174,5 @@ def test_finite_rho_computes_kappa_tilde_once(tmp_path, drift_file, monkeypatch,
     assert run_cli(command, "--scenario", str(path), "--out", str(out), *extra) == 0
     assert len(calls) == 2          # one kappa_tilde: one estimate at each of two radii
     got = json.loads((out / payload).read_text())["kappa_tilde"]
-    fresh = analysis.kappa_tilde(parse_scenario(path.read_text()),
-                                 FarParameters(1.0, 10.0), SamplerConfig())
+    fresh = analysis.kappa_tilde(parse_scenario(path.read_text()), sampler=SamplerConfig())
     assert got == fresh.value

@@ -55,7 +55,8 @@ def test_unknown_nested_key_rejected_with_path():
     assert "set" in str(err.value) and "slope" in str(err.value)
 
 
-@pytest.mark.parametrize("integrator", [{"method": "adaptive"}, {"tol_adapt": 1e-7}])
+@pytest.mark.parametrize("integrator", [{"method": "adaptive"}, {"tol_adapt": 1e-7},
+                                        {"safety": 0.5}])
 def test_adaptive_integrator_settings_are_parse_errors(tmp_path, capsys, integrator):
     text = json.dumps(doc(integrator=integrator))
     with pytest.raises(sw.ParseError) as err:
@@ -127,6 +128,46 @@ def test_gate_h2_margin():
     with pytest.raises(sw.ValidationError) as err:
         sw.parse_scenario(json.dumps(d))
     assert err.value.hypothesis == "H2"
+
+
+def _half_line(state_gain=0.0, **kwargs):
+    return sw.Scenario(
+        n=1, T=1.0, x0=np.array([0.0]), operator=sw.IdentityOperator(),
+        moving_set=sw.HalfSpaceSpec(normal=[-1.0], drift=-1.0, state_gain=state_gain,
+                                    state_direction=[1.0]),
+        lambdas=(0.1,), **kwargs)
+
+
+def test_scenario_constructor_checks_h1():
+    with pytest.raises(sw.ValidationError) as err:
+        _half_line(state_gain=-1.5)
+    assert err.value.hypothesis == "H1"
+    assert "L < m" in str(err.value)
+
+
+def test_scenario_constructor_checks_h2():
+    with pytest.raises(sw.ValidationError) as err:
+        _half_line(state_gain=-0.6, alpha_assumed=0.7)      # margin 0.49 - 0.6 < 0
+    assert err.value.hypothesis == "H2"
+    assert "must be positive (alpha = 0.7)" in str(err.value)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha_assumed": 0.0}, "alpha must lie in (0, 1]"),
+    ({"alpha_assumed": 1.5}, "alpha must lie in (0, 1]"),
+    ({"rho_assumed": 0.0}, "rho must be positive"),
+])
+def test_scenario_constructor_checks_far_parameters(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        _half_line(**kwargs)
+    assert str(err.value).startswith(message)
+
+
+def test_scenario_margin_is_m_alpha_squared_minus_L(scenario_dir):
+    assert _half_line(state_gain=-0.5, alpha_assumed=0.9).margin == 0.9 ** 2 - 0.5
+    for path in sorted(scenario_dir.glob("*.json")):
+        sc = sw.load_scenario(path)
+        assert sc.margin == sc.operator.m * sc.alpha_assumed ** 2 - sc.state_lipschitz > 0
 
 
 def test_gate_feasibility():
@@ -255,6 +296,12 @@ def test_csv_text_is_pinned(tmp_path):
     "t,x_1,z_1,phi\n0,0,0,0\n",                                   # one node, no step
     "# lambda = fast\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",     # bad lambda header
     "# lambda = 0.1\nt,x_1,x_2,z_1,z_2,phi\n0,0,0,0,0,0\n1,0.1,0,0.1,0,0\n",  # 2-d, scenario 1-d
+    "# lambda = inf\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",      # infinite lambda
+    "# lambda = nan\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",      # NaN lambda
+    "# lambda = -0.1\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",     # negative lambda
+    "# lambda = 0\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",        # zero lambda
+    "# lambda = 0.1\nt,x_1,z_1,phi\n0,0,0,0\n1,nan,0.1,0\n",      # non-finite cell
+    "# lambda = 0.1\nt,x_1,z_1,phi\n0,0,0,0\n0,0,0,0\n1,0.1,0.1,0\n",  # repeated time
 ])
 def test_malformed_trajectory_csv_is_a_parse_error(tmp_path, scenario_dir, capsys, body):
     """Every body is rejected by the reader, except the well-formed 2-d one,

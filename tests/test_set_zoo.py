@@ -213,27 +213,16 @@ def test_projected_points_are_members_and_consistent():
 
 
 # ---------------------------------------------------------------------------
-# select_projection
+# the selection: project(z)[0], the lexicographically smallest nearest point
 # ---------------------------------------------------------------------------
 
-def test_select_projection_lexicographic():
-    got = sw.select_projection([np.array([0.5, -0.5]), np.array([-0.5, -0.5])])
-    assert np.allclose(got, [-0.5, -0.5])
-
-
-def test_select_projection_singleton():
-    got = sw.select_projection([np.array([1.0, 0.0])])
-    assert np.allclose(got, [1.0, 0.0])
-
-
 def test_select_projection_second_coordinate_breaks_tie():
-    got = sw.select_projection([np.array([1.0, 2.0]), np.array([1.0, 1.0])])
-    assert np.allclose(got, [1.0, 1.0])
-
-
-def test_select_projection_empty_raises():
-    with pytest.raises(sw.EmptyCandidates):
-        sw.select_projection([])
+    # balls at (0, +-1): the two feet of z = (-3, 0) share x and differ in y
+    union = sw.UnionSpec((sw.BallSpec(center=[0.0, 1.0], radius=0.5),
+                          sw.BallSpec(center=[0.0, -1.0], radius=0.5)))
+    feet = sw.instantiate(union, 0.0, np.zeros(2)).project(np.array([-3.0, 0.0]))
+    assert len(feet) == 2 and feet[0][0] == feet[1][0]
+    assert feet[0][1] < 0.0 < feet[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +323,8 @@ def test_batched_dykstra_rows_match_single_calls(Z):
 @given(z1=st.tuples(finite_coord, finite_coord), z2=st.tuples(finite_coord, finite_coord))
 def test_convex_projection_nonexpansive(z1, z2):
     inst = sw.instantiate(sw.BallSpec(center=[0.3, -0.2], radius=1.2), 0.0, np.zeros(2))
-    p1 = sw.select_projection(inst.project(np.array(z1)))
-    p2 = sw.select_projection(inst.project(np.array(z2)))
+    p1 = inst.project(np.array(z1))[0]
+    p2 = inst.project(np.array(z2))[0]
     assert np.linalg.norm(p1 - p2) <= np.linalg.norm(np.array(z1) - np.array(z2)) + 1e-12
 
 
@@ -381,10 +370,10 @@ def _bits(values):
 def test_nearest_matches_project_and_distance_bit_for_bit(kind, z):
     inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
     z = np.array(z)
-    for point in (z, sw.select_projection(inst.project(z)), inst.anchor()):  # members too
+    for point in (z, inst.project(z)[0], inst.anchor()):  # members too
         p, d = inst.nearest(point.tolist())
         assert type(p) is list and all(type(c) is float for c in p)
-        assert _bits(p) == _bits(sw.select_projection(inst.project(point)))
+        assert _bits(p) == _bits(inst.project(point)[0])
         assert _bits(d) == _bits(inst.distance(point))
         if d == 0.0:
             assert _bits(p) == _bits(point)
