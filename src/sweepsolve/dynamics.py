@@ -6,14 +6,14 @@ Euler and RK4 must resolve the 1/lambda decay, hence their step is capped by
 the stiffness guard h <= SAFETY*lambda/(1 + M).
 
 Inputs are validated once, at the boundary: x0, the set and operator
-dimensions, the far parameters and the hypotheses H1 (L < m) and H2 in
-``Scenario``, whose ``margin`` m*alpha^2 - L is the one source every bound
-divides by; lambda and (t, x) in ``penalized_rhs``, lambda in ``integrate``,
-and each new state's finiteness.  Each right-hand-side stage makes one set
-query, ``nearest`` at its (t, x); a member A(x) is its own nearest point, so
-the velocity vanishes exactly there.  A node's image and phi come from its k1
-query (phi is taken at nodes only); only the node at T needs a query of its
-own.  A state-independent set is frozen once per stage time.
+dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
+H1 (L < m) and H2 in ``Scenario``, whose ``margin`` m*alpha^2 - L is the one
+source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
+in ``integrate``, and each new state's finiteness.  Each right-hand-side stage
+makes one set query, ``nearest`` at its (t, x); a member A(x) is its own
+nearest point, so the velocity vanishes exactly there.  A node's image and phi
+come from its k1 query (phi is taken at nodes only); only the node at T needs
+a query of its own.  A state-independent set is frozen once per stage time.
 
 States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
 point costs a few float operations, not a NumPy call each; ``Operator.image``
@@ -59,7 +59,8 @@ class IntegratorConfig:
 class Scenario:
     """A complete problem description; immutable and shareable across workers.
 
-    Building one checks alpha in (0, 1], rho > 0, H1 (L < m) and H2
+    Building one checks 0 < T < inf, nonempty strictly descending lambdas in
+    (0, inf), alpha in (0, 1], rho > 0, H1 (L < m) and H2
     (margin = m*alpha^2 - L > 0), so no bound divides by a margin <= 0.
     """
 
@@ -81,6 +82,14 @@ class Scenario:
         if self.moving_set.n != self.n:
             raise DimensionMismatch(f"set has dimension {self.moving_set.n}, state {self.n}")
         self.operator.check_dim(self.n)
+        if not 0.0 < self.T < math.inf:     # also false on NaN
+            raise ValueError(f"horizon T must be positive and finite, got {self.T!r}")
+        lambdas = tuple(float(lam) for lam in self.lambdas)
+        # descending, so its ends bound every entry; NaN fails every comparison
+        if not (lambdas and all(a > b for a, b in zip(lambdas, lambdas[1:]))
+                and 0.0 < lambdas[-1] <= lambdas[0] < math.inf):
+            raise ValueError("lambdas must be nonempty, strictly descending, positive and "
+                             f"finite, got {lambdas!r}")
         if not 0.0 < self.alpha_assumed <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha_assumed!r}")
         if not self.rho_assumed > 0.0:
@@ -94,7 +103,7 @@ class Scenario:
                 "H2", f"stability margin m*alpha^2 - L = {margin:g} must be positive "
                       f"(alpha = {self.alpha_assumed:g})")
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "margin", margin)
 
     @property

@@ -1,10 +1,13 @@
 """Scenario documents: strict JSON parsing, hypothesis validation, serialization.
 
 A scenario file is one JSON object with sections problem / operator / set /
-lambdas / integrator / assumed / output.  Unknown keys are rejected and every
-schema error is addressed by its JSON path.  Hypothesis violations fail fast
-with the violated condition named: H_A1, H_A2, H1, H2, feasibility,
-penalty-gate.
+lambdas / integrator / assumed / output.  The parser checks shape only:
+types, keys and array lengths, rejecting unknown keys and addressing every
+error by its JSON path.  A set's keys are its spec's dataclass fields.  Range
+checks live in the constructors (the set specs, ``IntegratorConfig`` and
+``Scenario``); their errors are re-raised as ParseError, addressed by the
+set's path or the document.  Hypothesis violations fail fast with the
+violated condition named: H_A1, H_A2, H1, H2, feasibility, penalty-gate.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import analysis
 from .dynamics import IntegratorConfig, Scenario, StepStats, Trajectory
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SweepSolveError, ValidationError
 from .operators import IdentityOperator, LinearSPDOperator, ScaledIdentityOperator
 from .set_zoo import (
     BallSpec,
@@ -58,7 +61,7 @@ def _check_keys(node, path, allowed, required=()):
         raise ParseError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
-def _number(node, path, positive=False, nonnegative=False):
+def _number(node, path, positive=False):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ParseError(f"{path}: expected a number, got {node!r}")
     v = float(node)
@@ -66,8 +69,6 @@ def _number(node, path, positive=False, nonnegative=False):
         raise ParseError(f"{path}: must be finite, got {v!r}")
     if positive and not v > 0:
         raise ParseError(f"{path}: must be positive, got {v!r}")
-    if nonnegative and v < 0:
-        raise ParseError(f"{path}: must be nonnegative, got {v!r}")
     return v
 
 
@@ -88,13 +89,22 @@ def _vector(node, path, n=None):
     return np.array(vals)
 
 
+def _optional_object(doc, key, allowed):
+    """The optional section doc[key] with only ``allowed`` keys; {} when absent or null."""
+    node = doc.get(key)
+    if node is None:
+        return {}
+    _check_keys(_expect_object(node, key), key, allowed)
+    return node
+
+
 def _extended_number(node, path):
-    """A positive number or the string "inf"."""
+    """A number or the string "inf"."""
     if isinstance(node, str):
         if node.lower() in ("inf", "infinity"):
             return math.inf
         raise ParseError(f"{path}: expected a number or \"inf\", got {node!r}")
-    return _number(node, path, positive=True)
+    return _number(node, path)
 
 
 # ---------------------------------------------------------------------------
@@ -122,90 +132,45 @@ def _build_operator(node, n, path):
     raise ParseError(f"{path}.kind: unknown operator kind {kind!r}")
 
 
-_HALF_SPACE_KEYS = {"kind", "normal", "beta0", "drift", "state_gain",
-                    "state_direction", "rotation_rate", "rotation_partner"}
+_SET_KINDS = {"half_space": HalfSpaceSpec, "ball": BallSpec, "box": BoxSpec,
+              "wedge": WedgeSpec, "half_space_intersection": HalfSpaceIntersectionSpec,
+              "union": UnionSpec}
 
 
-def _build_half_space(node, n, path):
-    _check_keys(node, path, _HALF_SPACE_KEYS, required={"normal"})
-    kwargs = dict(
-        normal=_vector(node["normal"], f"{path}.normal", n),
-        beta0=_number(node.get("beta0", 0.0), f"{path}.beta0"),
-        drift=_number(node.get("drift", 0.0), f"{path}.drift"),
-        state_gain=_number(node.get("state_gain", 0.0), f"{path}.state_gain"),
-        rotation_rate=_number(node.get("rotation_rate", 0.0), f"{path}.rotation_rate"),
-    )
-    if "state_direction" in node:
-        kwargs["state_direction"] = _vector(node["state_direction"], f"{path}.state_direction", n)
-    if "rotation_partner" in node:
-        kwargs["rotation_partner"] = _vector(node["rotation_partner"], f"{path}.rotation_partner", n)
-    return HalfSpaceSpec(**kwargs)
-
-
-def _build_set(node, n, path, allow_nonconvex=True):
+def _build_set(node, n, path, default_kind=None):
+    """A set spec from its JSON node: the keys are the spec's dataclass fields;
+    range checks live in the spec, whose errors are re-addressed to ``path``."""
     node = _expect_object(node, path)
-    kind = node.get("kind")
-    if kind == "half_space":
-        return _build_half_space(node, n, path)
-    if kind == "ball":
-        _check_keys(node, path, {"kind", "center", "radius", "velocity", "state_gain"},
-                    required={"center", "radius"})
-        kwargs = dict(center=_vector(node["center"], f"{path}.center", n),
-                      radius=_number(node["radius"], f"{path}.radius", positive=True),
-                      state_gain=_number(node.get("state_gain", 0.0), f"{path}.state_gain"))
-        if "velocity" in node:
-            kwargs["velocity"] = _vector(node["velocity"], f"{path}.velocity", n)
-        return BallSpec(**kwargs)
-    if kind == "box":
-        _check_keys(node, path, {"kind", "lower", "upper", "lower_velocity", "upper_velocity"},
-                    required={"lower", "upper"})
-        kwargs = dict(lower=_vector(node["lower"], f"{path}.lower", n),
-                      upper=_vector(node["upper"], f"{path}.upper", n))
-        for key in ("lower_velocity", "upper_velocity"):
-            if key in node:
-                kwargs[key] = _vector(node[key], f"{path}.{key}", n)
-        return BoxSpec(**kwargs)
-    if kind == "half_space_intersection":
-        _check_keys(node, path, {"kind", "members"}, required={"members"})
-        members = node["members"]
-        if not isinstance(members, list) or not members:
-            raise ParseError(f"{path}.members: expected a nonempty array")
-        built = []
-        for i, m in enumerate(members):
-            m = _expect_object(m, f"{path}.members[{i}]")
-            if m.get("kind", "half_space") != "half_space":
-                raise ParseError(f"{path}.members[{i}].kind: must be half_space")
-            built.append(_build_half_space({**m, "kind": "half_space"}, n, f"{path}.members[{i}]"))
-        return HalfSpaceIntersectionSpec(tuple(built))
-    if kind == "wedge":
-        if not allow_nonconvex:
-            raise ParseError(f"{path}.kind: wedge is not allowed inside a union")
-        if n != 2:
-            raise ParseError(f"{path}: wedge requires dimension 2, problem has {n}")
-        _check_keys(node, path, {"kind", "apex", "apex_velocity"}, required={"apex"})
-        kwargs = dict(apex=_vector(node["apex"], f"{path}.apex", 2))
-        if "apex_velocity" in node:
-            kwargs["apex_velocity"] = _vector(node["apex_velocity"], f"{path}.apex_velocity", 2)
-        return WedgeSpec(**kwargs)
-    if kind == "union":
-        if not allow_nonconvex:
-            raise ParseError(f"{path}.kind: nested unions are not allowed")
-        _check_keys(node, path, {"kind", "members"}, required={"members"})
-        members = node["members"]
-        if not isinstance(members, list) or not members:
-            raise ParseError(f"{path}.members: expected a nonempty array")
-        built = tuple(_build_set(m, n, f"{path}.members[{i}]", allow_nonconvex=False)
-                      for i, m in enumerate(members))
-        return UnionSpec(built)
-    raise ParseError(f"{path}.kind: unknown set kind {kind!r}")
+    kind = node.get("kind", default_kind)
+    spec = _SET_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ParseError(f"{path}.kind: unknown set kind {kind!r}")
+    params = fields(spec)
+    _check_keys(node, path, {"kind"} | {f.name for f in params},
+                required={f.name for f in params if f.default is MISSING})
+    kwargs = {}
+    for f in params:
+        if f.name not in node:
+            continue
+        v, at = node[f.name], f"{path}.{f.name}"
+        if f.name == "members":
+            if not isinstance(v, list):
+                raise ParseError(f"{at}: expected an array of sets")
+            member_kind = "half_space" if spec is HalfSpaceIntersectionSpec else None
+            kwargs[f.name] = tuple(_build_set(m, n, f"{at}[{i}]", member_kind)
+                                   for i, m in enumerate(v))
+        elif "ndarray" in str(f.type):      # the annotation string, e.g. "np.ndarray | None"
+            kwargs[f.name] = _vector(v, at, n)
+        else:
+            kwargs[f.name] = _number(v, at)
+    try:
+        return spec(**kwargs)
+    except (ValueError, SweepSolveError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _build_integrator(node, path):
     """Range checks live in IntegratorConfig; its ValueError is re-addressed here."""
-    if node is None:
-        return IntegratorConfig()
-    node = _expect_object(node, path)
-    _check_keys(node, path, {"method", "h_max"})
     kwargs = {"h_max": _number(node["h_max"], f"{path}.h_max")} if "h_max" in node else {}
     if "method" in node:
         kwargs["method"] = node["method"]
@@ -239,7 +204,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     _check_keys(prob, "problem", {"dimension", "horizon", "x0", "allow_infeasible_start"},
                 required={"dimension", "horizon", "x0"})
     n = _integer(prob["dimension"], "problem.dimension", minimum=1)
-    T = _number(prob["horizon"], "problem.horizon", positive=True)
+    T = _number(prob["horizon"], "problem.horizon")
     x0 = _vector(prob["x0"], "problem.x0", n)
     allow_infeasible = prob.get("allow_infeasible_start", False)
     if not isinstance(allow_infeasible, bool):
@@ -248,45 +213,32 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     operator = _build_operator(doc["operator"], n, "operator")
     moving_set = _build_set(doc["set"], n, "set")
 
-    lam_node = doc["lambdas"]
-    if not isinstance(lam_node, list) or not lam_node:
-        raise ParseError("lambdas: expected a nonempty array")
-    lambdas = tuple(_number(v, f"lambdas[{i}]", positive=True) for i, v in enumerate(lam_node))
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ParseError("lambdas: must be strictly descending")
+    lambdas = tuple(_vector(doc["lambdas"], "lambdas"))
 
-    integrator = _build_integrator(doc.get("integrator"), "integrator")
+    integrator = _build_integrator(
+        _optional_object(doc, "integrator", {"method", "h_max"}), "integrator")
 
-    assumed = doc.get("assumed")
-    alpha, rho = 1.0, math.inf
-    if assumed is not None:
-        assumed = _expect_object(assumed, "assumed")
-        _check_keys(assumed, "assumed", {"alpha", "rho"})
-        if "alpha" in assumed:
-            alpha = _number(assumed["alpha"], "assumed.alpha", positive=True)
-            if alpha > 1.0:
-                raise ParseError("assumed.alpha: must lie in (0, 1]")
-        if "rho" in assumed:
-            rho = _extended_number(assumed["rho"], "assumed.rho")
+    assumed = _optional_object(doc, "assumed", {"alpha", "rho"})
+    alpha = _number(assumed["alpha"], "assumed.alpha") if "alpha" in assumed else 1.0
+    rho = _extended_number(assumed["rho"], "assumed.rho") if "rho" in assumed else math.inf
 
-    out_node = doc.get("output")
-    output = OutputConfig()
-    if out_node is not None:
-        out_node = _expect_object(out_node, "output")
-        _check_keys(out_node, "output", {"dir", "grid_points"})
-        kwargs = {}
-        if "dir" in out_node:
-            if not isinstance(out_node["dir"], str):
-                raise ParseError("output.dir: expected a string")
-            kwargs["dir"] = out_node["dir"]
-        if "grid_points" in out_node:
-            kwargs["grid_points"] = _integer(out_node["grid_points"], "output.grid_points", minimum=2)
-        output = OutputConfig(**kwargs)
+    out_node = _optional_object(doc, "output", {"dir", "grid_points"})
+    kwargs = {}
+    if "dir" in out_node:
+        if not isinstance(out_node["dir"], str):
+            raise ParseError("output.dir: expected a string")
+        kwargs["dir"] = out_node["dir"]
+    if "grid_points" in out_node:
+        kwargs["grid_points"] = _integer(out_node["grid_points"], "output.grid_points", minimum=2)
+    output = OutputConfig(**kwargs)
 
-    scenario = Scenario(n=n, T=T, x0=x0, operator=operator, moving_set=moving_set,
-                        lambdas=lambdas, integrator=integrator,
-                        alpha_assumed=alpha, rho_assumed=rho,
-                        allow_infeasible_start=allow_infeasible, output=output)
+    try:
+        scenario = Scenario(n=n, T=T, x0=x0, operator=operator, moving_set=moving_set,
+                            lambdas=lambdas, integrator=integrator,
+                            alpha_assumed=alpha, rho_assumed=rho,
+                            allow_infeasible_start=allow_infeasible, output=output)
+    except ValueError as exc:     # range checks; H1/H2 ValidationErrors pass through
+        raise ParseError(f"{source}: {exc}") from exc
     validate_scenario(scenario)
     return scenario
 

@@ -400,12 +400,9 @@ class HalfSpaceSpec(_GainDriven):
     def __post_init__(self):
         e1 = _unit(self.normal, "normal")
         object.__setattr__(self, "normal", _frozen(e1))
-        if self.state_gain != 0.0:
-            if self.state_direction is None:
-                raise InvalidVector("state_direction required when state_gain != 0")
-            u = _unit(self.state_direction, "state_direction")
-            object.__setattr__(self, "state_direction", _frozen(u))
-        elif self.state_direction is not None:
+        if self.state_gain != 0.0 and self.state_direction is None:
+            raise InvalidVector("state_direction required when state_gain != 0")
+        if self.state_direction is not None:
             u = _unit(self.state_direction, "state_direction")
             object.__setattr__(self, "state_direction", _frozen(u))
         if self.rotation_rate != 0.0:
@@ -536,6 +533,8 @@ class HalfSpaceIntersectionSpec(_Composite):
 
     def __post_init__(self):
         super().__post_init__()
+        if not all(isinstance(m, HalfSpaceSpec) for m in self.members):
+            raise InvalidVector("intersection members must be half-spaces")
         N = np.array([m.normal for m in self.members])
         object.__setattr__(self, "_always_nonempty", bool(np.linalg.eigvalsh(N @ N.T)[0] > RANK_TOL ** 2)
                            and all(m.rotation_rate == 0.0 for m in self.members))

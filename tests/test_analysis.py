@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sweepsolve as sw
+from sweepsolve import analysis
 from sweepsolve.analysis import SamplerConfig, diagnose_trajectory, kappa_tilde
 from conftest import (
     decay_scenario,
@@ -301,15 +302,20 @@ def test_lambda_sweep_wedge_uses_far_parameter():
     assert report.margin == pytest.approx(0.5, abs=1e-12)
 
 
-def test_lambda_sweep_records_failed_lambda():
+def test_lambda_sweep_records_failed_lambda(monkeypatch):
     sc = drift_halfspace_scenario(lambdas=(0.1, 0.05))
-    bad = sw.Scenario(n=sc.n, T=sc.T, x0=sc.x0, operator=sc.operator,
-                      moving_set=sc.moving_set, lambdas=(0.1, -0.05),
-                      integrator=sc.integrator)
-    report = sw.lambda_sweep(bad, kt=kappa_tilde(sc), alpha_samples=0)
+    real = analysis.integrate
+
+    def integrate(scenario, lam):
+        if lam == 0.05:
+            raise sw.StepFailure("state became non-finite")
+        return real(scenario, lam)
+
+    monkeypatch.setattr(analysis, "integrate", integrate)
+    report = sw.lambda_sweep(sc, kt=kappa_tilde(sc), alpha_samples=0)
     statuses = {d.lam: d.status for d in report.per_lambda}
     assert statuses[0.1] == "ok"
-    assert statuses[-0.05] != "ok"
+    assert statuses[0.05] == "StepFailure: state became non-finite"
     assert not report.bound_satisfied
 
 

@@ -107,6 +107,50 @@ def test_every_set_kind_parses():
         assert sc.n == 2
 
 
+def test_null_optional_sections_parse_to_defaults():
+    sc = sw.parse_scenario(json.dumps(doc(integrator=None, assumed=None, output=None)))
+    assert sc.integrator == sw.IntegratorConfig()
+    assert sc.alpha_assumed == 1.0 and math.isinf(sc.rho_assumed)
+    assert sc.output == sw.OutputConfig()
+
+
+_BALL = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+_ROTATING = {"kind": "half_space", "normal": [0.0, 1.0], "rotation_rate": 1.0}
+
+
+@pytest.mark.parametrize("n, set_node", [
+    (2, {**_BALL, "radius": 0.0}),
+    (2, {**_BALL, "radius": -1.0}),
+    (2, {"kind": "ball", "center": [0.0, 0.0]}),
+    (2, {**_BALL, "center": [0.0, 0.0, 0.0]}),
+    (2, {**_BALL, "radius": "1"}),
+    (2, {"kind": "box", "lower": [1.0, 1.0], "upper": [-1.0, -1.0]}),
+    (2, {"kind": "half_space", "normal": [1.0, 1.0]}),
+    (2, {"kind": "half_space", "normal": [0.0, 1.0], "state_gain": 0.5}),
+    (2, _ROTATING),
+    (2, {**_ROTATING, "rotation_partner": [0.0, 1.0]}),
+    (3, {"kind": "wedge", "apex": [0.0, 0.0, 0.0]}),
+    (2, {"kind": "half_space_intersection", "members": [_BALL]}),
+    (2, {"kind": "union", "members": [_BALL, {"kind": "wedge", "apex": [0.0, 0.0]}]}),
+    (2, {"kind": "union", "members": [{"kind": "union", "members": [_BALL]}]}),
+    (2, {"kind": "union", "members": []}),
+    (2, {"kind": "half_space_intersection", "members": []}),
+    (2, {"kind": "sphere", "center": [0.0, 0.0], "radius": 1.0}),
+    (2, {**_BALL, "kind": ["ball"]}),
+])
+def test_malformed_set_is_a_parse_error_at_its_path(tmp_path, capsys, n, set_node):
+    text = json.dumps(doc(problem={"dimension": n, "horizon": 1.0, "x0": [0.0] * n},
+                          set=set_node))
+    with pytest.raises(sw.ParseError) as err:
+        sw.parse_scenario(text)
+    assert str(err.value).startswith("set"), err.value
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: set"), err
+
+
 # ---------------------------------------------------------------------------
 # validation gates
 # ---------------------------------------------------------------------------
@@ -131,11 +175,11 @@ def test_gate_h2_margin():
 
 
 def _half_line(state_gain=0.0, **kwargs):
-    return sw.Scenario(
-        n=1, T=1.0, x0=np.array([0.0]), operator=sw.IdentityOperator(),
-        moving_set=sw.HalfSpaceSpec(normal=[-1.0], drift=-1.0, state_gain=state_gain,
-                                    state_direction=[1.0]),
-        lambdas=(0.1,), **kwargs)
+    return sw.Scenario(**{
+        "n": 1, "T": 1.0, "x0": np.array([0.0]), "operator": sw.IdentityOperator(),
+        "moving_set": sw.HalfSpaceSpec(normal=[-1.0], drift=-1.0, state_gain=state_gain,
+                                       state_direction=[1.0]),
+        "lambdas": (0.1,), **kwargs})
 
 
 def test_scenario_constructor_checks_h1():
@@ -156,11 +200,30 @@ def test_scenario_constructor_checks_h2():
     ({"alpha_assumed": 0.0}, "alpha must lie in (0, 1]"),
     ({"alpha_assumed": 1.5}, "alpha must lie in (0, 1]"),
     ({"rho_assumed": 0.0}, "rho must be positive"),
+    *[({"T": T}, "horizon T must be positive and finite")
+      for T in (-1.0, 0.0, math.nan, math.inf)],
+    *[({"lambdas": lams}, "lambdas must be nonempty, strictly descending, positive and finite")
+      for lams in ((), (0.1, 0.1), (0.05, 0.1), (0.1, -0.05), (math.nan,), (math.inf,))],
 ])
 def test_scenario_constructor_checks_far_parameters(kwargs, message):
     with pytest.raises(ValueError) as err:
         _half_line(**kwargs)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"problem": {"dimension": 1, "horizon": -1.0, "x0": [0.0]}},
+    {"problem": {"dimension": 1, "horizon": 0, "x0": [0.0]}},
+    {"lambdas": [0.1, -0.05]},
+    {"lambdas": [0.1, 0.1]},
+    {"assumed": {"alpha": 1.5}},
+    {"assumed": {"alpha": 0.0}},
+    {"assumed": {"rho": -1.0}},
+])
+def test_scenario_range_errors_are_parse_errors(overrides):
+    with pytest.raises(sw.ParseError) as err:
+        sw.parse_scenario(json.dumps(doc(**overrides)), source="s.json")
+    assert str(err.value).startswith("s.json: ")
 
 
 def test_scenario_margin_is_m_alpha_squared_minus_L(scenario_dir):

@@ -104,6 +104,20 @@ def test_empty_box_reported():
         sw.instantiate(spec, 1.0, np.zeros(1))
 
 
+def test_intersection_rejects_non_half_space_member():
+    with pytest.raises(sw.InvalidVector, match="intersection members must be half-spaces"):
+        sw.HalfSpaceIntersectionSpec((sw.BallSpec(center=[0.0], radius=1.0),))
+
+
+def test_halfspace_state_direction_is_normalized_and_required_by_a_gain():
+    for gain in (0.0, 0.5):
+        spec = sw.HalfSpaceSpec(normal=[0.0, 1.0], state_gain=gain,
+                                state_direction=[0.6, 0.8 + 1e-12])
+        assert np.linalg.norm(spec.state_direction) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(sw.InvalidVector, match="state_direction required"):
+        sw.HalfSpaceSpec(normal=[0.0, 1.0], state_gain=0.5)
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
