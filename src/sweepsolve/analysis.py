@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,7 +31,7 @@ from .errors import (
     TubeSamplingFailed,
 )
 from .hulls import _segment_min_norm, min_norm_point
-from .set_zoo import _dot, as_vector, instantiate, row_norms
+from .set_zoo import _dot, _readonly, as_vector, instantiate, row_norms
 
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
@@ -67,14 +68,25 @@ def halton(d: int, count: int) -> np.ndarray:
     return out.T
 
 
-def ball_points(n: int, r: float, sampler: SamplerConfig) -> np.ndarray:
-    """Halton points covering the radius-r ball, deterministic in (n, r, count)."""
-    u = np.clip(halton(n + 1, sampler.count + 1)[1:], 1e-12, 1.0 - 1e-12)
+@lru_cache(maxsize=16)
+def _unit_ball(n: int, count: int):
+    """Radial roots (count,) and unit directions (count, n) of ``count`` Halton
+    points in the unit n-ball, as read-only arrays built on first use."""
+    u = np.clip(halton(n + 1, count + 1)[1:], 1e-12, 1.0 - 1e-12)
     g = ndtri(u[:, :n])
     nrm = np.linalg.norm(g, axis=1, keepdims=True)
     nrm[nrm == 0.0] = 1.0
-    radii = r * u[:, n] ** (1.0 / n)
-    return radii[:, None] * (g / nrm)
+    return _readonly(u[:, n] ** (1.0 / n)), _readonly(g / nrm)
+
+
+def ball_points(n: int, r: float, sampler: SamplerConfig) -> np.ndarray:
+    """Halton points covering the radius-r ball, deterministic in (n, r, count).
+
+    The unit-ball sample is built once per (n, count) and kept, so every
+    kappa_tilde pair scales the same cached sample by r, bit for bit the
+    points an uncached build gives."""
+    roots, dirs = _unit_ball(n, sampler.count)
+    return (r * roots)[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ a query of its own.  A state-independent set is frozen once per stage time.
 
 States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
 point costs a few float operations, not a NumPy call each; ``Operator.image``
-and ``SetInstance.nearest`` take lists.  Stages combine in the order of the
-array expressions in the comments and dot products run left to right
+and ``SetInstance.nearest`` take lists, and every set kind answers
+``nearest`` in closed form on floats (Dykstra on lists for an intersection),
+so NumPy is left only in freezing the set.  Stages combine in the order of
+the array expressions in the comments and dot products run left to right
 (``set_zoo._dot``): one bit pattern per input on every BLAS kernel.
 """
 

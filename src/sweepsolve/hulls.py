@@ -23,7 +23,7 @@ def min_norm_point(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("need at least one point")
-    P = dedupe(P)
+    P = np.array(dedupe(P.tolist()))
     k = P.shape[0]
     if k == 1:
         return P[0].copy(), float(row_norms(P[0]))

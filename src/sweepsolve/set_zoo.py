@@ -19,9 +19,12 @@ derives ``distance_many``, ``distance``, ``member`` and ``project`` from
 ``nearest_points`` selects among one row's candidates.
 
 The integrator's one-point query ``nearest(z)`` maps a finite list of floats
-to the list ``project(z)[0]`` and ``distance(z)``: one row of
-``candidates``, or for the half-space, ball and box a closed form on floats in
-the batched kernel's order.  Dot products are ``_dot``, left to right from
+to the list ``project(z)[0]`` and the float ``distance(z)``, bit for bit.
+Every kind answers it in closed form on floats, in its batched kernel's
+order: the half-space, ball and box directly, the intersection by Dykstra on
+lists, the wedge from its two feet and the union from its members'
+``nearest``; ``_ties`` is the one tie rule of both paths.  So ``candidates``
+serves only batched queries.  Dot products are ``_dot``, left to right from
 0.0: BLAS (``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels,
 and one fixed order gives one bit pattern per input on every BLAS kernel.
 """
@@ -91,6 +94,12 @@ def row_norms(G):
     return np.sqrt(_dot(G, G))
 
 
+def _dist(p, q):
+    """|p - q| of two lists of floats, in ``row_norms``' order."""
+    g = [a - b for a, b in zip(p, q)]
+    return math.sqrt(_dot(g, g))
+
+
 def _unit(v, name, tol=1e-9):
     v = as_vector(v, name=name)
     nrm = math.sqrt(_dot(v, v))
@@ -148,9 +157,9 @@ class SetInstance:
         return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]))
 
     def nearest(self, z):
-        """(selected nearest point, distance) of the finite point z, a list of floats."""
-        P, D = self.candidates(np.array([z]))
-        return nearest_points(P, D)[0].tolist(), float(D.min())
+        """(selected nearest point, distance) of the finite point z, a list of
+        floats: ``project(z)[0]`` and ``distance(z)``, bit for bit."""
+        raise NotImplementedError
 
 
 class HalfSpaceInstance(SetInstance):
@@ -233,10 +242,12 @@ class WedgeInstance(SetInstance):
 
     # boundary ray directions of the reference wedge, apex at the origin
     _RAYS = np.array([[1.0, -1.0], [-1.0, -1.0]]) / _SQRT2
+    _RAY_LISTS = _RAYS.tolist()
 
     def __init__(self, apex):
         super().__init__(2)
         self.apex = _frozen(apex)
+        self._apex = self.apex.tolist()
 
     def candidates(self, Z):
         W = Z - self.apex
@@ -248,6 +259,17 @@ class WedgeInstance(SetInstance):
         S = _dot(W, self._RAYS[:, None, :])                                    # (2, N)
         P = np.where(inside[:, None], Z, self.apex + S[:, :, None] * self._RAYS[:, None, :])
         return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
+
+    def nearest(self, z):
+        w = [zi - ci for zi, ci in zip(z, self._apex)]
+        a, b = w
+        if b >= -abs(a):
+            return z, 0.0
+        feet = []
+        for ray in self._RAY_LISTS:
+            s = _dot(w, ray)
+            feet.append([ci + s * ri for ci, ri in zip(self._apex, ray)])
+        return _select(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
 
     def anchor(self):
         return self.apex.copy()
@@ -280,6 +302,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
         super().__init__(members[0].n)
         self.members = tuple(members)
         self._normals, self._offsets = _stack(self.members)
+        self._faces = [(m._zeta, m.beta) for m in self.members]
         self._feasible_point = None
 
     def ensure_nonempty(self):
@@ -316,6 +339,29 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 raise
         return P[None], row_norms(Z - P)[None]
 
+    def _violation(self, x):
+        return max(_dot(x, zeta) - beta for zeta, beta in self._faces)
+
+    def nearest(self, z):
+        if self._violation(z) <= MEMBER_TOL:
+            return z, 0.0
+        # dykstra_project on one row of lists: same order, same exits
+        x = z
+        increments = [[0.0] * self.n for _ in self._faces]
+        for _ in range(DYKSTRA_MAX_ITER):
+            start = x
+            for i, (zeta, beta) in enumerate(self._faces):
+                y = [xi + ci for xi, ci in zip(x, increments[i])]
+                v = _dot(y, zeta) - beta
+                v = v if v > 0.0 else 0.0       # np.maximum(v, 0.0), signed zero included
+                x = [yi - v * ci for yi, ci in zip(y, zeta)]
+                increments[i] = [yi - xi for yi, xi in zip(y, x)]
+            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and self._violation(x) <= DYKSTRA_TOL:
+                return x, _dist(z, x)
+        self.ensure_nonempty()  # raises EmptyInstance when that is the cause
+        raise ProjectionNotConverged(
+            f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
+
     def anchor(self):
         return np.asarray(self.ensure_nonempty(), dtype=float).copy()
 
@@ -332,6 +378,9 @@ class UnionInstance(SetInstance):
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
         return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
+
+    def nearest(self, z):
+        return _select(*zip(*(m.nearest(z) for m in self.members)))
 
     def anchor(self):
         return self.members[0].anchor()
@@ -585,25 +634,34 @@ def instantiate(spec, t, x) -> SetInstance:
 
 
 def nearest_points(P, D):
-    """Nearest points of a one-row ``candidates`` result (P, D), ties within
-    TIE_TOL included, deduplicated and sorted lexicographically: the first
-    entry, the lexicographically smallest, is the deterministic selection."""
+    """Nearest points of a one-row ``candidates`` result (P, D), as arrays; see ``_ties``."""
     if len(D) == 1:
         return [P[0, 0]]
-    d = D[:, 0]
-    dmin = d.min()
+    return [np.array(p) for p in _ties(P[:, 0].tolist(), D[:, 0].tolist())]
+
+
+def _ties(points, dists):
+    """The candidate ``points`` (lists of floats) nearest by ``dists``, ties within
+    TIE_TOL included, deduplicated and sorted lexicographically: the first
+    entry, the lexicographically smallest, is the deterministic selection."""
+    dmin = min(dists)
     # a member is its own unique projection: no near-tie admits another point
-    keep = P[d <= dmin + (TIE_TOL if dmin > 0.0 else 0.0), 0]
-    return sorted(dedupe(keep), key=lambda p: tuple(p.tolist()))
+    cut = dmin + (TIE_TOL if dmin > 0.0 else 0.0)
+    return sorted(dedupe([p for p, d in zip(points, dists) if d <= cut]))
 
 
-def dedupe(P):
-    """Rows of P, each dropped when within 1e-12 of an earlier kept row."""
+def _select(points, dists):
+    """(selected nearest point, distance) among one point's candidates."""
+    return _ties(points, dists)[0], min(dists)
+
+
+def dedupe(rows):
+    """The lists of floats in ``rows``, each dropped when within 1e-12 of an earlier kept one."""
     out = []
-    for row in P:
-        if not any(row_norms(row - q) <= 1e-12 for q in out):
+    for row in rows:
+        if not any(_dist(row, q) <= 1e-12 for q in out):
             out.append(row)
-    return np.array(out)
+    return out
 
 
 def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):

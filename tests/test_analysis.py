@@ -356,3 +356,46 @@ def test_halton_matches_scipy_bit_for_bit(d):
         want = qmc.Halton(d=d, scramble=False).random(count)
         got = halton(d, count)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ball_points: one cached unit-ball sample per (n, count)
+# ---------------------------------------------------------------------------
+
+def _uncached_ball_points(n, r, count):
+    from scipy.special import ndtri
+
+    u = np.clip(analysis.halton(n + 1, count + 1)[1:], 1e-12, 1.0 - 1e-12)
+    g = ndtri(u[:, :n])
+    nrm = np.linalg.norm(g, axis=1, keepdims=True)
+    nrm[nrm == 0.0] = 1.0
+    radii = r * u[:, n] ** (1.0 / n)
+    return radii[:, None] * (g / nrm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_points_match_the_uncached_formula_bit_for_bit(n):
+    for count in (7, 4096):
+        for r in (0.37, 2.5):
+            want = _uncached_ball_points(n, r, count)
+            for _ in range(2):      # the first call may fill the cache, the second reads it
+                got = analysis.ball_points(n, r, SamplerConfig(count))
+                assert got.shape == want.shape == (count, n)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_cached_unit_ball_arrays_are_read_only():
+    roots, dirs = analysis._unit_ball(2, 64)
+    for arr in (roots, dirs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    pts = analysis.ball_points(2, 1.0, SamplerConfig(64))
+    assert pts.flags.writeable and not np.shares_memory(pts, dirs)
+
+
+def test_truncated_hausdorff_repeats_exactly():
+    spec = sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[1.0, 0.5])
+    a, b = (sw.instantiate(spec, t, np.zeros(2)) for t in (0.0, 0.3))
+    first, second = (sw.truncated_hausdorff(a, b, 1.7) for _ in range(2))
+    assert first.hex() == second.hex() and first > 0.0

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ def test_ball_projection_radial():
 
 
 # one instance of every set kind; the intersection has an oblique corner, so
-# Dykstra needs several cycles, and the union mixes a ball with it
+# Dykstra needs several cycles, and the union mixes it with a ball outside it
 _OBLIQUE = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=0.5),
                                          sw.HalfSpaceSpec(normal=[SQRT2 / 2, SQRT2 / 2])))
 ZOO = {
@@ -210,7 +211,7 @@ ZOO = {
     "box": sw.BoxSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
     "wedge": sw.WedgeSpec(apex=[0.5, -0.5]),
     "intersection": _OBLIQUE,
-    "union": sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5), _OBLIQUE)),
+    "union": sw.UnionSpec((sw.BallSpec(center=[2.0, 1.0], radius=0.5), _OBLIQUE)),
 }
 
 
@@ -237,6 +238,18 @@ def test_select_projection_second_coordinate_breaks_tie():
     feet = sw.instantiate(union, 0.0, np.zeros(2)).project(np.array([-3.0, 0.0]))
     assert len(feet) == 2 and feet[0][0] == feet[1][0]
     assert feet[0][1] < 0.0 < feet[1][1]
+
+
+def test_member_is_its_own_projection_despite_a_near_tie():
+    # z lies on the right ball; the left ball's foot, 5e-10 away and
+    # lexicographically smaller, is within TIE_TOL but must not be selected
+    union = sw.UnionSpec((sw.BallSpec(center=[0.0, 0.0], radius=1.0),
+                          sw.BallSpec(center=[-2.0 - 5e-10, 0.0], radius=1.0)))
+    inst = sw.instantiate(union, 0.0, np.zeros(2))
+    z = [-1.0, 0.0]
+    assert 0.0 < inst.members[1].distance(z) <= set_zoo.TIE_TOL
+    assert [q.tolist() for q in inst.project(z)] == [z]
+    assert inst.nearest(z) == (z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +386,94 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _check_nearest(inst, z):
+    """nearest(z) against project(z)[0] and distance(z), for z, its
+    projection and the anchor (members too)."""
+    z = np.array(z)
+    for point in (z, inst.project(z)[0], inst.anchor()):
+        p, d = inst.nearest(point.tolist())
+        assert type(p) is list and all(type(c) is float for c in p)
+        assert type(d) is float
+        assert _bits(p) == _bits(inst.project(point)[0])
+        assert _bits(d) == _bits(inst.distance(point))
+        if d == 0.0:
+            assert _bits(p) == _bits(point)
+
+
 @pytest.mark.parametrize("kind", list(ZOO))
 @settings(max_examples=60, deadline=None)
 @given(z=st.tuples(finite_coord, finite_coord))
 @example(z=(-0.0, 0.0))
 @example(z=(0.0, -0.0))
+@example(z=(-0.0, -0.0))
 @example(z=(2.0, -0.0))       # box: the clipped point keeps the bound's +0.0
 @example(z=(-0.0, 3.0))
 @example(z=(0.5, -2.0))       # wedge: on the axis
+@example(z=(0.5, -0.5))       # the wedge apex and the intersection vertex
+@example(z=(2.5, 0.5))        # intersection: onto the vertex, 38 Dykstra cycles
+@example(z=(0.5000000000005, -3.0))     # within MEMBER_TOL of the face x = 0.5
+@example(z=(0.500000000002, -3.0))      # just beyond it
+@example(z=(0.46446609396726224, 1.0))  # union: corner 1.7e-10 nearer than the ball
+@example(z=(0.4644660940672623, 1.0))   # union: equal distances, two feet
 def test_nearest_matches_project_and_distance_bit_for_bit(kind, z):
-    inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
-    z = np.array(z)
-    for point in (z, inst.project(z)[0], inst.anchor()):  # members too
-        p, d = inst.nearest(point.tolist())
-        assert type(p) is list and all(type(c) is float for c in p)
-        assert _bits(p) == _bits(inst.project(point)[0])
-        assert _bits(d) == _bits(inst.distance(point))
-        if d == 0.0:
-            assert _bits(p) == _bits(point)
+    _check_nearest(sw.instantiate(ZOO[kind], 0.0, np.zeros(2)), z)
+
+
+def test_union_tie_within_tie_tol_selects_the_lexicographically_smaller_foot():
+    inst = sw.instantiate(ZOO["union"], 0.0, np.zeros(2))
+    z = [0.46446609396726224, 1.0]
+    (ball, _), (corner, _) = (m.nearest(z) for m in inst.members)
+    gap = inst.members[0].distance(z) - inst.members[1].distance(z)
+    assert 0.0 < gap <= set_zoo.TIE_TOL
+    assert [q.tolist() for q in inst.project(z)] == [corner, ball]
+    assert inst.nearest(z) == (corner, inst.members[1].distance(z))
+
+
+_SIGNED = (-0.0, 0.0, -1.0, 1.0, 5e-324)
+
+
+@pytest.mark.parametrize("inst", [
+    set_zoo.WedgeInstance(np.array([-0.0, -0.0])),
+    set_zoo.WedgeInstance(np.array([0.0, -0.0])),
+    set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 0.0], -0.0), _hs([0.0, -1.0], 0.0)]),
+    set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 1.0], -0.0), _hs([1.0, -1.0], -0.0)]),
+    set_zoo.UnionInstance([set_zoo.BallInstance(np.array([-0.0, 2.0]), 1.0),
+                           set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 1.0], -0.0),
+                                                                  _hs([1.0, -1.0], 0.0)])]),
+], ids=["wedge_apex_-0-0", "wedge_apex_0-0", "quadrant", "cone", "union"])
+def test_nearest_bit_for_bit_on_signed_zeros(inst):
+    for a in _SIGNED:
+        for b in _SIGNED:
+            _check_nearest(inst, (a, b))
+
+
+# ---------------------------------------------------------------------------
+# named errors on the one-point path
+# ---------------------------------------------------------------------------
+
+def test_nearest_on_an_empty_intersection_raises_empty_instance(monkeypatch):
+    # short budgets: the float loop reads the module constant, the batched
+    # path is handed a shorter max_iter
+    monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 50)
+    monkeypatch.setattr(set_zoo, "dykstra_project", partial(set_zoo.dykstra_project, max_iter=50))
+    inst = set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 0.0], -1.0), _hs([-1.0, 0.0], -1.0)])
+    for z in ([0.0, 0.0], [3.0, -2.0], [-1.0, 0.5]):
+        with pytest.raises(sw.EmptyInstance):
+            inst.nearest(z)
+        with pytest.raises(sw.EmptyInstance):
+            inst.project(z)
+
+
+def test_nearest_raises_projection_not_converged_on_an_exhausted_budget(monkeypatch):
+    inst = sw.instantiate(_OBLIQUE, 0.0, np.zeros(2))
+    union = sw.instantiate(ZOO["union"], 0.0, np.zeros(2))
+    face = [1.5, -3.0]                     # onto the face x = 0.5 in 2 cycles
+    want = inst.nearest(face)
+    monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
+    assert inst.nearest(face) == want
+    for target in (inst, union):
+        with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
+            target.nearest([2.5, 0.5])     # onto the vertex in 38 cycles
 
 
 @pytest.mark.parametrize("kind", list(ZOO))
