@@ -10,18 +10,17 @@ scenario computes and checks positive (H2) when it is built.
 
 All sup/inf estimators are sample based: suprema are reported as lower
 estimates, the alpha infimum as an upper estimate, with the sampler recorded
-alongside.
+alongside.  Ball samples take their Gaussian directions from a port of Cephes'
+``ndtri``, bit for bit SciPy's while ``math.log`` is the libm log SciPy calls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dynamics import Scenario, Trajectory, integrate
 from .errors import (
@@ -68,10 +67,60 @@ def halton(d: int, count: int) -> np.ndarray:
     return out.T
 
 
+# Cephes ndtri: P0/Q0 on (y - 1/2)**2, P1/Q1 and P2/Q2 on 1/x, x = sqrt(-2 log y) < and >= 8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_log = np.vectorize(math.log, otypes=[float])   # libm's log, element by element
+
+
+def _ratio(x, p, q):
+    """x * polevl(x, p) / p1evl(x, q) in Horner order, q's leading 1 implicit."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def ndtri(y0) -> np.ndarray:
+    """Standard normal quantiles of y0 in (0, 1), bit for bit ``scipy.special.ndtri``:
+    Cephes' branches, one NumPy ufunc per +, *, / and sqrt, logs by ``math.log``."""
+    y0 = np.asarray(y0, dtype=float)
+    flip = y0 > 1.0 - 0.13533528323661269189     # exp(-2)
+    y = np.where(flip, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    mid = y > 0.13533528323661269189
+    c = y[mid] - 0.5
+    out[mid] = (c + c * _ratio(c * c, _P0, _Q0)) * 2.50662827463100050242   # sqrt(2 pi)
+    x = np.sqrt(-2.0 * _log(y[~mid]))
+    z = 1.0 / x
+    x = x - _log(x) / x - np.where(x < 8.0, _ratio(z, _P1, _Q1), _ratio(z, _P2, _Q2))
+    out[~mid] = np.where(flip[~mid], x, -x)
+    return out
+
+
 @lru_cache(maxsize=16)
 def _unit_ball(n: int, count: int):
     """Radial roots (count,) and unit directions (count, n) of ``count`` Halton
-    points in the unit n-ball, as read-only arrays built on first use."""
+    points in the unit n-ball, as read-only arrays built on first use.  The
+    directions normalise Gaussian quantiles from ``ndtri`` above, whose logs go
+    through ``math.log`` so that they match ``scipy.special.ndtri`` bit for bit."""
     u = np.clip(halton(n + 1, count + 1)[1:], 1e-12, 1.0 - 1e-12)
     g = ndtri(u[:, :n])
     nrm = np.linalg.norm(g, axis=1, keepdims=True)
@@ -422,6 +471,7 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
             return None, f"{type(exc).__name__}: {exc}"
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run, scenario.lambdas))
     else:

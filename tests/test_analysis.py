@@ -358,6 +358,30 @@ def test_halton_matches_scipy_bit_for_bit(d):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _ndtri_inputs():
+    """Clipped Halton inputs of every cached ball sample size, seeded uniforms,
+    deep tails past x = 8, and the clip ends and branch points."""
+    halton_u = [np.clip(analysis.halton(n + 1, count + 1)[1:, :n], 1e-12, 1.0 - 1e-12).ravel()
+                for n in (1, 2, 3, 4) for count in (64, 256, 1000, 2000, 4096)]
+    rng = np.random.default_rng(20211)
+    e2 = math.exp(-2.0)
+    edges = [1e-12, 1.0 - 1e-12, e2, 1.0 - e2, math.exp(-32.0), 1e-20, 1e-300, 0.5]
+    edges += [np.nextafter(v, w) for v in (e2, 1.0 - e2, math.exp(-32.0)) for w in (0.0, 1.0)]
+    return np.concatenate(halton_u + [rng.uniform(size=200_000),
+                                      rng.uniform(size=100_000) ** 30, np.array(edges)])
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri
+
+    u = _ndtri_inputs()
+    want, got = ndtri(u), analysis.ndtri(u)
+    bad = np.flatnonzero(want.view(np.int64) != got.view(np.int64))
+    assert bad.size == 0, (
+        f"analysis.ndtri differs from scipy.special.ndtri on {bad.size} of {u.size} inputs, "
+        f"e.g. y = {u[bad[:3]].tolist()}: math.log may not be the libm log SciPy calls")
+
+
 # ---------------------------------------------------------------------------
 # ball_points: one cached unit-ball sample per (n, count)
 # ---------------------------------------------------------------------------

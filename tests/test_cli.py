@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sweepsolve
 from sweepsolve.cli import main
 
 
@@ -176,3 +181,32 @@ def test_finite_rho_computes_kappa_tilde_once(tmp_path, drift_file, monkeypatch,
     got = json.loads((out / payload).read_text())["kappa_tilde"]
     fresh = analysis.kappa_tilde(parse_scenario(path.read_text()), sampler=SamplerConfig())
     assert got == fresh.value
+
+
+_IMPORT_PROBE = """
+import sys
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures"))
+
+import sweepsolve
+print(heavy())
+from sweepsolve import cli
+code = cli.main(["sweep", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(code, heavy())
+"""
+
+
+def test_import_and_sweep_load_no_scipy(tmp_path, scenario_dir):
+    # a fresh interpreter: this process has SciPy loaded already
+    src = str(Path(sweepsolve.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(scenario_dir / "corner_push_dykstra.json"),
+         str(tmp_path / "sweep")],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]", f"import sweepsolve loaded {lines[0]}"
+    assert lines[-1] == "0 []", f"sweep exited or loaded {lines[-1]}"

@@ -99,6 +99,27 @@ def test_empty_intersection_reported():
         sw.instantiate(spec, 0.0, np.zeros(2))
 
 
+def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
+    # {<(sin th, -+cos th), z> <= -1}: a cone of half-angle th = 0.01 whose apex lies
+    # 1/sin th from the origin; 200 probe rounds of cyclic projections do not reach it
+    import scipy.optimize
+
+    th = 0.01
+    normals = ([math.sin(th), -math.cos(th)], [math.sin(th), math.cos(th)])
+    spec = sw.HalfSpaceIntersectionSpec(tuple(sw.HalfSpaceSpec(normal=nv, beta0=-1.0)
+                                              for nv in normals))
+    inst = sw.instantiate(spec, 0.0, np.zeros(2))
+    calls = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    point = inst.ensure_nonempty()
+    assert len(calls) == 1
+    for m in inst.members:
+        assert float(m.zeta @ point) - m.beta <= 1e-9
+    assert inst.ensure_nonempty() is point and len(calls) == 1
+
+
 def test_empty_box_reported():
     spec = sw.BoxSpec(lower=[0.0], upper=[1.0], lower_velocity=[2.0])
     with pytest.raises(sw.EmptyInstance):
