@@ -165,17 +165,30 @@ def estimate_kappa(spec, r: float, t_pairs, x_pairs, sampler: SamplerConfig | No
     kappa_r_hat is the largest time quotient at frozen state x_ref; L_hat the
     largest state quotient at frozen time 0.  Coincident pairs are
     skipped.  Both values are sample-based lower bounds of the true moduli.
+    Each quotient's numerator is ``truncated_hausdorff`` of its two frozen
+    sets, from distances computed once per (t, x) on the shared r-ball sample.
     """
+    if not r > 0:
+        raise ValueError("r must be positive")
     sampler = sampler or SamplerConfig()
     x_ref = np.zeros(spec.n) if x_ref is None else as_vector(x_ref, spec.n, "x_ref")
+    Z = ball_points(spec.n, r, sampler)
+    table = {}
+
+    def distances(t, x):
+        key = np.append(t, x).tobytes()
+        if key not in table:
+            table[key] = instantiate(spec, t, x).distance_many(Z)
+        return table[key]
+
+    def hausdorff(a, b):    # truncated_hausdorff of the sets frozen at a and b
+        return float(np.max(np.abs(distances(*a) - distances(*b))))
 
     kappa_hat = 0.0
     for s, t in t_pairs:
         if abs(t - s) <= 1e-12:
             continue  # degenerate pair
-        inst_s = instantiate(spec, s, x_ref)
-        inst_t = instantiate(spec, t, x_ref)
-        kappa_hat = max(kappa_hat, truncated_hausdorff(inst_s, inst_t, r, sampler) / abs(t - s))
+        kappa_hat = max(kappa_hat, hausdorff((s, x_ref), (t, x_ref)) / abs(t - s))
 
     L_hat = 0.0
     for x, y in x_pairs:
@@ -184,9 +197,7 @@ def estimate_kappa(spec, r: float, t_pairs, x_pairs, sampler: SamplerConfig | No
         gap = math.sqrt(_dot(x - y, x - y))
         if gap <= 1e-12:
             continue
-        inst_x = instantiate(spec, 0.0, x)
-        inst_y = instantiate(spec, 0.0, y)
-        L_hat = max(L_hat, truncated_hausdorff(inst_x, inst_y, r, sampler) / gap)
+        L_hat = max(L_hat, hausdorff((0.0, x), (0.0, y)) / gap)
 
     return kappa_hat, L_hat
 
@@ -354,7 +365,7 @@ def kappa_tilde(scenario: Scenario, sampler: SamplerConfig | None = None) -> Kap
     z0 = op.image(scenario.x0.tolist())
     a0 = math.sqrt(_dot(z0, z0))
     t_pairs = default_time_pairs(scenario.T)
-    x_pairs = default_state_pairs(scenario.x0) if spec.state_dependent else []
+    x_pairs = default_state_pairs(scenario.x0) if spec.state_lipschitz != 0.0 else []
 
     r1 = a0 + op.M * 1.0
     k1, L1 = estimate_kappa(spec, r1, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
@@ -406,37 +417,19 @@ class DiagnosticsReport:
     lipschitz_bound: float
     trajectories: dict
 
-    # worst-case scalars across all lambdas
-    @property
-    def phi_max(self) -> float:
-        vals = [d.phi_max for d in self.per_lambda if d.status == "ok"]
-        return max(vals) if vals else math.nan
-
-    @property
-    def phi_bound(self) -> float:
-        vals = [d.phi_bound for d in self.per_lambda if d.status == "ok"]
-        return max(vals) if vals else math.nan
-
-    @property
-    def worst_ratio(self) -> float:
-        vals = [d.worst_ratio for d in self.per_lambda if d.status == "ok"]
-        return max(vals) if vals else math.nan
+    def worst(self, key) -> float:
+        """Largest per-lambda ``key`` over the lambdas that integrated; NaN if none did."""
+        return max([getattr(d, key) for d in self.per_lambda if d.status == "ok"], default=math.nan)
 
     @property
     def bound_satisfied(self) -> bool:
-        oks = [d for d in self.per_lambda if d.status == "ok"]
-        return bool(oks) and all(d.bound_satisfied for d in oks) \
-            and all(d.status == "ok" for d in self.per_lambda)
-
-    @property
-    def lipschitz_estimate(self) -> float:
-        vals = [d.lipschitz_estimate for d in self.per_lambda if d.status == "ok"]
-        return max(vals) if vals else math.nan
+        """Every lambda integrated and met the tube bound."""
+        return bool(self.per_lambda) and all(d.status == "ok" and d.bound_satisfied
+                                             for d in self.per_lambda)
 
     @property
     def all_ok(self) -> bool:
-        return self.bound_satisfied and all(
-            d.lipschitz_ok for d in self.per_lambda if d.status == "ok")
+        return self.bound_satisfied and all(d.lipschitz_ok for d in self.per_lambda)
 
 
 def diagnose_trajectory(traj: Trajectory, scenario: Scenario, kt: float) -> LambdaDiagnostics:

@@ -3,7 +3,14 @@
 Numeric arguments are checked once, before any work starts.  The scenario
 file is read once; its text is both hashed and parsed.  ``sweep`` writes each
 trajectory CSV from the trajectory ``lambda_sweep`` integrated and diagnosed,
-so every lambda is integrated exactly once.
+so every lambda is integrated exactly once.  ``solve`` and ``diagnose`` differ
+only in where their trajectory comes from: both certify it in ``_certify``,
+which first checks its lambda against the penalty gate.
+
+Each subcommand writes one JSON artifact (``summary.json``, ``report.json``,
+``diagnose.json`` or ``set_estimates.json``), and every artifact starts from
+the same header: ``subcommand``, ``scenario_hash`` (SHA-256 of the scenario
+text) and ``seed``.
 
 Exit codes: 0 when every requested check passes, 2 when a bound check fails,
 1 on any error (arguments, parse, validation, I/O, integration); argparse's
@@ -18,6 +25,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis
@@ -25,6 +33,7 @@ from .analysis import SamplerConfig
 from .dynamics import integrate
 from .errors import DimensionMismatch, SweepSolveError, UsageError
 from .scenario_io import (
+    check_penalty_gate,
     diagnostics_to_dict,
     dump_json,
     parse_scenario,
@@ -127,67 +136,45 @@ def _check_args(args) -> None:
 
 
 def _dispatch(args) -> int:
+    """Run one subcommand and write its JSON artifact under the shared header."""
     text = Path(args.scenario).read_text(encoding="utf-8")
     scenario = parse_scenario(text, source=str(args.scenario))
-    digest = scenario_hash(text)
     out_dir = Path(args.out if args.out is not None else scenario.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "solve":
-        return _run_solve(args, scenario, digest, out_dir)
-    if args.command == "sweep":
-        return _run_sweep(args, scenario, digest, out_dir)
-    if args.command == "diagnose":
-        return _run_diagnose(args, scenario, digest, out_dir)
-    if args.command == "estimate-set":
-        return _run_estimate_set(args, scenario, digest, out_dir)
-    raise AssertionError(f"unhandled command {args.command}")
+    run, artifact = _COMMANDS[args.command]
+    payload, stdout, code = run(args, scenario, out_dir)
+    dump_json(out_dir / artifact, {"subcommand": args.command, "scenario_hash": scenario_hash(text),
+                                   "seed": args.seed, **payload})
+    print(stdout)
+    return code
 
 
 def _lam_tag(lam: float) -> str:
     return format(lam, "g").replace("-", "m")
 
 
-def _run_solve(args, scenario, digest, out_dir) -> int:
+def _certify(scenario, traj, csv_ref):
+    """(verdict payload, exit code) of one trajectory, whose lambda must pass
+    the penalty gate; ``csv_ref`` names the trajectory's CSV in the payload."""
+    kt = analysis.kappa_tilde(scenario)
+    check_penalty_gate(scenario, [traj.lam])
+    diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
+    payload = {"kappa_tilde": kt.value, "trajectory_csv": csv_ref, **diagnostics_to_dict(diag)}
+    return payload, EXIT_OK if diag.bound_satisfied and diag.lipschitz_ok else EXIT_BOUND_FAILED
+
+
+def _run_solve(args, scenario, out_dir):
     lam = args.lam if args.lam is not None else scenario.lambdas[0]
     traj = integrate(scenario, lam)
     csv_name = f"trajectory_lam{_lam_tag(lam)}.csv"
     write_trajectory_csv(out_dir / csv_name, traj)
-
-    kt = analysis.kappa_tilde(scenario)
-    diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
-    summary = {
-        "subcommand": "solve",
-        "scenario_hash": digest,
-        "seed": args.seed,
-        "kappa_tilde": kt.value,
-        "trajectory_csv": csv_name,
-        **diagnostics_to_dict(diag),
-    }
-    dump_json(out_dir / "summary.json", summary)
-    print(f"lambda={lam:g} phi_max={diag.phi_max:.6g} bound={diag.phi_bound:.6g} "
-          f"ok={diag.bound_satisfied}")
-    return EXIT_OK if diag.bound_satisfied and diag.lipschitz_ok else EXIT_BOUND_FAILED
+    payload, code = _certify(scenario, traj, csv_name)
+    return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
+                     f"bound={payload['phi_bound']:.6g} ok={payload['bound_satisfied']}"), code
 
 
-def _run_sweep(args, scenario, digest, out_dir) -> int:
-    report = analysis.lambda_sweep(scenario, grid_points=scenario.output.grid_points,
-                                   seed=args.seed)
-    for lam, traj in report.trajectories.items():
-        write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
-    payload = {"subcommand": "sweep", "scenario_hash": digest, "seed": args.seed,
-               **report_to_dict(report)}
-    dump_json(out_dir / "report.json", payload)
-    for d in report.per_lambda:
-        print(f"lambda={d.lam:g} status={d.status} worst_ratio={d.worst_ratio:.4g} "
-              f"bound_ok={d.bound_satisfied}")
-    failed_runs = [d for d in report.per_lambda if d.status != "ok"]
-    if failed_runs:
-        return EXIT_ERROR
-    return EXIT_OK if report.all_ok else EXIT_BOUND_FAILED
-
-
-def _run_diagnose(args, scenario, digest, out_dir) -> int:
+def _run_diagnose(args, scenario, out_dir):
     traj = read_trajectory_csv(args.traj)
     if traj.states.shape[1] != scenario.n:
         raise DimensionMismatch(f"{args.traj}: trajectory has dimension {traj.states.shape[1]}, "
@@ -195,23 +182,31 @@ def _run_diagnose(args, scenario, digest, out_dir) -> int:
     lam = args.lam if args.lam is not None else traj.lam
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")
-    traj = type(traj)(traj.times, traj.states, traj.images, traj.phis, lam, traj.stats)
-    kt = analysis.kappa_tilde(scenario)
-    diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
-    payload = {"subcommand": "diagnose", "scenario_hash": digest, "seed": args.seed,
-               "kappa_tilde": kt.value, "trajectory_csv": str(args.traj),
-               **diagnostics_to_dict(diag)}
-    dump_json(out_dir / "diagnose.json", payload)
-    print(f"lambda={lam:g} phi_max={diag.phi_max:.6g} bound_ok={diag.bound_satisfied} "
-          f"lipschitz_ok={diag.lipschitz_ok}")
-    return EXIT_OK if diag.bound_satisfied and diag.lipschitz_ok else EXIT_BOUND_FAILED
+    payload, code = _certify(scenario, replace(traj, lam=lam), str(args.traj))
+    return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
+                     f"bound_ok={payload['bound_satisfied']} "
+                     f"lipschitz_ok={payload['lipschitz_ok']}"), code
 
 
-def _run_estimate_set(args, scenario, digest, out_dir) -> int:
+def _run_sweep(args, scenario, out_dir):
+    report = analysis.lambda_sweep(scenario, grid_points=scenario.output.grid_points,
+                                   seed=args.seed)
+    for lam, traj in report.trajectories.items():
+        write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
+    stdout = "\n".join(f"lambda={d.lam:g} status={d.status} worst_ratio={d.worst_ratio:.4g} "
+                       f"bound_ok={d.bound_satisfied}" for d in report.per_lambda)
+    if any(d.status != "ok" for d in report.per_lambda):
+        code = EXIT_ERROR
+    else:
+        code = EXIT_OK if report.all_ok else EXIT_BOUND_FAILED
+    return report_to_dict(report), stdout, code
+
+
+def _run_estimate_set(args, scenario, out_dir):
     sampler = SamplerConfig(count=args.samples)
     spec = scenario.moving_set
     t_pairs = analysis.default_time_pairs(scenario.T)
-    x_pairs = analysis.default_state_pairs(scenario.x0) if spec.state_dependent else []
+    x_pairs = analysis.default_state_pairs(scenario.x0) if spec.state_lipschitz != 0.0 else []
 
     kappa_estimates = {}
     L_hat = 0.0
@@ -232,9 +227,6 @@ def _run_estimate_set(args, scenario, digest, out_dir) -> int:
         for r in args.r]
 
     payload = {
-        "subcommand": "estimate-set",
-        "scenario_hash": digest,
-        "seed": args.seed,
         "sampler": {"kind": "grid", "count": sampler.count},
         "alpha_estimate": alpha_estimate,
         "alpha_tube_rho": rho,
@@ -243,10 +235,16 @@ def _run_estimate_set(args, scenario, digest, out_dir) -> int:
         "L_hat": L_hat,
         "hausdorff_samples": hausdorff_samples,
     }
-    dump_json(out_dir / "set_estimates.json", payload)
-    print(f"alpha_estimate={alpha_estimate:.6g} L_hat={L_hat:.6g} "
-          f"kappa={kappa_estimates}")
-    return EXIT_OK
+    return payload, (f"alpha_estimate={alpha_estimate:.6g} L_hat={L_hat:.6g} "
+                     f"kappa={kappa_estimates}"), EXIT_OK
+
+
+_COMMANDS = {       # subcommand -> (runner, JSON artifact under --out)
+    "solve": (_run_solve, "summary.json"),
+    "sweep": (_run_sweep, "report.json"),
+    "diagnose": (_run_diagnose, "diagnose.json"),
+    "estimate-set": (_run_estimate_set, "set_estimates.json"),
+}
 
 
 if __name__ == "__main__":

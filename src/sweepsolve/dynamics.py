@@ -108,10 +108,6 @@ class Scenario:
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "margin", margin)
 
-    @property
-    def state_lipschitz(self) -> float:
-        return self.moving_set.state_lipschitz
-
 
 @dataclass(frozen=True)
 class StepStats:
@@ -142,19 +138,20 @@ class Trajectory:
 
 def _stage(op, freeze, lam, t, x):
     """(A(x), phi, velocity) at the list state (t, x) from one ``nearest`` query
-    of ``freeze(t, x)``; a non-finite A(x) raises before the query."""
+    of ``freeze(t, x)``, whose first point is p; a non-finite A(x) raises
+    before the query."""
     z = op.image(x)
     if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
         raise InvalidVector("operator image A(x) contains non-finite entries")
-    p, phi = freeze(t, x).nearest(z)
-    return z, phi, [(pi - zi) / lam for pi, zi in zip(p, z)]     # (p - z)/lam
+    points, phi = freeze(t, x).nearest(z)
+    return z, phi, [(pi - zi) / lam for pi, zi in zip(points[0], z)]     # (p - z)/lam
 
 
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """Velocity of the penalized dynamics at (t, x), with t, x and lambda validated.
 
     Returns (p - A(x))/lambda with p the lexicographic selection among the
-    nearest points of A(x), the first entry of the sorted ``project`` list;
+    nearest points of A(x), the first of the sorted points ``nearest`` returns;
     exactly +0.0 whenever A(x) is a member, because the projection of a
     member is the point itself.
     """
@@ -185,7 +182,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
         raise ValueError("lambda must be positive")
     cfg = scenario.integrator
     spec = scenario.moving_set
-    if spec.state_dependent:
+    if spec.state_lipschitz != 0.0:
         freeze = lambda t, x: spec.freeze(t, np.array(x))     # specs read x as an array
     else:
         # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h
@@ -233,7 +230,7 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     spec = scenario.moving_set
     if not spec.convex:
         raise UnsupportedScenario("catching-up requires a convex moving set")
-    if spec.state_lipschitz != 0.0 or spec.state_dependent:
+    if spec.state_lipschitz != 0.0:
         raise UnsupportedScenario("catching-up requires a state-independent moving set")
     if not h > 0:
         raise ValueError("h must be positive")
@@ -247,7 +244,7 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     for k in range(n_steps):
         t = (k + 1) * h_eff if k + 1 < n_steps else T
         inst = instantiate(spec, t, scenario.x0)      # state-independent
-        z = inst.nearest(z)[0]
+        z = inst.nearest(z)[0][0]
         x = [zi / gamma for zi in z]
         nodes.append((t, x, z, inst.nearest(z)[1]))
     return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff))

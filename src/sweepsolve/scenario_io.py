@@ -256,11 +256,17 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ValidationError(
                 "feasibility", f"A(x0) must start in C(0, x0); distance is {gap:g}")
 
+    check_penalty_gate(scenario, scenario.lambdas)
+
+
+def check_penalty_gate(scenario: Scenario, lambdas) -> None:
+    """Raise ValidationError("penalty-gate") unless every lambda lies below
+    (m*alpha^2 - L)*rho/kappa_tilde; there is no gate while rho is infinite."""
     if math.isfinite(scenario.rho_assumed):
         kt = analysis.kappa_tilde(scenario)
         if kt.value > 0:
             gate = scenario.margin * scenario.rho_assumed / kt.value
-            bad = [lam for lam in scenario.lambdas if not lam < gate]
+            bad = [lam for lam in lambdas if not lam < gate]
             if bad:
                 raise ValidationError(
                     "penalty-gate",
@@ -397,11 +403,9 @@ def report_to_dict(report) -> dict:
         "alpha": report.alpha,
         "rho": report.rho,
         "margin": report.margin,
-        "phi_max": report.phi_max,
-        "phi_bound": report.phi_bound,
-        "worst_ratio": report.worst_ratio,
+        **{key: report.worst(key)
+           for key in ("phi_max", "phi_bound", "worst_ratio", "lipschitz_estimate")},
         "bound_satisfied": report.bound_satisfied,
-        "lipschitz_estimate": report.lipschitz_estimate,
         "lipschitz_bound": report.lipschitz_bound,
         "kappa_estimates": {_fmt(r): v for r, v in sorted(report.kappa_estimates.items())},
         "alpha_estimate": report.alpha_estimate,

@@ -4,29 +4,28 @@ Every set family is described by an immutable spec that can be frozen at a
 given (t, x) into a :class:`SetInstance`.  Spec properties shared by several
 families are defined once: in ``_GainDriven`` for the families moved by a
 scalar state gain, and in ``_Composite`` for the families built from members.
+A family depends on x exactly when its ``state_lipschitz`` is nonzero.
 
-Each instance kind answers every geometric query through one batched method,
-``candidates(Z)``.  For a pre-validated finite (N, n) float array Z it returns
-``(P, D)``: candidate nearest points P of shape (k, N, n) and their distances
-D of shape (k, N), where k is fixed by the kind (1 for the convex kinds, 2
-for the wedge, the member count for a union).  The nearest points of row i
-are the P[j, i] whose D[j, i] is smallest; other candidates may be strictly
-farther (the far ray of a wedge).  A member row comes back as itself, bit
-for bit, at distance 0, so projecting a point of the set returns that point.
-Row results do not depend on the other rows of the batch.  ``SetInstance``
-derives ``distance_many``, ``distance``, ``member`` and ``project`` from
-``candidates``, validating their inputs once at that public boundary.
-``nearest_points`` selects among one row's candidates.
+A single point has one query, ``nearest(z)``: for a finite list of floats z
+it returns every nearest point of z, as lists of floats sorted and
+deduplicated by ``_ties``, and the distance.  A member comes back as itself,
+bit for bit, at distance 0, so projecting a point of the set returns that
+point.  Every kind answers it in closed form on floats: the half-space, ball
+and box directly, the intersection by Dykstra on lists, the wedge from its two
+feet and the union from its members' ``nearest``.  ``project``, ``distance``
+and ``member`` validate z once and then ask ``nearest``.
 
-The integrator's one-point query ``nearest(z)`` maps a finite list of floats
-to the list ``project(z)[0]`` and the float ``distance(z)``, bit for bit.
-Every kind answers it in closed form on floats, in its batched kernel's
-order: the half-space, ball and box directly, the intersection by Dykstra on
-lists, the wedge from its two feet and the union from its members'
-``nearest``; ``_ties`` is the one tie rule of both paths.  So ``candidates``
-serves only batched queries.  Dot products are ``_dot``, left to right from
-0.0: BLAS (``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels,
-and one fixed order gives one bit pattern per input on every BLAS kernel.
+Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
+float array Z it returns ``(P, D)``, candidate nearest points P of shape
+(k, N, n) and their distances D of shape (k, N), where k is fixed by the kind
+(1 for the convex kinds, 2 for the wedge, the member count for a union).  The
+nearest points of row i are the P[j, i] whose D[j, i] is smallest; other
+candidates may be strictly farther (the far ray of a wedge).  Row results do
+not depend on the other rows of the batch, and a one-row ``candidates`` with
+``_ties`` gives ``nearest`` bit for bit.  ``distance_many`` derives from it.
+Dot products are ``_dot``, left to right from 0.0: BLAS (``np.vecdot``, ``@``)
+fuses the multiply-add on some CPU kernels, and one fixed order gives one bit
+pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -147,18 +146,19 @@ class SetInstance:
         return self.candidates(as_rows(Z, self.n, "Z"))[1].min(0)
 
     def distance(self, z) -> float:
-        return float(self.candidates(as_vector(z, self.n, "z")[None])[1].min())
+        return self.nearest(as_vector(z, self.n, "z").tolist())[1]
 
     def member(self, z) -> bool:
         return self.distance(z) <= self.member_tol
 
     def project(self, z):
-        """All nearest points of z, near-ties within TIE_TOL included (see nearest_points)."""
-        return nearest_points(*self.candidates(as_vector(z, self.n, "z")[None]))
+        """All nearest points of z as arrays, near-ties within TIE_TOL included (see ``_ties``)."""
+        return [np.array(p) for p in self.nearest(as_vector(z, self.n, "z").tolist())[0]]
 
     def nearest(self, z):
-        """(selected nearest point, distance) of the finite point z, a list of
-        floats: ``project(z)[0]`` and ``distance(z)``, bit for bit."""
+        """(nearest points, distance) of the finite point z, a list of floats:
+        the points are lists of floats, sorted and deduplicated by ``_ties``,
+        so the first is the deterministic selection."""
         raise NotImplementedError
 
 
@@ -177,7 +177,7 @@ class HalfSpaceInstance(SetInstance):
 
     def nearest(self, z):
         v = _dot(z, self._zeta) - self.beta
-        return ([zi - v * ci for zi, ci in zip(z, self._zeta)], v) if v > 0.0 else (z, 0.0)
+        return ([[zi - v * ci for zi, ci in zip(z, self._zeta)]], v) if v > 0.0 else ([z], 0.0)
 
     def anchor(self):
         return self.beta * self.zeta
@@ -203,8 +203,8 @@ class BallInstance(SetInstance):
         gap = [zi - ci for zi, ci in zip(z, self._center)]
         nrm = math.sqrt(_dot(gap, gap))
         if nrm <= self.radius:
-            return z, 0.0
-        return [ci + self.radius / nrm * gi for ci, gi in zip(self._center, gap)], nrm - self.radius
+            return [z], 0.0
+        return [[ci + self.radius / nrm * gi for ci, gi in zip(self._center, gap)]], nrm - self.radius
 
     def anchor(self):
         return self.center.copy()
@@ -231,7 +231,7 @@ class BoxInstance(SetInstance):
         p = [pi if pi < hi else hi for pi, hi in zip(p, self.upper.tolist())]
         gap = [zi - pi for zi, pi in zip(z, p)]
         d = math.sqrt(_dot(gap, gap))
-        return (z if d == 0.0 else p), d
+        return [z if d == 0.0 else p], d
 
     def anchor(self):
         return 0.5 * (self.lower + self.upper)
@@ -264,12 +264,12 @@ class WedgeInstance(SetInstance):
         w = [zi - ci for zi, ci in zip(z, self._apex)]
         a, b = w
         if b >= -abs(a):
-            return z, 0.0
+            return [z], 0.0
         feet = []
         for ray in self._RAY_LISTS:
             s = _dot(w, ray)
             feet.append([ci + s * ri for ci, ri in zip(self._apex, ray)])
-        return _select(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
+        return _ties(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
 
     def anchor(self):
         return self.apex.copy()
@@ -344,7 +344,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
 
     def nearest(self, z):
         if self._violation(z) <= MEMBER_TOL:
-            return z, 0.0
+            return [z], 0.0
         # dykstra_project on one row of lists: same order, same exits
         x = z
         increments = [[0.0] * self.n for _ in self._faces]
@@ -357,7 +357,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 x = [yi - v * ci for yi, ci in zip(y, zeta)]
                 increments[i] = [yi - xi for yi, xi in zip(y, x)]
             if _dist(x, start) <= 0.1 * DYKSTRA_TOL and self._violation(x) <= DYKSTRA_TOL:
-                return x, _dist(z, x)
+                return [x], _dist(z, x)
         self.ensure_nonempty()  # raises EmptyInstance when that is the cause
         raise ProjectionNotConverged(
             f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
@@ -380,7 +380,8 @@ class UnionInstance(SetInstance):
         return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
 
     def nearest(self, z):
-        return _select(*zip(*(m.nearest(z) for m in self.members)))
+        found = [m.nearest(z) for m in self.members]      # convex: one point each
+        return _ties([ps[0] for ps, _ in found], [d for _, d in found])
 
     def anchor(self):
         return self.members[0].anchor()
@@ -398,10 +399,6 @@ class _GainDriven:
     @property
     def state_lipschitz(self) -> float:
         return abs(self.state_gain)
-
-    @property
-    def state_dependent(self) -> bool:
-        return self.state_gain != 0.0
 
 
 class _Composite:
@@ -423,10 +420,6 @@ class _Composite:
     @property
     def state_lipschitz(self) -> float:
         return max(m.state_lipschitz for m in self.members)
-
-    @property
-    def state_dependent(self) -> bool:
-        return any(m.state_dependent for m in self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,7 +532,6 @@ class BoxSpec:
 
     convex = True
     state_lipschitz = 0.0
-    state_dependent = False
 
     def freeze(self, t, x):
         lo = self.lower + t * self.lower_velocity
@@ -565,7 +557,6 @@ class WedgeSpec:
     n = 2
     convex = False
     state_lipschitz = 0.0
-    state_dependent = False
 
     def freeze(self, t, x):
         return WedgeInstance(_readonly(self.apex + t * self.apex_velocity))
@@ -633,26 +624,15 @@ def instantiate(spec, t, x) -> SetInstance:
     return spec.freeze(float(t), x)
 
 
-def nearest_points(P, D):
-    """Nearest points of a one-row ``candidates`` result (P, D), as arrays; see ``_ties``."""
-    if len(D) == 1:
-        return [P[0, 0]]
-    return [np.array(p) for p in _ties(P[:, 0].tolist(), D[:, 0].tolist())]
-
-
 def _ties(points, dists):
-    """The candidate ``points`` (lists of floats) nearest by ``dists``, ties within
-    TIE_TOL included, deduplicated and sorted lexicographically: the first
-    entry, the lexicographically smallest, is the deterministic selection."""
+    """(nearest points, distance) among one point's candidate ``points`` (lists
+    of floats) and their ``dists``: the points within TIE_TOL of the least
+    distance, deduplicated and sorted lexicographically, so the first entry,
+    the lexicographically smallest, is the deterministic selection."""
     dmin = min(dists)
     # a member is its own unique projection: no near-tie admits another point
     cut = dmin + (TIE_TOL if dmin > 0.0 else 0.0)
-    return sorted(dedupe([p for p, d in zip(points, dists) if d <= cut]))
-
-
-def _select(points, dists):
-    """(selected nearest point, distance) among one point's candidates."""
-    return _ties(points, dists)[0], min(dists)
+    return sorted(dedupe([p for p, d in zip(points, dists) if d <= cut])), dmin
 
 
 def dedupe(rows):
@@ -664,20 +644,18 @@ def dedupe(rows):
     return out
 
 
-def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
+def dykstra_project(members, Z):
     """Nearest point of z, or of each row of Z, on an intersection of half-spaces.
 
     Returns (points, cycles) with points shaped like the input.  Each row
     stops at its own convergence test: a full cycle moves it by at most
-    tol/10 and it meets every constraint within tol.  ``cycles`` is the
-    largest per-row count; a row needing more than ``max_iter`` cycles raises
-    ProjectionNotConverged.
+    DYKSTRA_TOL/10 and it meets every constraint within DYKSTRA_TOL.
+    ``cycles`` is the largest per-row count; a row needing more than
+    DYKSTRA_MAX_ITER cycles raises ProjectionNotConverged.
     """
     members = list(members)
     if not members:
         raise EmptyCandidates("need at least one half-space")
-    if tol <= 0:
-        raise InvalidVector("tol must be positive")
     n = members[0].n
     single = np.ndim(Z) == 1
     X = as_vector(Z, n, "z")[None] if single else as_rows(Z, n, "Z")
@@ -685,13 +663,14 @@ def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
     out = np.empty_like(X)
     rows = np.arange(len(X))
     increments = np.zeros((len(members),) + X.shape)
-    for cycle in range(1, max_iter + 1):
+    for cycle in range(1, DYKSTRA_MAX_ITER + 1):
         start = X
         for i in range(len(members)):
             Y = X + increments[i]
             X = _halfspace_step(Y, normals[i], offsets[i])
             increments[i] = Y - X
-        done = (row_norms(X - start) <= 0.1 * tol) & (_excess(normals, offsets, X) <= tol)
+        done = ((row_norms(X - start) <= 0.1 * DYKSTRA_TOL)
+                & (_excess(normals, offsets, X) <= DYKSTRA_TOL))
         if done.all():
             out[rows] = X
             return (out[0] if single else out), cycle
@@ -699,4 +678,4 @@ def dykstra_project(members, Z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
             out[rows[done]] = X[done]
             rows, X, increments = rows[~done], X[~done], increments[:, ~done]
     raise ProjectionNotConverged(
-        f"Dykstra exceeded {max_iter} cycles at tol {tol:g}")
+        f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")

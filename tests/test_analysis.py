@@ -171,6 +171,24 @@ def test_kappa_degenerate_pairs_skipped():
     assert L == 0.0
 
 
+def test_kappa_freezes_each_set_once_and_matches_truncated_hausdorff(monkeypatch):
+    sc = state_feedback_scenario()
+    spec, x0, sampler = sc.moving_set, sc.x0, SamplerConfig(count=256)
+    t_pairs = analysis.default_time_pairs(sc.T)
+    x_pairs = analysis.default_state_pairs(x0)
+    frozen = []
+    real = analysis.instantiate
+    monkeypatch.setattr(analysis, "instantiate", lambda *a: frozen.append(a) or real(*a))
+    k, L = sw.estimate_kappa(spec, 2.0, t_pairs, x_pairs, sampler, x_ref=x0)
+    assert len(frozen) == 5 + 2 * sc.n      # 5 times at x0, then x0 -+ 0.5*e_i at t = 0
+    monkeypatch.undo()
+    pairs = [((s, x0), (t, x0), abs(t - s)) for s, t in t_pairs] \
+        + [((0.0, x), (0.0, y), 0.5) for x, y in x_pairs]
+    quotients = [sw.truncated_hausdorff(sw.instantiate(spec, *a), sw.instantiate(spec, *b),
+                                        2.0, sampler) / gap for a, b, gap in pairs]
+    assert (k, L) == (max(quotients[:len(t_pairs)]), max(quotients[len(t_pairs):]))
+
+
 # ---------------------------------------------------------------------------
 # estimate_alpha
 # ---------------------------------------------------------------------------

@@ -77,6 +77,29 @@ def test_validation_failure_exit_code(tmp_path, drift_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose --lam", "diagnose header"])
+def test_penalty_gate_holds_for_a_lambda_not_in_the_scenario(tmp_path, drift_file, capsys,
+                                                             command):
+    # rho = 0.5 puts the gate at 0.5: lambdas = [0.1] passes, lambda = 5 does not
+    doc = json.loads(open(drift_file).read())
+    doc["assumed"]["rho"] = 0.5
+    doc["lambdas"] = [0.1]
+    gated = tmp_path / "gated.json"
+    gated.write_text(json.dumps(doc))
+    # a CSV whose header carries lambda = 5, solved where rho is infinite
+    assert run_cli("solve", "--scenario", drift_file, "--out", str(tmp_path / "free"),
+                   "--lam", "5") == 0
+    csv = str(tmp_path / "free" / "trajectory_lam5.csv")
+    out = tmp_path / "out"
+    argv = {"solve": ["solve", "--lam", "5"],
+            "diagnose --lam": ["diagnose", "--traj", csv, "--lam", "5"],
+            "diagnose header": ["diagnose", "--traj", csv]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--scenario", str(gated), "--out", str(out)) == 1
+    assert "penalty-gate" in capsys.readouterr().err
+    assert not any(out.glob("*.json"))
+
+
 def test_failed_bound_exit_code(tmp_path, drift_file):
     # a trajectory diagnosed against a much smaller lambda fails the tube bound
     out = tmp_path / "art"
@@ -210,3 +233,18 @@ def test_import_and_sweep_load_no_scipy(tmp_path, scenario_dir):
     lines = out.stdout.splitlines()
     assert lines[0] == "[]", f"import sweepsolve loaded {lines[0]}"
     assert lines[-1] == "0 []", f"sweep exited or loaded {lines[-1]}"
+
+
+def test_solve_and_diagnose_agree_on_every_corpus_scenario(tmp_path, scenario_dir):
+    # diagnose re-reads solve's CSV, which round-trips every float exactly
+    for path in sorted(scenario_dir.glob("*.json")):
+        out = tmp_path / path.stem
+        code = run_cli("solve", "--scenario", str(path), "--out", str(out), "--seed", "1")
+        summary = json.loads((out / "summary.json").read_text())
+        assert run_cli("diagnose", "--scenario", str(path), "--out", str(out), "--seed", "1",
+                       "--traj", str(out / summary["trajectory_csv"])) == code, path.stem
+        diag = json.loads((out / "diagnose.json").read_text())
+        assert summary.pop("subcommand") == "solve" and diag.pop("subcommand") == "diagnose"
+        assert diag.pop("trajectory_csv") == str(out / summary.pop("trajectory_csv"))
+        assert set(summary) >= {"kappa_tilde", "bound_satisfied", "lipschitz_ok", "worst_ratio"}
+        assert diag == summary, path.stem

@@ -230,7 +230,7 @@ def test_scenario_margin_is_m_alpha_squared_minus_L(scenario_dir):
     assert _half_line(state_gain=-0.5, alpha_assumed=0.9).margin == 0.9 ** 2 - 0.5
     for path in sorted(scenario_dir.glob("*.json")):
         sc = sw.load_scenario(path)
-        assert sc.margin == sc.operator.m * sc.alpha_assumed ** 2 - sc.state_lipschitz > 0
+        assert sc.margin == sc.operator.m * sc.alpha_assumed ** 2 - sc.moving_set.state_lipschitz > 0
 
 
 def test_gate_feasibility():

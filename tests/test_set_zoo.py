@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -270,7 +269,7 @@ def test_member_is_its_own_projection_despite_a_near_tie():
     z = [-1.0, 0.0]
     assert 0.0 < inst.members[1].distance(z) <= set_zoo.TIE_TOL
     assert [q.tolist() for q in inst.project(z)] == [z]
-    assert inst.nearest(z) == (z, 0.0)
+    assert inst.nearest(z) == ([z], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,7 @@ def _hs(normal, beta=0.0):
 
 
 def test_dykstra_negative_orthant():
-    p, _ = sw.dykstra_project([_hs([1.0, 0.0]), _hs([0.0, 1.0])],
-                              np.array([1.0, 1.0]), tol=1e-10)
+    p, _ = sw.dykstra_project([_hs([1.0, 0.0]), _hs([0.0, 1.0])], np.array([1.0, 1.0]))
     assert np.allclose(p, [0.0, 0.0], atol=1e-10)
 
 
@@ -308,10 +306,12 @@ def test_dykstra_oblique_pair_matches_kkt():
     assert cycles >= 1
 
 
-def test_dykstra_budget_exhaustion_raises():
+def test_dykstra_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(set_zoo, "DYKSTRA_TOL", 1e-14)
+    monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
     members = [_hs([1.0, 0.0], 0.0), _hs([1.0, 1.0], 0.0)]
-    with pytest.raises(sw.ProjectionNotConverged):
-        sw.dykstra_project(members, np.array([5.0, 4.0]), tol=1e-14, max_iter=2)
+    with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles at tol 1e-14"):
+        sw.dykstra_project(members, np.array([5.0, 4.0]))
 
 
 def test_union_asks_each_member_once(monkeypatch):
@@ -324,8 +324,8 @@ def test_union_asks_each_member_once(monkeypatch):
     spec = sw.UnionSpec((sw.BallSpec(center=[-2.5, 0.0], radius=1.0), corner))
     inst = sw.instantiate(spec, 0.0, np.zeros(2))
     calls.clear()
-    (p,) = inst.project([1.0, 0.5])
-    assert np.array_equal(p, [0.0, 0.0])
+    P, _ = inst.candidates(np.array([[1.0, 0.5]]))      # the batched path
+    assert np.array_equal(P[1, 0], [0.0, 0.0])
     assert len(calls) == 1
 
 
@@ -407,18 +407,27 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _batched(inst, point):
+    """The batched oracle of ``nearest``: a one-row ``candidates`` and ``_ties``."""
+    P, D = inst.candidates(np.array([point]))
+    return set_zoo._ties(P[:, 0].tolist(), D[:, 0].tolist())
+
+
 def _check_nearest(inst, z):
-    """nearest(z) against project(z)[0] and distance(z), for z, its
-    projection and the anchor (members too)."""
+    """nearest(z) against the batched oracle bit for bit, and project(z) and
+    distance(z) against nearest(z), for z, its projection and the anchor
+    (members too)."""
     z = np.array(z)
-    for point in (z, inst.project(z)[0], inst.anchor()):
-        p, d = inst.nearest(point.tolist())
-        assert type(p) is list and all(type(c) is float for c in p)
+    for point in (z, np.array(_batched(inst, z)[0][0]), inst.anchor()):
+        points, d = inst.nearest(point.tolist())
+        want, want_d = _batched(inst, point)
+        assert all(type(p) is list and all(type(c) is float for c in p) for p in points)
         assert type(d) is float
-        assert _bits(p) == _bits(inst.project(point)[0])
-        assert _bits(d) == _bits(inst.distance(point))
+        assert _bits(points) == _bits(want) and _bits(d) == _bits(want_d)
+        assert _bits(inst.project(point)) == _bits(points)
+        assert _bits(inst.distance(point)) == _bits(d)
         if d == 0.0:
-            assert _bits(p) == _bits(point)
+            assert _bits(points) == _bits([point])
 
 
 @pytest.mark.parametrize("kind", list(ZOO))
@@ -440,14 +449,29 @@ def test_nearest_matches_project_and_distance_bit_for_bit(kind, z):
     _check_nearest(sw.instantiate(ZOO[kind], 0.0, np.zeros(2)), z)
 
 
+@pytest.mark.parametrize("kind", list(ZOO))
+def test_single_point_queries_never_run_the_batched_kernels(kind, monkeypatch):
+    def batched(*args):
+        raise AssertionError("a single point reached a batched kernel")
+
+    inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
+    for target in (inst, *getattr(inst, "members", ())):
+        monkeypatch.setattr(target, "candidates", batched)
+    monkeypatch.setattr(set_zoo, "dykstra_project", batched)
+    for z in ([2.5, 0.5], [0.5, -2.0], [-1.0, -3.0], inst.anchor()):
+        (p, *_), d = inst.nearest(list(z))
+        assert _bits(inst.project(z)[0]) == _bits(p) and inst.distance(z) == d
+        assert inst.member(z) == (d <= inst.member_tol)
+
+
 def test_union_tie_within_tie_tol_selects_the_lexicographically_smaller_foot():
     inst = sw.instantiate(ZOO["union"], 0.0, np.zeros(2))
     z = [0.46446609396726224, 1.0]
-    (ball, _), (corner, _) = (m.nearest(z) for m in inst.members)
+    ([ball], _), ([corner], _) = (m.nearest(z) for m in inst.members)
     gap = inst.members[0].distance(z) - inst.members[1].distance(z)
     assert 0.0 < gap <= set_zoo.TIE_TOL
     assert [q.tolist() for q in inst.project(z)] == [corner, ball]
-    assert inst.nearest(z) == (corner, inst.members[1].distance(z))
+    assert inst.nearest(z) == ([corner, ball], inst.members[1].distance(z))
 
 
 _SIGNED = (-0.0, 0.0, -1.0, 1.0, 5e-324)
@@ -473,16 +497,14 @@ def test_nearest_bit_for_bit_on_signed_zeros(inst):
 # ---------------------------------------------------------------------------
 
 def test_nearest_on_an_empty_intersection_raises_empty_instance(monkeypatch):
-    # short budgets: the float loop reads the module constant, the batched
-    # path is handed a shorter max_iter
+    # a short budget: the float loop and the batched path read the module constant
     monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 50)
-    monkeypatch.setattr(set_zoo, "dykstra_project", partial(set_zoo.dykstra_project, max_iter=50))
     inst = set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 0.0], -1.0), _hs([-1.0, 0.0], -1.0)])
     for z in ([0.0, 0.0], [3.0, -2.0], [-1.0, 0.5]):
         with pytest.raises(sw.EmptyInstance):
             inst.nearest(z)
         with pytest.raises(sw.EmptyInstance):
-            inst.project(z)
+            inst.distance_many(np.array([z]))
 
 
 def test_nearest_raises_projection_not_converged_on_an_exhausted_budget(monkeypatch):
@@ -504,8 +526,8 @@ def test_nearest_is_no_farther_than_any_sampled_member(kind, z, seed):
     inst = sw.instantiate(ZOO[kind], 0.0, np.zeros(2))
     W = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(200, 2))
     members = np.vstack([W[inst.distance_many(W) == 0.0], inst.anchor()])
-    p, d = inst.nearest(list(z))
-    gap = float(np.linalg.norm(np.array(z) - p))
+    points, d = inst.nearest(list(z))
+    gap = float(np.linalg.norm(np.array(z) - points[0]))
     assert abs(gap - d) <= 1e-9
     assert gap <= np.linalg.norm(members - np.array(z), axis=1).min() + 1e-9
 
@@ -515,7 +537,7 @@ def test_nearest_on_the_wedge_axis_takes_the_lexicographically_smaller_foot():
     z = [0.5, -2.0]
     feet = inst.project(z)
     assert len(feet) == 2
-    p, d = inst.nearest(z)
+    (p, _), d = inst.nearest(z)
     assert np.allclose(p, [-0.25, -1.25]) and _bits(p) == _bits(feet[0])
     assert d == pytest.approx(1.5 / SQRT2)
 
