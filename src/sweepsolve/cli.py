@@ -5,7 +5,7 @@ file is read once; its text is both hashed and parsed.  ``sweep`` writes each
 trajectory CSV from the trajectory ``lambda_sweep`` integrated and diagnosed,
 so every lambda is integrated exactly once.  ``solve`` and ``diagnose`` differ
 only in where their trajectory comes from: both certify it in ``_certify``,
-which first checks its lambda against the penalty gate.
+which checks the penalty gate before it asks for one.  One parser serves a process.
 
 Each subcommand writes one JSON artifact (``summary.json``, ``report.json``,
 ``diagnose.json`` or ``set_estimates.json``), and every artifact starts from
@@ -22,6 +22,7 @@ timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -60,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache        # on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sweepsolve",
@@ -154,11 +156,12 @@ def _lam_tag(lam: float) -> str:
     return format(lam, "g").replace("-", "m")
 
 
-def _certify(scenario, traj, csv_ref):
-    """(verdict payload, exit code) of one trajectory, whose lambda must pass
-    the penalty gate; ``csv_ref`` names the trajectory's CSV in the payload."""
+def _certify(scenario, lam, trajectory, csv_ref):
+    """(verdict payload, exit code) of ``trajectory()``, asked for only once lam
+    passes the penalty gate; ``csv_ref`` names the trajectory's CSV in the payload."""
+    check_penalty_gate(scenario, [lam])
+    traj = trajectory()
     kt = analysis.kappa_tilde(scenario)
-    check_penalty_gate(scenario, [traj.lam])
     diag = analysis.diagnose_trajectory(traj, scenario, kt.value)
     payload = {"kappa_tilde": kt.value, "trajectory_csv": csv_ref, **diagnostics_to_dict(diag)}
     return payload, EXIT_OK if diag.bound_satisfied and diag.lipschitz_ok else EXIT_BOUND_FAILED
@@ -166,10 +169,13 @@ def _certify(scenario, traj, csv_ref):
 
 def _run_solve(args, scenario, out_dir):
     lam = args.lam if args.lam is not None else scenario.lambdas[0]
-    traj = integrate(scenario, lam)
     csv_name = f"trajectory_lam{_lam_tag(lam)}.csv"
-    write_trajectory_csv(out_dir / csv_name, traj)
-    payload, code = _certify(scenario, traj, csv_name)
+
+    def trajectory():
+        traj = integrate(scenario, lam)
+        write_trajectory_csv(out_dir / csv_name, traj)
+        return traj
+    payload, code = _certify(scenario, lam, trajectory, csv_name)
     return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
                      f"bound={payload['phi_bound']:.6g} ok={payload['bound_satisfied']}"), code
 
@@ -182,7 +188,7 @@ def _run_diagnose(args, scenario, out_dir):
     lam = args.lam if args.lam is not None else traj.lam
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")
-    payload, code = _certify(scenario, replace(traj, lam=lam), str(args.traj))
+    payload, code = _certify(scenario, lam, lambda: replace(traj, lam=lam), str(args.traj))
     return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
                      f"bound_ok={payload['bound_satisfied']} "
                      f"lipschitz_ok={payload['lipschitz_ok']}"), code

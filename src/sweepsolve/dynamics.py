@@ -10,17 +10,17 @@ dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
 H1 (L < m) and H2 in ``Scenario``, whose ``margin`` m*alpha^2 - L is the one
 source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
 in ``integrate``, and each new state's finiteness.  Each right-hand-side stage
-makes one set query, ``nearest`` at its (t, x); a member A(x) is its own
-nearest point, so the velocity vanishes exactly there.  A node's image and phi
-come from its k1 query (phi is taken at nodes only); only the node at T needs
-a query of its own.  A state-independent set is frozen once per stage time.
+makes one set query, the spec's ``nearest(t, x, A(x))``, and builds no set
+instance but a probed intersection's; a member A(x) is its own nearest point,
+so the velocity vanishes exactly there.  A node's image and phi come from its
+k1 query (phi is taken at nodes only); only the node at T needs its own query.
 
 States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
-point costs a few float operations, not a NumPy call each; ``Operator.image``
-and ``SetInstance.nearest`` take lists, and every set kind answers
-``nearest`` in closed form on floats (Dykstra on lists for an intersection),
-so NumPy is left only in freezing the set.  Stages combine in the order of
-the array expressions in the comments and dot products run left to right
+point costs a few float operations, not a NumPy call each: ``Operator.image``
+and the spec's ``nearest`` take lists, and every set kind computes its
+parameters at (t, x) and answers the query in closed form on floats (Dykstra
+on lists for an intersection).  Stages combine in the order of the array
+expressions in the comments and dot products run left to right
 (``set_zoo._dot``): one bit pattern per input on every BLAS kernel.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import as_vector, instantiate
+from .set_zoo import as_vector, checked_point
 
 SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
@@ -136,15 +135,18 @@ class Trajectory:
         return len(self.times)
 
 
-def _stage(op, freeze, lam, t, x):
-    """(A(x), phi, velocity) at the list state (t, x) from one ``nearest`` query
-    of ``freeze(t, x)``, whose first point is p; a non-finite A(x) raises
-    before the query."""
-    z = op.image(x)
-    if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
-        raise InvalidVector("operator image A(x) contains non-finite entries")
-    points, phi = freeze(t, x).nearest(z)
-    return z, phi, [(pi - zi) / lam for pi, zi in zip(points[0], z)]     # (p - z)/lam
+def _stage(op, spec, lam):
+    """The stage (t, x) -> (A(x), phi, velocity) at a list state x from one query
+    ``spec.nearest(t, x, A(x))``, whose first point is p; a non-finite A(x) raises first."""
+    image, nearest = op.image, spec.nearest
+
+    def stage(t, x):
+        z = image(x)
+        if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
+            raise InvalidVector("operator image A(x) contains non-finite entries")
+        points, phi = nearest(t, x, z)
+        return z, phi, [(pi - zi) / lam for pi, zi in zip(points[0], z)]     # (p - z)/lam
+    return stage
 
 
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
@@ -157,18 +159,8 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    inst = instantiate(scenario.moving_set, t, x)     # validates t and x
-    x = np.array(x, dtype=float, ndmin=1).tolist()
-    return np.array(_stage(scenario.operator, lambda t, x: inst, lam, t, x)[2])
-
-
-def _rk4_step(f, t, x, h, k1):
-    """One classical RK4 step from (t, x) whose first stage k1 is already known."""
-    k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])[2]
-    k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])[2]
-    k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])[2]
-    c = h / 6.0      # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4)
-    return [xi + c * (a + 2.0 * b + 2.0 * d + e) for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
+    t, x = checked_point(scenario.moving_set, t, x)
+    return np.array(_stage(scenario.operator, scenario.moving_set, lam)(t, x.tolist())[2])
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
@@ -181,14 +173,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     cfg = scenario.integrator
-    spec = scenario.moving_set
-    if spec.state_lipschitz != 0.0:
-        freeze = lambda t, x: spec.freeze(t, np.array(x))     # specs read x as an array
-    else:
-        # x is not read: k2 and k3 share t + h/2, k4 and the next k1 t + h
-        at = lru_cache(maxsize=1)(partial(spec.freeze, x=scenario.x0))
-        freeze = lambda t, x: at(t)
-    f = partial(_stage, scenario.operator, freeze, lam)
+    f = _stage(scenario.operator, scenario.moving_set, lam)
     T = float(scenario.T)
     guard = SAFETY * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
@@ -202,7 +187,13 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
         nodes.append((t, x, z, phi))
         if k == n_steps:
             break
-        x = [xi + h * ki for xi, ki in zip(x, k1)] if euler else _rk4_step(f, t, x, h, k1)
+        if euler:
+            x = [xi + h * ki for xi, ki in zip(x, k1)]
+        else:       # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k
+            k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])[2]
+            k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])[2]
+            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])[2]
+            x = [xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         if not all(map(math.isfinite, x)):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
@@ -239,12 +230,11 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / h - 1e-12))
     h_eff = T / n_steps
 
-    z = op.image(scenario.x0.tolist())
-    nodes = [(0.0, scenario.x0, z, instantiate(spec, 0.0, scenario.x0).nearest(z)[1])]
+    x0 = scenario.x0.tolist()       # the set is state-independent: query it at x0
+    z = op.image(x0)
+    nodes = [(0.0, x0, z, spec.nearest(0.0, x0, z)[1])]
     for k in range(n_steps):
         t = (k + 1) * h_eff if k + 1 < n_steps else T
-        inst = instantiate(spec, t, scenario.x0)      # state-independent
-        z = inst.nearest(z)[0][0]
-        x = [zi / gamma for zi in z]
-        nodes.append((t, x, z, inst.nearest(z)[1]))
+        z = spec.nearest(t, x0, z)[0][0]
+        nodes.append((t, [zi / gamma for zi in z], z, spec.nearest(t, x0, z)[1]))
     return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff))

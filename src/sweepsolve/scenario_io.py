@@ -34,6 +34,7 @@ from .set_zoo import (
 )
 
 FEASIBILITY_TOL = 1e-9
+_CSV_BLOCK_ROWS = 1024      # CSV rows per "%.17g" write: bounds the text held in memory
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,10 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         if traj.lam is not None:
             fh.write(f"# lambda = {_fmt(traj.lam)}\n")
         fh.write(",".join(cols) + "\n")
-        for row in np.column_stack([traj.times, traj.states, traj.images, traj.phis]):
-            fh.write(",".join([_fmt(v) for v in row.tolist()]) + "\n")
+        table = np.column_stack([traj.times, traj.states, traj.images, traj.phis])
+        line = ",".join(["%.17g"] * len(cols)) + "\n"       # the bytes of format(v, ".17g")
+        for block in np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)):
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -2,8 +2,8 @@
 
 Every set family is described by an immutable spec that can be frozen at a
 given (t, x) into a :class:`SetInstance`.  Spec properties shared by several
-families are defined once: in ``_GainDriven`` for the families moved by a
-scalar state gain, and in ``_Composite`` for the families built from members.
+families are defined once: in ``_Moving`` for the families built from their
+float parameters at (t, x), and in ``_Composite`` for those built from members.
 A family depends on x exactly when its ``state_lipschitz`` is nonzero.
 
 A single point has one query, ``nearest(z)``: for a finite list of floats z
@@ -13,7 +13,8 @@ bit for bit, at distance 0, so projecting a point of the set returns that
 point.  Every kind answers it in closed form on floats: the half-space, ball
 and box directly, the intersection by Dykstra on lists, the wedge from its two
 feet and the union from its members' ``nearest``.  ``project``, ``distance``
-and ``member`` validate z once and then ask ``nearest``.
+and ``member`` validate z once and then ask ``nearest``.  A spec's ``nearest(t,
+x, z)`` gives its instance's answer at (t, x), bit for bit, without building it.
 
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
@@ -30,6 +31,7 @@ pattern per input on every BLAS kernel.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -159,7 +161,7 @@ class SetInstance:
         """(nearest points, distance) of the finite point z, a list of floats:
         the points are lists of floats, sorted and deduplicated by ``_ties``,
         so the first is the deterministic selection."""
-        raise NotImplementedError
+        return self.kernel(*self._args, z)      # a closed-form kind, on the parameters it was built from
 
 
 class HalfSpaceInstance(SetInstance):
@@ -169,15 +171,16 @@ class HalfSpaceInstance(SetInstance):
         super().__init__(len(zeta))
         self.zeta = _frozen(zeta)
         self.beta = float(beta)
-        self._zeta = self.zeta.tolist()
+        self._args = (self.zeta.tolist(), self.beta)
 
     def candidates(self, Z):
         v = (_dot(Z, self.zeta) - self.beta)[:, None]
         return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
 
-    def nearest(self, z):
-        v = _dot(z, self._zeta) - self.beta
-        return ([[zi - v * ci for zi, ci in zip(z, self._zeta)]], v) if v > 0.0 else ([z], 0.0)
+    @staticmethod
+    def kernel(zeta, beta, z):
+        v = _dot(z, zeta) - beta
+        return ([[zi - v * ci for zi, ci in zip(z, zeta)]], v) if v > 0.0 else ([z], 0.0)
 
     def anchor(self):
         return self.beta * self.zeta
@@ -190,7 +193,7 @@ class BallInstance(SetInstance):
         super().__init__(len(center))
         self.center = _frozen(center)
         self.radius = float(radius)
-        self._center = self.center.tolist()
+        self._args = (self.center.tolist(), self.radius)
 
     def candidates(self, Z):
         gap = Z - self.center
@@ -199,12 +202,13 @@ class BallInstance(SetInstance):
         return (np.where(nrm <= self.radius, Z, radial)[None],
                 np.maximum(nrm - self.radius, 0.0).T)
 
-    def nearest(self, z):
-        gap = [zi - ci for zi, ci in zip(z, self._center)]
+    @staticmethod
+    def kernel(center, radius, z):
+        gap = [zi - ci for zi, ci in zip(z, center)]
         nrm = math.sqrt(_dot(gap, gap))
-        if nrm <= self.radius:
+        if nrm <= radius:
             return [z], 0.0
-        return [[ci + self.radius / nrm * gi for ci, gi in zip(self._center, gap)]], nrm - self.radius
+        return [[ci + radius / nrm * gi for ci, gi in zip(center, gap)]], nrm - radius
 
     def anchor(self):
         return self.center.copy()
@@ -217,6 +221,7 @@ class BoxInstance(SetInstance):
         super().__init__(len(lower))
         self.lower = _frozen(lower)
         self.upper = _frozen(upper)
+        self._args = (self.lower.tolist(), self.upper.tolist())
 
     def candidates(self, Z):
         P = np.clip(Z, self.lower, self.upper)
@@ -225,10 +230,11 @@ class BoxInstance(SetInstance):
         P = np.where((D == 0.0)[:, None], Z, P)
         return P[None], D[None]
 
-    def nearest(self, z):
+    @staticmethod
+    def kernel(lower, upper, z):
         # np.clip's order, where a bound equal to z_i (0.0 against -0.0) wins
-        p = [zi if zi > lo else lo for zi, lo in zip(z, self.lower.tolist())]
-        p = [pi if pi < hi else hi for pi, hi in zip(p, self.upper.tolist())]
+        p = [zi if zi > lo else lo for zi, lo in zip(z, lower)]
+        p = [pi if pi < hi else hi for pi, hi in zip(p, upper)]
         gap = [zi - pi for zi, pi in zip(z, p)]
         d = math.sqrt(_dot(gap, gap))
         return [z if d == 0.0 else p], d
@@ -247,7 +253,7 @@ class WedgeInstance(SetInstance):
     def __init__(self, apex):
         super().__init__(2)
         self.apex = _frozen(apex)
-        self._apex = self.apex.tolist()
+        self._args = (self.apex.tolist(),)
 
     def candidates(self, Z):
         W = Z - self.apex
@@ -260,15 +266,16 @@ class WedgeInstance(SetInstance):
         P = np.where(inside[:, None], Z, self.apex + S[:, :, None] * self._RAYS[:, None, :])
         return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
 
-    def nearest(self, z):
-        w = [zi - ci for zi, ci in zip(z, self._apex)]
+    @staticmethod
+    def kernel(apex, z):
+        w = [zi - ci for zi, ci in zip(z, apex)]
         a, b = w
         if b >= -abs(a):
             return [z], 0.0
         feet = []
-        for ray in self._RAY_LISTS:
+        for ray in WedgeInstance._RAY_LISTS:
             s = _dot(w, ray)
-            feet.append([ci + s * ri for ci, ri in zip(self._apex, ray)])
+            feet.append([ci + s * ri for ci, ri in zip(apex, ray)])
         return _ties(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
 
     def anchor(self):
@@ -302,7 +309,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
         super().__init__(members[0].n)
         self.members = tuple(members)
         self._normals, self._offsets = _stack(self.members)
-        self._faces = [(m._zeta, m.beta) for m in self.members]
+        self._faces = [m._args for m in self.members]
         self._feasible_point = None
 
     def ensure_nonempty(self):
@@ -339,26 +346,28 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 raise
         return P[None], row_norms(Z - P)[None]
 
-    def _violation(self, x):
-        return max(_dot(x, zeta) - beta for zeta, beta in self._faces)
-
     def nearest(self, z):
-        if self._violation(z) <= MEMBER_TOL:
+        return self.kernel(self._faces, z, self.ensure_nonempty)
+
+    @staticmethod
+    def kernel(faces, z, ensure_nonempty):
+        """``nearest`` on the intersection of the half-spaces ``faces``, (zeta, beta)
+        pairs of floats: ``dykstra_project`` on one row of lists, same order and exits."""
+        if max(_dot(z, zeta) - beta for zeta, beta in faces) <= MEMBER_TOL:
             return [z], 0.0
-        # dykstra_project on one row of lists: same order, same exits
         x = z
-        increments = [[0.0] * self.n for _ in self._faces]
+        increments = [[0.0] * len(z) for _ in faces]
         for _ in range(DYKSTRA_MAX_ITER):
             start = x
-            for i, (zeta, beta) in enumerate(self._faces):
+            for i, (zeta, beta) in enumerate(faces):
                 y = [xi + ci for xi, ci in zip(x, increments[i])]
                 v = _dot(y, zeta) - beta
                 v = v if v > 0.0 else 0.0       # np.maximum(v, 0.0), signed zero included
                 x = [yi - v * ci for yi, ci in zip(y, zeta)]
                 increments[i] = [yi - xi for yi, xi in zip(y, x)]
-            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and self._violation(x) <= DYKSTRA_TOL:
+            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and max(_dot(x, c) - b for c, b in faces) <= DYKSTRA_TOL:
                 return [x], _dist(z, x)
-        self.ensure_nonempty()  # raises EmptyInstance when that is the cause
+        ensure_nonempty()   # raises EmptyInstance when that is the cause
         raise ProjectionNotConverged(
             f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
 
@@ -391,14 +400,29 @@ class UnionInstance(SetInstance):
 # moving-set specs
 # ---------------------------------------------------------------------------
 
-class _GainDriven:
-    """Convex family whose state dependence is one scalar ``state_gain``."""
+class _Moving:
+    """Family moved by x only through ``state_gain`` and built as ``_instance`` from
+    its float parameters ``_params(t, x)``; ``nearest`` hands them to the kind's kernel."""
 
     convex = True
+    state_gain = 0.0
 
     @property
     def state_lipschitz(self) -> float:
         return abs(self.state_gain)
+
+    def freeze(self, t, x):
+        return self._instance(*self._params(t, x.tolist()))
+
+    def nearest(self, t, x, z):
+        """``self.freeze(t, np.array(x)).nearest(z)``, bit for bit, for float lists x and z."""
+        return self._instance.kernel(*self._params(t, x), z)
+
+
+def _store(spec, name, v):
+    """Set the field ``name`` of a frozen spec to v as a read-only array, and ``_<name>`` to its floats."""
+    object.__setattr__(spec, name, _frozen(v))
+    object.__setattr__(spec, f"_{name}", getattr(spec, name).tolist())
 
 
 class _Composite:
@@ -423,7 +447,7 @@ class _Composite:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpaceSpec(_GainDriven):
+class HalfSpaceSpec(_Moving):
     """C(t, x) = {z : <zeta(t), z> <= beta0 + drift*t + state_gain*<u, x>}.
 
     The normal path is either constant or rotates in the fixed 2-plane spanned
@@ -438,59 +462,57 @@ class HalfSpaceSpec(_GainDriven):
     state_direction: np.ndarray | None = None
     rotation_rate: float = 0.0
     rotation_partner: np.ndarray | None = None
+    _instance = HalfSpaceInstance
 
     def __post_init__(self):
-        e1 = _unit(self.normal, "normal")
-        object.__setattr__(self, "normal", _frozen(e1))
+        _store(self, "normal", _unit(self.normal, "normal"))
         if self.state_gain != 0.0 and self.state_direction is None:
             raise InvalidVector("state_direction required when state_gain != 0")
         if self.state_direction is not None:
-            u = _unit(self.state_direction, "state_direction")
-            object.__setattr__(self, "state_direction", _frozen(u))
+            _store(self, "state_direction", _unit(self.state_direction, "state_direction"))
         if self.rotation_rate != 0.0:
             if self.rotation_partner is None:
                 raise InvalidVector("rotation_partner required when rotation_rate != 0")
             e2 = _unit(self.rotation_partner, "rotation_partner")
-            if abs(float(_dot(e1, e2))) > 1e-9:
+            if abs(float(_dot(self.normal, e2))) > 1e-9:
                 raise InvalidVector("rotation_partner must be orthogonal to normal")
-            e2 = e2 - float(_dot(e1, e2)) * e1
-            e2 = e2 / math.sqrt(_dot(e2, e2))
-            object.__setattr__(self, "rotation_partner", _frozen(e2))
+            e2 = e2 - float(_dot(self.normal, e2)) * self.normal
+            _store(self, "rotation_partner", e2 / math.sqrt(_dot(e2, e2)))
 
     @property
     def n(self):
         return self.normal.size
 
-    def zeta(self, t):
-        if self.rotation_rate == 0.0:
-            return self.normal
-        ang = self.rotation_rate * t
-        return _readonly(np.cos(ang) * self.normal + np.sin(ang) * self.rotation_partner)
-
-    def beta(self, t, x):
-        b = self.beta0 + self.drift * t
-        if self.state_gain != 0.0:
-            b += self.state_gain * float(_dot(self.state_direction, x))
-        return b
-
     def freeze(self, t, x):
-        return HalfSpaceInstance(self.zeta(t), self.beta(t, x))
+        zeta, beta = self._params(t, x.tolist())        # a fixed normal is shared, not copied
+        return HalfSpaceInstance(self.normal if zeta is self._normal else zeta, beta)
+
+    def _params(self, t, x):
+        zeta = self._normal
+        if self.rotation_rate != 0.0:
+            ang = self.rotation_rate * t    # NumPy's cos and sin: math's may differ in the last bit
+            c, s = float(np.cos(ang)), float(np.sin(ang))
+            zeta = [c * a + s * b for a, b in zip(zeta, self._rotation_partner)]
+        beta = self.beta0 + self.drift * t
+        if self.state_gain != 0.0:
+            beta += self.state_gain * _dot(self._state_direction, x)
+        return zeta, beta
 
 
 @dataclass(frozen=True, eq=False)
-class BallSpec(_GainDriven):
+class BallSpec(_Moving):
     """Ball with affinely moving center c(t, x) = center + velocity*t + state_gain*x."""
 
     center: np.ndarray
     radius: float
     velocity: np.ndarray | None = None
     state_gain: float = 0.0
+    _instance = BallInstance
 
     def __post_init__(self):
         c = as_vector(self.center, name="center")
-        object.__setattr__(self, "center", _frozen(c))
-        v = np.zeros_like(c) if self.velocity is None else as_vector(self.velocity, c.size, "velocity")
-        object.__setattr__(self, "velocity", _frozen(v))
+        _store(self, "center", c)
+        _store(self, "velocity", np.zeros_like(c) if self.velocity is None else as_vector(self.velocity, c.size, "velocity"))
         if not self.radius > 0:
             raise InvalidVector("ball radius must be positive")
 
@@ -498,74 +520,70 @@ class BallSpec(_GainDriven):
     def n(self):
         return self.center.size
 
-    def freeze(self, t, x):
-        c = self.center + t * self.velocity
+    def _params(self, t, x):
+        c = [ci + t * vi for ci, vi in zip(self._center, self._velocity)]
         if self.state_gain != 0.0:
-            c = c + self.state_gain * x
-        return BallInstance(_readonly(c), self.radius)
+            c = [ci + self.state_gain * xi for ci, xi in zip(c, x)]
+        return c, self.radius
 
 
 @dataclass(frozen=True, eq=False)
-class BoxSpec:
+class BoxSpec(_Moving):
     """Axis-aligned box with bounds affine in t."""
 
     lower: np.ndarray
     upper: np.ndarray
     lower_velocity: np.ndarray | None = None
     upper_velocity: np.ndarray | None = None
+    _instance = BoxInstance
 
     def __post_init__(self):
         lo = as_vector(self.lower, name="lower")
-        hi = as_vector(self.upper, lo.size, "upper")
-        object.__setattr__(self, "lower", _frozen(lo))
-        object.__setattr__(self, "upper", _frozen(hi))
-        lv = np.zeros_like(lo) if self.lower_velocity is None else as_vector(self.lower_velocity, lo.size, "lower_velocity")
-        uv = np.zeros_like(lo) if self.upper_velocity is None else as_vector(self.upper_velocity, lo.size, "upper_velocity")
-        object.__setattr__(self, "lower_velocity", _frozen(lv))
-        object.__setattr__(self, "upper_velocity", _frozen(uv))
-        if np.any(lo > hi):
+        _store(self, "lower", lo)
+        _store(self, "upper", as_vector(self.upper, lo.size, "upper"))
+        for name in ("lower_velocity", "upper_velocity"):
+            v = getattr(self, name)
+            _store(self, name, np.zeros_like(lo) if v is None else as_vector(v, lo.size, name))
+        if np.any(self.lower > self.upper):
             raise EmptyInstance("box has crossed bounds at t = 0")
 
     @property
     def n(self):
         return self.lower.size
 
-    convex = True
-    state_lipschitz = 0.0
-
-    def freeze(self, t, x):
-        lo = self.lower + t * self.lower_velocity
-        hi = self.upper + t * self.upper_velocity
-        if np.any(lo > hi):
+    def _params(self, t, x):
+        lo = [a + t * v for a, v in zip(self._lower, self._lower_velocity)]
+        hi = [a + t * v for a, v in zip(self._upper, self._upper_velocity)]
+        if any(a > b for a, b in zip(lo, hi)):
             raise EmptyInstance(f"box has crossed bounds at t = {t!r}")
-        return BoxInstance(_readonly(lo), _readonly(hi))
+        return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
-class WedgeSpec:
+class WedgeSpec(_Moving):
     """Translating wedge {(a, b) : b - apex_b >= -|a - apex_a|} in the plane."""
 
     apex: np.ndarray
     apex_velocity: np.ndarray | None = None
+    _instance = WedgeInstance
 
     def __post_init__(self):
-        a = as_vector(self.apex, 2, "apex")
-        object.__setattr__(self, "apex", _frozen(a))
-        v = np.zeros(2) if self.apex_velocity is None else as_vector(self.apex_velocity, 2, "apex_velocity")
-        object.__setattr__(self, "apex_velocity", _frozen(v))
+        _store(self, "apex", as_vector(self.apex, 2, "apex"))
+        v = self.apex_velocity
+        _store(self, "apex_velocity", np.zeros(2) if v is None else as_vector(v, 2, "apex_velocity"))
 
     n = 2
     convex = False
-    state_lipschitz = 0.0
 
-    def freeze(self, t, x):
-        return WedgeInstance(_readonly(self.apex + t * self.apex_velocity))
+    def _params(self, t, x):
+        return [a + t * v for a, v in zip(self._apex, self._apex_velocity)],
 
 
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
-    nonempty for all offsets, so only other intersections are probed at freeze."""
+    nonempty for all offsets, so only other intersections are probed at freeze,
+    and ``nearest`` freezes just those: the probe needs an instance."""
 
     members: tuple
 
@@ -585,10 +603,16 @@ class HalfSpaceIntersectionSpec(_Composite):
             inst.ensure_nonempty()
         return inst
 
+    def nearest(self, t, x, z):
+        if not self._always_nonempty:
+            return self.freeze(t, np.array(x)).nearest(z)
+        return HalfSpaceIntersectionInstance.kernel([m._params(t, x) for m in self.members], z,
+                                                    lambda: self.freeze(t, np.array(x)).ensure_nonempty())
+
 
 @dataclass(frozen=True, eq=False)
 class UnionSpec(_Composite):
-    """Union of convex families; flagged nonconvex."""
+    """Union of convex families; flagged nonconvex.  Members empty at t are skipped."""
 
     members: tuple
 
@@ -599,17 +623,21 @@ class UnionSpec(_Composite):
         if not all(m.convex for m in self.members):
             raise InvalidVector("union members must be convex variants")
 
-    def freeze(self, t, x):
-        frozen = []
-        empties = 0
+    def _nonempty(self, t, query):
+        found = []
         for m in self.members:
-            try:
-                frozen.append(m.freeze(t, x))
-            except EmptyInstance:
-                empties += 1
-        if not frozen:
-            raise EmptyInstance(f"all {empties} union members are empty at t = {t!r}")
-        return UnionInstance(frozen)
+            with contextlib.suppress(EmptyInstance):
+                found.append(query(m))
+        if not found:
+            raise EmptyInstance(f"all {len(self.members)} union members are empty at t = {t!r}")
+        return found
+
+    def freeze(self, t, x):
+        return UnionInstance(self._nonempty(t, lambda m: m.freeze(t, x)))
+
+    def nearest(self, t, x, z):
+        found = self._nonempty(t, lambda m: m.nearest(t, x, z))
+        return _ties([ps[0] for ps, _ in found], [d for _, d in found])
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +646,13 @@ class UnionSpec(_Composite):
 
 def instantiate(spec, t, x) -> SetInstance:
     """Freeze the moving set at (t, x); deterministic in its inputs."""
+    return spec.freeze(*checked_point(spec, t, x))
+
+
+def checked_point(spec, t, x):      # t as a float, x as a finite array of the set's dimension
     if not np.isfinite(t):
         raise InvalidVector(f"time must be finite, got {t!r}")
-    x = as_vector(x, spec.n, "x")
-    return spec.freeze(float(t), x)
+    return float(t), as_vector(x, spec.n, "x")
 
 
 def _ties(points, dists):

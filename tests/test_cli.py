@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sweepsolve
+from sweepsolve import cli
 from sweepsolve.cli import main
 
 
@@ -98,6 +99,39 @@ def test_penalty_gate_holds_for_a_lambda_not_in_the_scenario(tmp_path, drift_fil
     assert run_cli(*argv, "--scenario", str(gated), "--out", str(out)) == 1
     assert "penalty-gate" in capsys.readouterr().err
     assert not any(out.glob("*.json"))
+
+
+def test_penalty_gate_is_checked_before_integrating(tmp_path, drift_file, monkeypatch):
+    doc = json.loads(open(drift_file).read())
+    doc["assumed"]["rho"] = 0.5         # the gate sits at 0.5
+    doc["lambdas"] = [0.1]
+    gated = tmp_path / "gated.json"
+    gated.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("integrated a lambda the gate rejects")
+    monkeypatch.setattr(cli, "integrate", refuse)
+    out = tmp_path / "out"
+    assert run_cli("solve", "--lam", "5", "--scenario", str(gated), "--out", str(out)) == 1
+    assert not any(out.glob("*.csv"))
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, drift_file):
+    # one parser serves every call in a process: no flag may leak into the next
+    runs = [["solve", "--lam", "0.05"], ["solve"]]
+    src = str(Path(sweepsolve.__file__).resolve().parent.parent)
+    for i, argv in enumerate(runs):
+        assert run_cli(*argv, "--scenario", drift_file, "--out", str(tmp_path / "same" / str(i))) == 0
+        subprocess.run([sys.executable, "-m", "sweepsolve.cli", *argv, "--scenario", drift_file,
+                        "--out", str(tmp_path / "fresh" / str(i))],
+                       env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True,
+                       timeout=60)
+    for i in range(len(runs)):
+        same, fresh = tmp_path / "same" / str(i), tmp_path / "fresh" / str(i)
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in same.iterdir()) and len(names) == 2
+        for name in names:
+            assert (same / name).read_bytes() == (fresh / name).read_bytes(), (i, name)
 
 
 def test_failed_bound_exit_code(tmp_path, drift_file):

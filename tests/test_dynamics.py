@@ -35,15 +35,20 @@ def test_rhs_scales_with_operator_and_lambda():
     assert v == pytest.approx(np.array([-4.0]))  # (0 - 2)/0.5
 
 
-class _QueryLog:
-    """Proxy of a set instance that records which attributes are used."""
+def _no_instances(monkeypatch):
+    """Make building any set instance fail: a stage asks the spec instead."""
+    def refuse(self, n):
+        raise AssertionError("a set instance was built")
+    monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
 
-    def __init__(self, inst, log):
-        self._inst, self._log = inst, log
 
-    def __getattr__(self, name):
-        self._log.append(name)
-        return getattr(self._inst, name)
+def _log_queries(monkeypatch, spec_cls):
+    """The list of times of every ``nearest`` query made on a ``spec_cls`` spec."""
+    log = []
+    real = spec_cls.nearest
+    monkeypatch.setattr(spec_cls, "nearest",
+                        lambda self, t, x, z: log.append(t) or real(self, t, x, z))
+    return log
 
 
 _CORNER = (sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.0]))
@@ -62,21 +67,19 @@ def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
     lam = 0.25
     sc = sw.Scenario(n=2, T=1.0, x0=np.array(member), operator=sw.IdentityOperator(),
                      moving_set=spec, lambdas=(lam,))
-    log = []
-    real = dynamics.instantiate
-    monkeypatch.setattr(dynamics, "instantiate",
-                        lambda *args: _QueryLog(real(*args), log))
+    z = np.array(outside)
+    expected = (sw.instantiate(spec, 0.0, z).project(z)[0] - z) / lam
+    _no_instances(monkeypatch)
+    log = _log_queries(monkeypatch, type(spec))
 
     v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
     assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
-    assert log == ["nearest"]
+    assert log == [0.0]
 
     log.clear()
-    z = np.array(outside)
     v = sw.penalized_rhs(sc, lam, 0.0, z)
-    expected = (real(spec, 0.0, z).project(z)[0] - z) / lam
     assert np.array_equal(v, expected) and np.any(v != 0.0)
-    assert log == ["nearest"]
+    assert log == [0.0]
 
 
 def test_rhs_requires_positive_lambda():
@@ -232,16 +235,19 @@ def test_phi_recomputed_from_geometry():
 # ---------------------------------------------------------------------------
 
 def _reference_integrate(sc, lam):
-    """The integrator loop before stages shared a node's query.
+    """The integrator loop on arrays and frozen instances, independent of the stage.
 
-    Every stage calls the public ``penalized_rhs``, and each node's image and
-    phi come from a fresh ``apply`` and ``distance`` once the grid is fixed.
+    Every stage freezes the set through ``instantiate`` and asks the instance
+    ``nearest``, and each node's image and phi come from a fresh ``apply`` and
+    ``distance`` once the grid is fixed.
     """
     cfg, T = sc.integrator, float(sc.T)
     guard = dynamics.SAFETY * lam / (1.0 + sc.operator.M)
 
     def f(t, x):
-        return sw.penalized_rhs(sc, lam, t, x)
+        z = sc.operator.apply(x)
+        p = sw.instantiate(sc.moving_set, t, x).nearest(z.tolist())[0][0]
+        return (np.array(p) - z) / lam
 
     def rk4(t, x, h):
         k1 = f(t, x)
@@ -271,6 +277,9 @@ _CORNER_DRIFT = (sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
 
 ORACLE_CASES = {
     "half_space": (sw.HalfSpaceSpec(normal=[0.6, -0.8], beta0=-0.1, drift=-1.0), None),
+    "rotating_half_space": (sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-0.1, drift=-1.0,
+                                             rotation_rate=2.0, rotation_partner=[0.0, 1.0]),
+                            None),
     "ball": (sw.BallSpec(center=[0.0, 0.0], radius=0.3, velocity=[1.5, 0.5]), None),
     "box": (sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[4.0, 0.0],
                        upper_velocity=[4.0, 0.0]), None),
@@ -310,25 +319,18 @@ def test_integrate_bit_identical_to_per_node_reassembly(kind, method):
     assert traj.stats.rhs_evals == (n if method == "euler" else 4 * n)
 
 
-def _count_queries(monkeypatch, spec_cls):
-    """Log every attribute the integrator uses on the instances ``freeze`` returns."""
-    log = []
-    real = spec_cls.freeze
-    monkeypatch.setattr(spec_cls, "freeze",
-                        lambda self, t, x: _QueryLog(real(self, t, x), log))
-    return log
-
-
 @pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
 def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,), method=method)
-    log = _count_queries(monkeypatch, sw.HalfSpaceSpec)
+    _no_instances(monkeypatch)
+    log = _log_queries(monkeypatch, sw.HalfSpaceSpec)
     traj = sw.integrate(sc, lam)
-    n_steps = traj.stats.n_accepted
-    assert set(log) == {"nearest"}
+    n_steps, h = traj.stats.n_accepted, traj.stats.h
     assert len(log) == per_step * n_steps + 1       # the node at T adds one query
     assert traj.stats.rhs_evals == per_step * n_steps
+    # the first step's stage times, then the next node's
+    assert log[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h][:per_step] + [h]
 
 
 _OVERFLOW_SETS = {
@@ -370,8 +372,27 @@ def test_overflowing_state_is_a_step_failure():
 
 
 # ---------------------------------------------------------------------------
-# integrate: a state-independent set is frozen once per stage time
+# integrate and catching_up: the spec answers every query, no instance is built
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(ORACLE_CASES))
+def test_integrate_builds_no_instance(monkeypatch, kind):
+    sc = _oracle_scenario(kind, "rk4", 0.1)
+    _no_instances(monkeypatch)
+    log = _log_queries(monkeypatch, type(sc.moving_set))
+    n = sw.integrate(sc, 0.1).stats.n_accepted
+    assert len(log) == 4 * n + 1
+
+
+@pytest.mark.parametrize("kind", ["half_space", "rotating_half_space", "ball", "box",
+                                  "intersection"])
+def test_catching_up_builds_no_instance(monkeypatch, kind):
+    sc = _oracle_scenario(kind, "rk4", 0.1)
+    _no_instances(monkeypatch)
+    log = _log_queries(monkeypatch, type(sc.moving_set))
+    n = sw.catching_up(sc, 0.01).stats.n_accepted
+    assert len(log) == 2 * n + 1        # a projection and its phi per step
+
 
 def _count_freezes(monkeypatch, spec_cls):
     calls = []
@@ -389,13 +410,6 @@ def test_state_independent_set_freezes_at_most_three_times_per_step(monkeypatch,
     # k2 and k3 share t + h/2; k4 shares t + h with the next node's k1
     assert len(calls) <= 3 * n + 1
     assert len(set(calls)) == len(calls)   # no time is frozen twice
-
-
-def test_state_dependent_set_freezes_at_every_stage(monkeypatch):
-    sc = _oracle_scenario("state_half_space", "rk4", 0.1)
-    calls = _count_freezes(monkeypatch, sw.HalfSpaceSpec)
-    n = sw.integrate(sc, 0.1).stats.n_accepted
-    assert len(calls) == 4 * n + 1
 
 
 def test_threaded_sweep_matches_serial_sweep():
@@ -422,6 +436,15 @@ def test_full_rank_intersection_is_never_probed(monkeypatch, scenario_dir):
 # z <= 1 - t and z >= 0 cross at t = 1: parallel normals, so every freeze probes
 _CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1.0, drift=-1.0),
                                           sw.HalfSpaceSpec(normal=[-1.0])))
+
+
+def test_probed_intersection_freezes_once_per_query(monkeypatch):
+    # the probe for emptiness needs an instance, so each stage builds one
+    sc = sw.Scenario(n=1, T=0.5, x0=np.array([2.0]), operator=sw.IdentityOperator(),
+                     moving_set=_CROSSING, lambdas=(0.1,), allow_infeasible_start=True)
+    calls = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    traj = sw.integrate(sc, 0.1)
+    assert traj.phis.max() > 0.0 and len(calls) == 4 * traj.stats.n_accepted + 1
 
 
 def test_crossing_intersection_raises_when_empty():

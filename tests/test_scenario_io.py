@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sweepsolve as sw
+from sweepsolve import scenario_io
 from sweepsolve.cli import main
 from sweepsolve.scenario_io import write_trajectory_csv, read_trajectory_csv
 
@@ -350,6 +351,22 @@ def test_csv_text_is_pinned(tmp_path):
         "0.10000000000000001,4.9406564584124654e-324,1e+308,0.10000000000000001,"
         "4.9406564584124654e-324,-0\n"
         "1,0.33333333333333331,-2.5,-1.0000000000000001e-05,123456789,0.10000000000000001\n")
+
+
+def test_block_writer_matches_the_per_cell_writer(tmp_path):
+    # one row past a full block, every cell from a set of hard cases
+    rows = scenario_io._CSV_BLOCK_ROWS + 1
+    special = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1, -1e16, 1 / 3])
+    cells = special[np.arange(rows * 6).reshape(rows, 6) % len(special)]
+    traj = sw.Trajectory(cells[:, 0], cells[:, 1:3], cells[:, 3:5], cells[:, 5], 5e-4)
+    path = tmp_path / "blocks.csv"
+    write_trajectory_csv(path, traj)
+    per_cell = ["# lambda = 0.00050000000000000001", "t,x_1,x_2,z_1,z_2,phi"]
+    per_cell += [",".join(format(v, ".17g") for v in row) for row in cells.tolist()]
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == len(per_cell)
+    for got, want in zip(lines, per_cell):     # line by line: a diff of the whole text is slow
+        assert got == want
 
 
 @pytest.mark.parametrize("body", [

@@ -549,3 +549,115 @@ def test_ball_distance_sums_left_to_right_unfused():
     want = math.sqrt(g0 * g0 + g1 * g1) - 0.5
     assert inst.distance_many(np.array([[g0, g1]]))[0] == want
     assert inst.distance([g0, g1]) == want and inst.nearest([g0, g1])[1] == want
+
+
+# ---------------------------------------------------------------------------
+# spec.nearest(t, x, z): the frozen instance's answer, with no instance built
+# ---------------------------------------------------------------------------
+
+# empty for t > 0.25 and for t > 0.5; the intersection has parallel normals, so it is probed
+_CROSSED_BOX = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[4.0, 0.0],
+                          upper_velocity=[-4.0, 0.0])
+_CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=1.0, drift=-2.0),
+                                          sw.HalfSpaceSpec(normal=[-1.0, 0.0])))
+
+MOVING = {
+    "half_space": sw.HalfSpaceSpec(normal=[0.6, -0.8], beta0=-0.1, drift=-1.0),
+    "rotating_half_space": sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=0.3, drift=-0.2,
+                                            rotation_rate=2.5, rotation_partner=[0.0, 1.0]),
+    "state_half_space": sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0, state_gain=-0.5,
+                                         state_direction=[0.6, 0.8]),
+    "ball": sw.BallSpec(center=[0.5, -0.5], radius=0.7, velocity=[1.5, 0.5]),
+    "state_ball": sw.BallSpec(center=[-0.0, 0.0], radius=0.3, velocity=[1.5, -0.0], state_gain=0.3),
+    "box": _CROSSED_BOX,
+    "wedge": sw.WedgeSpec(apex=[0.5, -0.5], apex_velocity=[0.0, 1.0]),
+    "intersection": sw.HalfSpaceIntersectionSpec((
+        sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=0.5, drift=-1.0),
+        sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=0.2, state_gain=0.25, state_direction=[0.0, 1.0]))),
+    "probed_intersection": _CROSSING,
+    "union": sw.UnionSpec((_CROSSED_BOX, _CROSSING,
+                           sw.BallSpec(center=[2.0, 0.0], radius=0.5, velocity=[-1.0, 0.0]))),
+}
+
+
+def _answer(query):
+    """repr of query()'s result, or the name and message of its error: floats
+    repr to the shortest string that reads back to the same bits, sign of zero
+    included, and a NumPy scalar reprs differently from a float."""
+    try:
+        return repr(query())
+    except sw.SweepSolveError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+signed_coord = finite_coord | st.sampled_from([-0.0, 0.0, 5e-324])
+
+
+@pytest.mark.parametrize("kind", list(MOVING))
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 0.25, 0.5]),
+       x=st.tuples(signed_coord, signed_coord), z=st.tuples(signed_coord, signed_coord))
+@example(t=0.0, x=(0.0, 0.0), z=(0.5, -2.0))        # wedge: on the axis, two feet
+@example(t=-0.0, x=(-0.0, -0.0), z=(-0.0, 0.0))
+@example(t=0.9, x=(0.0, 0.0), z=(1.0, 1.0))         # the box and the crossing intersection are empty
+def test_spec_nearest_is_the_frozen_instances_nearest(kind, t, x, z):
+    spec = MOVING[kind]
+    x, z = list(x), list(z)
+    want = _answer(lambda: spec.freeze(t, np.array(x)).nearest(z))
+    assert _answer(lambda: spec.nearest(t, x, z)) == want
+
+
+_STILL_BOX = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[0.5, -0.0],
+                        upper_velocity=[1.0, -0.0])       # nonempty for t > -4
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(-2.0, 2.0) | st.sampled_from([-0.0, 0.0]),
+       x=st.tuples(signed_coord, signed_coord))
+def test_parameters_are_the_numpy_expressions_they_replace(t, x):
+    x = np.array(x)
+    hs = MOVING["rotating_half_space"]
+    ang = hs.rotation_rate * t
+    assert _bits(hs.freeze(t, x).zeta) == _bits(np.cos(ang) * hs.normal
+                                                + np.sin(ang) * hs.rotation_partner)
+    hs = MOVING["state_half_space"]
+    beta = hs.beta0 + hs.drift * t + hs.state_gain * set_zoo._dot(hs.state_direction, x)
+    assert _bits(hs.freeze(t, x).beta) == _bits(beta)
+    ball = sw.BallSpec(center=[0.7, -0.3], radius=0.3, velocity=[1.5, 0.1], state_gain=0.3)
+    want = ball.center + t * ball.velocity + ball.state_gain * x
+    assert _bits(ball.freeze(t, x).center) == _bits(want)
+    box = _STILL_BOX.freeze(t, x)
+    assert _bits(box.lower) == _bits(_STILL_BOX.lower + t * _STILL_BOX.lower_velocity)
+    assert _bits(box.upper) == _bits(_STILL_BOX.upper + t * _STILL_BOX.upper_velocity)
+    wedge = MOVING["wedge"]
+    assert _bits(wedge.freeze(t, x).apex) == _bits(wedge.apex + t * wedge.apex_velocity)
+
+
+def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
+    x, z = [0.0, 0.0], [1.0, 1.0]
+    for spec in (_CROSSED_BOX, _CROSSING, sw.UnionSpec((_CROSSED_BOX, _CROSSING))):
+        with pytest.raises(sw.EmptyInstance) as frozen:
+            spec.freeze(0.9, np.array(x))
+        with pytest.raises(sw.EmptyInstance) as queried:
+            spec.nearest(0.9, x, z)
+        assert str(queried.value) == str(frozen.value) != ""
+    assert str(queried.value) == "all 2 union members are empty at t = 0.9"
+    # an exhausted Dykstra budget probes for emptiness, then gives up
+    probes = []
+    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
+    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
+                        lambda self: probes.append(1) or real(self))
+    monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
+    for spec in (_OBLIQUE, sw.UnionSpec((_OBLIQUE, ZOO["ball"]))):
+        with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
+            spec.nearest(0.0, x, [2.5, 0.5])      # onto the vertex in 38 cycles
+    assert probes == [1, 1]
+
+
+def test_spec_nearest_builds_no_instance(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("a set instance was built")
+    monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
+    for kind in ("half_space", "rotating_half_space", "state_ball", "box", "wedge",
+                 "intersection"):
+        MOVING[kind].nearest(0.1, [0.3, -0.2], [2.0, 1.0])
