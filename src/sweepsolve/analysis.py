@@ -30,7 +30,7 @@ from .errors import (
     TubeSamplingFailed,
 )
 from .hulls import _segment_min_norm, min_norm_point
-from .set_zoo import _dot, _readonly, as_vector, instantiate, row_norms
+from .set_zoo import _dot, _fdot, _readonly, as_vector, instantiate, row_norms
 
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
@@ -363,7 +363,7 @@ def kappa_tilde(scenario: Scenario, sampler: SamplerConfig | None = None) -> Kap
     spec = scenario.moving_set
 
     z0 = op.image(scenario.x0.tolist())
-    a0 = math.sqrt(_dot(z0, z0))
+    a0 = math.sqrt(_fdot(z0, z0))
     t_pairs = default_time_pairs(scenario.T)
     x_pairs = default_state_pairs(scenario.x0) if spec.state_lipschitz != 0.0 else []
 

@@ -10,24 +10,25 @@ dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
 H1 (L < m) and H2 in ``Scenario``, whose ``margin`` m*alpha^2 - L is the one
 source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
 in ``integrate``, and each new state's finiteness.  Each right-hand-side stage
-makes one set query, the spec's ``nearest(t, x, A(x))``, and builds no set
-instance but a probed intersection's; a member A(x) is its own nearest point,
-so the velocity vanishes exactly there.  A node's image and phi come from its
-k1 query (phi is taken at nodes only); only the node at T needs its own query.
+makes one query q(A(x)) of the set looked up as q = ``spec.at(t, x)``, building
+no set instance but a probed intersection's; a member A(x) is its own nearest
+point, so the velocity vanishes exactly there.  A set moving with x is looked up
+at every stage, a state-independent one once per stage time (k2 and k3 share
+t + h/2; k4's lookup serves the next k1 at t + h).  A node's image and phi come
+from its k1 query; only the node at T needs its own.
 
-States, images and velocities are lists of floats, so a stage on a 1-d or 2-d
-point costs a few float operations, not a NumPy call each: ``Operator.image``
-and the spec's ``nearest`` take lists, and every set kind computes its
-parameters at (t, x) and answers the query in closed form on floats (Dykstra
-on lists for an intersection).  Stages combine in the order of the array
-expressions in the comments and dot products run left to right
-(``set_zoo._dot``): one bit pattern per input on every BLAS kernel.
+States and images are lists of floats and every set kind answers on floats, so
+a stage costs a few float operations, and the updates read k = (p - A(x))/lambda
+inline.  Stages combine in the order of the array expressions in the comments
+and dot products run left to right (``set_zoo._fdot``): one bit pattern per
+input on every BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -127,6 +128,12 @@ class Trajectory:
     lam: float | None
     stats: StepStats = field(default=StepStats(0, 0, 0, 0.0))
 
+    @classmethod
+    def of(cls, nodes, lam, stats):     # nodes (t, x, A(x), phi), x and A(x) lists of floats
+        ts, xs, zs, phis = zip(*nodes)
+        rows = lambda vs: np.fromiter(chain.from_iterable(vs), float).reshape(len(ts), -1)
+        return cls(np.fromiter(ts, float), rows(xs), rows(zs), np.fromiter(phis, float), lam, stats)
+
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
@@ -135,17 +142,20 @@ class Trajectory:
         return len(self.times)
 
 
-def _stage(op, spec, lam):
-    """The stage (t, x) -> (A(x), phi, velocity) at a list state x from one query
-    ``spec.nearest(t, x, A(x))``, whose first point is p; a non-finite A(x) raises first."""
-    image, nearest = op.image, spec.nearest
+def _stage(op, spec):
+    """The stage (t, x, q) -> (A(x), p, phi, q) at a list state x: p is A(x)'s first nearest
+    point by q, or by ``spec.at(t, x)`` if q is None, and the q returned serves any stage at t
+    unless the set moves with x (then it is None); a non-finite A(x) raises first."""
+    image, at = op.image, spec.at
+    fixed = spec.state_lipschitz == 0.0
 
-    def stage(t, x):
+    def stage(t, x, q=None):
         z = image(x)
         if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
             raise InvalidVector("operator image A(x) contains non-finite entries")
-        points, phi = nearest(t, x, z)
-        return z, phi, [(pi - zi) / lam for pi, zi in zip(points[0], z)]     # (p - z)/lam
+        q = q or at(t, x)
+        points, phi = q(z)
+        return z, points[0], phi, q if fixed else None
     return stage
 
 
@@ -160,7 +170,8 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     t, x = checked_point(scenario.moving_set, t, x)
-    return np.array(_stage(scenario.operator, scenario.moving_set, lam)(t, x.tolist())[2])
+    z, p, _, _ = _stage(scenario.operator, scenario.moving_set)(t, x.tolist())
+    return np.array([(pi - zi) / lam for pi, zi in zip(p, z)])
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
@@ -173,34 +184,37 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     cfg = scenario.integrator
-    f = _stage(scenario.operator, scenario.moving_set, lam)
+    f = _stage(scenario.operator, scenario.moving_set)
     T = float(scenario.T)
     guard = SAFETY * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
     h = T / n_steps
     euler = cfg.method == "euler"
+    half, sixth = 0.5 * h, h / 6.0
 
-    nodes = []
+    nodes, q = [], None
     t, x = 0.0, scenario.x0.tolist()
     for k in range(n_steps + 1):
-        z, phi, k1 = f(t, x)
-        nodes.append((t, x, z, phi))
+        z1, p1, phi, _ = f(t, x, q)
+        nodes.append((t, x, z1, phi))
         if k == n_steps:
             break
-        if euler:
-            x = [xi + h * ki for xi, ki in zip(x, k1)]
-        else:       # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k
-            k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])[2]
-            k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])[2]
-            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])[2]
-            x = [xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        if euler:       # x + h*k1, with k_i = (p_i - z_i)/lam read inline
+            x = [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)]
+        else:           # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k
+            z2, p2, _, q = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)])
+            z3, p3, _, _ = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p2, z2)], q)
+            z4, p4, _, q = f(t + h, [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p3, z3)])
+            x = [xi + sixth * ((a1 - b1) / lam + 2.0 * ((a2 - b2) / lam) + 2.0 * ((a3 - b3) / lam) + (a4 - b4) / lam)
+                 for xi, a1, b1, a2, b2, a3, b3, a4, b4 in zip(x, p1, z1, p2, z2, p3, z3, p4, z4)]
         if not all(map(math.isfinite, x)):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
-        t = (k + 1) * h if k + 1 < n_steps else T
+        t_next = (k + 1) * h if k + 1 < n_steps else T
+        t, q = t_next, (q if t_next == t + h else None)        # k4's lookup serves the next k1
     stats = StepStats(n_steps, 0, n_steps * (1 if euler else 4), h)
-    return Trajectory(*map(np.array, zip(*nodes)), lam, stats)
+    return Trajectory.of(nodes, lam, stats)
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:
@@ -230,11 +244,12 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / h - 1e-12))
     h_eff = T / n_steps
 
-    x0 = scenario.x0.tolist()       # the set is state-independent: query it at x0
+    x0 = scenario.x0.tolist()       # the set is state-independent: look it up at x0
     z = op.image(x0)
-    nodes = [(0.0, x0, z, spec.nearest(0.0, x0, z)[1])]
+    nodes = [(0.0, x0, z, spec.at(0.0, x0)(z)[1])]
     for k in range(n_steps):
         t = (k + 1) * h_eff if k + 1 < n_steps else T
-        z = spec.nearest(t, x0, z)[0][0]
-        nodes.append((t, [zi / gamma for zi in z], z, spec.nearest(t, x0, z)[1]))
-    return Trajectory(*map(np.array, zip(*nodes)), None, StepStats(n_steps, 0, 0, h_eff))
+        q = spec.at(t, x0)          # queried for the projection, then for its phi
+        z = q(z)[0][0]
+        nodes.append((t, [zi / gamma for zi in z], z, q(z)[1]))
+    return Trajectory.of(nodes, None, StepStats(n_steps, 0, 0, h_eff))

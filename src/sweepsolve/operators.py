@@ -1,8 +1,9 @@
 """Strongly monotone Lipschitz operators with exact (m, M) constants.
 
 Each kind defines one unvalidated kernel, ``image(x)``, from a finite list of
-floats to a new list; ``apply`` validates x and wraps it in arrays.  Matrix rows
-and the sums of ``verify_constants`` run through ``set_zoo._dot``, left to right:
+floats to a list, x itself for the identity (no caller mutates either); ``apply``
+validates x and wraps it in arrays.  Matrix rows and the sums of
+``verify_constants`` run through ``set_zoo._fdot`` and ``_dot``, left to right:
 one bit pattern on every BLAS kernel.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, ValidationError
-from .set_zoo import _dot, as_vector
+from .set_zoo import _dot, _fdot, as_vector
 
 
 class Operator:
@@ -38,7 +39,7 @@ class Operator:
 
 class IdentityOperator(Operator):
     def image(self, x):
-        return list(x)
+        return x
 
 
 class ScaledIdentityOperator(Operator):
@@ -81,7 +82,7 @@ class LinearSPDOperator(Operator):
         self.M = float(eigs[-1])
 
     def image(self, x):
-        return [_dot(row, x) for row in self._rows]
+        return [_fdot(row, x) for row in self._rows]
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,7 @@ def read_trajectory_csv(path) -> Trajectory:
     """
     lam = None
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if lines and lines[0].startswith("#"):
         head = lines.pop(0)
         if "lambda" in head and "=" in head:
@@ -334,17 +334,17 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(lines) < 2:
         raise ParseError(f"{path}: a trajectory needs at least two data rows, got {len(lines)}")
     n = (len(header) - 2) // 2
-    values = []
-    for i, ln in enumerate(lines, start=1):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"{path}: data row {i} has {len(cells)} cells, "
-                             f"header has {len(header)}")
-        try:
-            values.append([float(v) for v in cells])
-        except ValueError:
-            raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
-    rows = np.array(values)
+    values = []         # one flat list of every cell, row after row
+    try:
+        for i, ln in enumerate(lines, start=1):
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: data row {i} has {len(cells)} cells, "
+                                 f"header has {len(header)}")
+            values.extend(map(float, cells))
+    except ValueError:
+        raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
+    rows = np.array(values).reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(rows).all(1))
     if bad.size:
         raise ParseError(f"{path}: data row {bad[0] + 1} has a non-finite cell")

@@ -13,8 +13,9 @@ bit for bit, at distance 0, so projecting a point of the set returns that
 point.  Every kind answers it in closed form on floats: the half-space, ball
 and box directly, the intersection by Dykstra on lists, the wedge from its two
 feet and the union from its members' ``nearest``.  ``project``, ``distance``
-and ``member`` validate z once and then ask ``nearest``.  A spec's ``nearest(t,
-x, z)`` gives its instance's answer at (t, x), bit for bit, without building it.
+and ``member`` validate z once and then ask ``nearest``.  A spec's ``at(t, x)``
+looks the set up, raising as ``freeze`` does, and returns z -> the frozen
+instance's ``nearest(z)`` bit for bit; ``nearest(t, x, z)`` is ``at(t, x)(z)``.
 
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
@@ -24,9 +25,9 @@ nearest points of row i are the P[j, i] whose D[j, i] is smallest; other
 candidates may be strictly farther (the far ray of a wedge).  Row results do
 not depend on the other rows of the batch, and a one-row ``candidates`` with
 ``_ties`` gives ``nearest`` bit for bit.  ``distance_many`` derives from it.
-Dot products are ``_dot``, left to right from 0.0: BLAS (``np.vecdot``, ``@``)
-fuses the multiply-add on some CPU kernels, and one fixed order gives one bit
-pattern per input on every BLAS kernel.
+Dot products are ``_dot`` (``_fdot`` on lists), left to right from 0.0: BLAS
+(``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels, and one
+fixed order gives one bit pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -77,16 +80,18 @@ def as_rows(Z, n, name="points"):
 
 
 def _dot(a, b):
-    """Sum of a*b over the last axis, left to right from 0.0; arrays broadcast
-    like ``np.vecdot``, two lists of floats or two 1-d arrays give a float."""
-    if isinstance(a, np.ndarray):
-        if a.ndim == 1 == b.ndim:       # as floats: 0-d array arithmetic is slow
-            a, b = a.tolist(), b.tolist()
-        else:
-            a, b = ([v[..., j] for j in range(a.shape[-1])] for v in (a, b))
+    """Sum of a*b over the last axis of two arrays, left to right from 0.0 (``_fdot``):
+    they broadcast like ``np.vecdot``, and two 1-d arrays give a float."""
+    if a.ndim == 1 == b.ndim:       # as floats: 0-d array arithmetic is slow
+        return _fdot(a.tolist(), b.tolist())
+    return _fdot(*([v[..., j] for j in range(a.shape[-1])] for v in (a, b)))
+
+
+def _fdot(a, b):
+    """``_dot`` of two lists of floats, for the one-point kernels."""
     s = 0.0
-    for u, v in zip(a, b):
-        s = s + u * v
+    for p in map(mul, a, b):
+        s = s + p
     return s
 
 
@@ -97,8 +102,8 @@ def row_norms(G):
 
 def _dist(p, q):
     """|p - q| of two lists of floats, in ``row_norms``' order."""
-    g = [a - b for a, b in zip(p, q)]
-    return math.sqrt(_dot(g, g))
+    g = list(map(sub, p, q))
+    return math.sqrt(_fdot(g, g))
 
 
 def _unit(v, name, tol=1e-9):
@@ -161,7 +166,7 @@ class SetInstance:
         """(nearest points, distance) of the finite point z, a list of floats:
         the points are lists of floats, sorted and deduplicated by ``_ties``,
         so the first is the deterministic selection."""
-        return self.kernel(*self._args, z)      # a closed-form kind, on the parameters it was built from
+        return self.kernel(*self._args, z)      # the kind's kernel, on the parameters it was built from
 
 
 class HalfSpaceInstance(SetInstance):
@@ -179,7 +184,7 @@ class HalfSpaceInstance(SetInstance):
 
     @staticmethod
     def kernel(zeta, beta, z):
-        v = _dot(z, zeta) - beta
+        v = _fdot(z, zeta) - beta
         return ([[zi - v * ci for zi, ci in zip(z, zeta)]], v) if v > 0.0 else ([z], 0.0)
 
     def anchor(self):
@@ -204,8 +209,8 @@ class BallInstance(SetInstance):
 
     @staticmethod
     def kernel(center, radius, z):
-        gap = [zi - ci for zi, ci in zip(z, center)]
-        nrm = math.sqrt(_dot(gap, gap))
+        gap = list(map(sub, z, center))
+        nrm = math.sqrt(_fdot(gap, gap))
         if nrm <= radius:
             return [z], 0.0
         return [[ci + radius / nrm * gi for ci, gi in zip(center, gap)]], nrm - radius
@@ -232,11 +237,10 @@ class BoxInstance(SetInstance):
 
     @staticmethod
     def kernel(lower, upper, z):
-        # np.clip's order, where a bound equal to z_i (0.0 against -0.0) wins
-        p = [zi if zi > lo else lo for zi, lo in zip(z, lower)]
-        p = [pi if pi < hi else hi for pi, hi in zip(p, upper)]
-        gap = [zi - pi for zi, pi in zip(z, p)]
-        d = math.sqrt(_dot(gap, gap))
+        # np.clip's order; max and min keep their first argument, the bound, on a tie (0.0 against -0.0)
+        p = list(map(min, upper, map(max, lower, z)))
+        gap = list(map(sub, z, p))
+        d = math.sqrt(_fdot(gap, gap))
         return [z if d == 0.0 else p], d
 
     def anchor(self):
@@ -268,13 +272,13 @@ class WedgeInstance(SetInstance):
 
     @staticmethod
     def kernel(apex, z):
-        w = [zi - ci for zi, ci in zip(z, apex)]
+        w = list(map(sub, z, apex))
         a, b = w
         if b >= -abs(a):
             return [z], 0.0
         feet = []
         for ray in WedgeInstance._RAY_LISTS:
-            s = _dot(w, ray)
+            s = _fdot(w, ray)
             feet.append([ci + s * ri for ci, ri in zip(apex, ray)])
         return _ties(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
 
@@ -347,25 +351,25 @@ class HalfSpaceIntersectionInstance(SetInstance):
         return P[None], row_norms(Z - P)[None]
 
     def nearest(self, z):
-        return self.kernel(self._faces, z, self.ensure_nonempty)
+        return self.kernel(self._faces, self.ensure_nonempty, z)
 
     @staticmethod
-    def kernel(faces, z, ensure_nonempty):
+    def kernel(faces, ensure_nonempty, z):
         """``nearest`` on the intersection of the half-spaces ``faces``, (zeta, beta)
         pairs of floats: ``dykstra_project`` on one row of lists, same order and exits."""
-        if max(_dot(z, zeta) - beta for zeta, beta in faces) <= MEMBER_TOL:
+        if max(_fdot(z, zeta) - beta for zeta, beta in faces) <= MEMBER_TOL:
             return [z], 0.0
         x = z
         increments = [[0.0] * len(z) for _ in faces]
         for _ in range(DYKSTRA_MAX_ITER):
             start = x
             for i, (zeta, beta) in enumerate(faces):
-                y = [xi + ci for xi, ci in zip(x, increments[i])]
-                v = _dot(y, zeta) - beta
+                y = list(map(add, x, increments[i]))
+                v = _fdot(y, zeta) - beta
                 v = v if v > 0.0 else 0.0       # np.maximum(v, 0.0), signed zero included
                 x = [yi - v * ci for yi, ci in zip(y, zeta)]
-                increments[i] = [yi - xi for yi, xi in zip(y, x)]
-            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and max(_dot(x, c) - b for c, b in faces) <= DYKSTRA_TOL:
+                increments[i] = list(map(sub, y, x))
+            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and max(_fdot(x, c) - b for c, b in faces) <= DYKSTRA_TOL:
                 return [x], _dist(z, x)
         ensure_nonempty()   # raises EmptyInstance when that is the cause
         raise ProjectionNotConverged(
@@ -383,13 +387,15 @@ class UnionInstance(SetInstance):
             raise EmptyCandidates("union needs at least one member")
         super().__init__(members[0].n)
         self.members = tuple(members)
+        self._args = ([m.nearest for m in self.members],)
 
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
         return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
 
-    def nearest(self, z):
-        found = [m.nearest(z) for m in self.members]      # convex: one point each
+    @staticmethod
+    def kernel(queries, z):     # on the union of the sets the one-point queries answer
+        found = [q(z) for q in queries]      # convex: one point each
         return _ties([ps[0] for ps, _ in found], [d for _, d in found])
 
     def anchor(self):
@@ -402,7 +408,7 @@ class UnionInstance(SetInstance):
 
 class _Moving:
     """Family moved by x only through ``state_gain`` and built as ``_instance`` from
-    its float parameters ``_params(t, x)``; ``nearest`` hands them to the kind's kernel."""
+    its float parameters ``_params(t, x)``; ``at`` binds them to the kind's kernel."""
 
     convex = True
     state_gain = 0.0
@@ -414,9 +420,11 @@ class _Moving:
     def freeze(self, t, x):
         return self._instance(*self._params(t, x.tolist()))
 
+    def at(self, t, x):
+        return partial(self._instance.kernel, *self._params(t, x))
+
     def nearest(self, t, x, z):
-        """``self.freeze(t, np.array(x)).nearest(z)``, bit for bit, for float lists x and z."""
-        return self._instance.kernel(*self._params(t, x), z)
+        return self.at(t, x)(z)
 
 
 def _store(spec, name, v):
@@ -444,6 +452,8 @@ class _Composite:
     @property
     def state_lipschitz(self) -> float:
         return max(m.state_lipschitz for m in self.members)
+
+    nearest = _Moving.nearest
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,7 +505,7 @@ class HalfSpaceSpec(_Moving):
             zeta = [c * a + s * b for a, b in zip(zeta, self._rotation_partner)]
         beta = self.beta0 + self.drift * t
         if self.state_gain != 0.0:
-            beta += self.state_gain * _dot(self._state_direction, x)
+            beta += self.state_gain * _fdot(self._state_direction, x)
         return zeta, beta
 
 
@@ -583,7 +593,7 @@ class WedgeSpec(_Moving):
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
     nonempty for all offsets, so only other intersections are probed at freeze,
-    and ``nearest`` freezes just those: the probe needs an instance."""
+    and ``at`` freezes just those, once per lookup: the probe needs an instance."""
 
     members: tuple
 
@@ -603,11 +613,11 @@ class HalfSpaceIntersectionSpec(_Composite):
             inst.ensure_nonempty()
         return inst
 
-    def nearest(self, t, x, z):
+    def at(self, t, x):
         if not self._always_nonempty:
-            return self.freeze(t, np.array(x)).nearest(z)
-        return HalfSpaceIntersectionInstance.kernel([m._params(t, x) for m in self.members], z,
-                                                    lambda: self.freeze(t, np.array(x)).ensure_nonempty())
+            return self.freeze(t, np.array(x)).nearest
+        return partial(HalfSpaceIntersectionInstance.kernel, [m._params(t, x) for m in self.members],
+                       lambda: self.freeze(t, np.array(x)).ensure_nonempty())
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,9 +645,8 @@ class UnionSpec(_Composite):
     def freeze(self, t, x):
         return UnionInstance(self._nonempty(t, lambda m: m.freeze(t, x)))
 
-    def nearest(self, t, x, z):
-        found = self._nonempty(t, lambda m: m.nearest(t, x, z))
-        return _ties([ps[0] for ps, _ in found], [d for _, d in found])
+    def at(self, t, x):
+        return partial(UnionInstance.kernel, self._nonempty(t, lambda m: m.at(t, x)))
 
 
 # ---------------------------------------------------------------------------

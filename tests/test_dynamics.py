@@ -42,13 +42,18 @@ def _no_instances(monkeypatch):
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
 
 
-def _log_queries(monkeypatch, spec_cls):
-    """The list of times of every ``nearest`` query made on a ``spec_cls`` spec."""
-    log = []
-    real = spec_cls.nearest
-    monkeypatch.setattr(spec_cls, "nearest",
-                        lambda self, t, x, z: log.append(t) or real(self, t, x, z))
-    return log
+def _log_lookups(monkeypatch, spec_cls):
+    """The times of every ``at`` lookup on a ``spec_cls`` spec, and the times of
+    the lookups behind every query made through the callables they return."""
+    lookups, queries = [], []
+    real = spec_cls.at
+
+    def at(self, t, x):
+        lookups.append(t)
+        q = real(self, t, x)
+        return lambda z: queries.append(t) or q(z)
+    monkeypatch.setattr(spec_cls, "at", at)
+    return lookups, queries
 
 
 _CORNER = (sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.0]))
@@ -70,16 +75,16 @@ def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
     z = np.array(outside)
     expected = (sw.instantiate(spec, 0.0, z).project(z)[0] - z) / lam
     _no_instances(monkeypatch)
-    log = _log_queries(monkeypatch, type(spec))
+    lookups, queries = _log_lookups(monkeypatch, type(spec))
 
     v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
     assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
-    assert log == [0.0]
+    assert lookups == queries == [0.0]
 
-    log.clear()
+    lookups.clear(), queries.clear()
     v = sw.penalized_rhs(sc, lam, 0.0, z)
     assert np.array_equal(v, expected) and np.any(v != 0.0)
-    assert log == [0.0]
+    assert lookups == queries == [0.0]
 
 
 def test_rhs_requires_positive_lambda():
@@ -319,18 +324,42 @@ def test_integrate_bit_identical_to_per_node_reassembly(kind, method):
     assert traj.stats.rhs_evals == (n if method == "euler" else 4 * n)
 
 
+def _stage_times(traj, method, fixed):
+    """(lookup times, query times) that ``integrate`` should make on ``traj``'s grid:
+    a query per stage, at t, t + h/2, t + h/2 and t + h for RK4, and one at T.
+    A state-dependent set is looked up once per query; a state-independent one
+    once per stage time, its k4 lookup serving the next node's k1 when that
+    node sits at t + h bit for bit."""
+    h, nodes = traj.stats.h, traj.times.tolist()
+    lookups, queries, reuse = [], [], False
+    for t, t_next in zip(nodes, nodes[1:]):
+        if method == "euler":
+            stages = looked_up = [t]
+        else:
+            stages = [t, t + 0.5 * h, t + 0.5 * h, t + h]
+            looked_up = stages[(1 if reuse else 0):2] + stages[3:] if fixed else stages
+        queries += stages
+        lookups += looked_up
+        reuse = fixed and method == "rk4" and t_next == t + h
+    return lookups + nodes[-1:][(1 if reuse else 0):], queries + nodes[-1:]
+
+
 @pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
 def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
     lam = 0.05
     sc = drift_halfspace_scenario(lambdas=(lam,), method=method)
     _no_instances(monkeypatch)
-    log = _log_queries(monkeypatch, sw.HalfSpaceSpec)
+    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceSpec)
     traj = sw.integrate(sc, lam)
     n_steps, h = traj.stats.n_accepted, traj.stats.h
-    assert len(log) == per_step * n_steps + 1       # the node at T adds one query
+    assert len(queries) == per_step * n_steps + 1   # the node at T adds one query
     assert traj.stats.rhs_evals == per_step * n_steps
     # the first step's stage times, then the next node's
-    assert log[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h][:per_step] + [h]
+    assert queries[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h][:per_step] + [h]
+    # the set is state-independent: RK4's k2 and k3 share the lookup at h/2
+    assert lookups[:3] == ([0.0, h, 2 * h] if method == "euler" else [0.0, 0.5 * h, h])
+    assert len(lookups) <= (1 if method == "euler" else 3) * n_steps + 1
+    assert (lookups, queries) == _stage_times(traj, method, fixed=True)
 
 
 _OVERFLOW_SETS = {
@@ -379,9 +408,15 @@ def test_overflowing_state_is_a_step_failure():
 def test_integrate_builds_no_instance(monkeypatch, kind):
     sc = _oracle_scenario(kind, "rk4", 0.1)
     _no_instances(monkeypatch)
-    log = _log_queries(monkeypatch, type(sc.moving_set))
-    n = sw.integrate(sc, 0.1).stats.n_accepted
-    assert len(log) == 4 * n + 1
+    lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
+    traj = sw.integrate(sc, 0.1)
+    n = traj.stats.n_accepted
+    assert len(queries) == 4 * n + 1
+    fixed = sc.moving_set.state_lipschitz == 0.0
+    assert fixed == (kind not in ("state_half_space", "state_ball"))
+    # looked up once per stage time, or at every stage when the set moves with x
+    assert len(lookups) <= (3 if fixed else 4) * n + 1
+    assert (lookups, queries) == _stage_times(traj, "rk4", fixed)
 
 
 @pytest.mark.parametrize("kind", ["half_space", "rotating_half_space", "ball", "box",
@@ -389,9 +424,12 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
 def test_catching_up_builds_no_instance(monkeypatch, kind):
     sc = _oracle_scenario(kind, "rk4", 0.1)
     _no_instances(monkeypatch)
-    log = _log_queries(monkeypatch, type(sc.moving_set))
-    n = sw.catching_up(sc, 0.01).stats.n_accepted
-    assert len(log) == 2 * n + 1        # a projection and its phi per step
+    lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
+    traj = sw.catching_up(sc, 0.01)
+    n = traj.stats.n_accepted
+    # one lookup per node, queried for the projection and its phi at every step
+    assert lookups == traj.times.tolist() and len(lookups) == n + 1
+    assert len(queries) == 2 * n + 1 and queries[1:] == [t for t in lookups[1:] for _ in (0, 1)]
 
 
 def _count_freezes(monkeypatch, spec_cls):
@@ -439,12 +477,14 @@ _CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1
 
 
 def test_probed_intersection_freezes_once_per_query(monkeypatch):
-    # the probe for emptiness needs an instance, so each stage builds one
+    # the probe for emptiness needs an instance, so each lookup builds one; the
+    # set is state-independent, so there is one lookup per stage time
     sc = sw.Scenario(n=1, T=0.5, x0=np.array([2.0]), operator=sw.IdentityOperator(),
                      moving_set=_CROSSING, lambdas=(0.1,), allow_infeasible_start=True)
     calls = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, 0.1)
-    assert traj.phis.max() > 0.0 and len(calls) == 4 * traj.stats.n_accepted + 1
+    assert traj.phis.max() > 0.0 and len(calls) <= 3 * traj.stats.n_accepted + 1
+    assert calls == _stage_times(traj, "rk4", fixed=True)[0]
 
 
 def test_crossing_intersection_raises_when_empty():

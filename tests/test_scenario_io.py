@@ -351,6 +351,23 @@ def test_csv_text_is_pinned(tmp_path):
         "0.10000000000000001,4.9406564584124654e-324,1e+308,0.10000000000000001,"
         "4.9406564584124654e-324,-0\n"
         "1,0.33333333333333331,-2.5,-1.0000000000000001e-05,123456789,0.10000000000000001\n")
+    back = read_trajectory_csv(path)        # and reads back bit for bit, signs of zero included
+    for got, want in zip((back.times, back.states, back.images, back.phis),
+                         (traj.times, traj.states, traj.images, traj.phis)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("t,x_1,z_1,phi\n0,0,0,0\n0.5,0.1,0.1\n1,0.2,0.2,0\n", "data row 2 has 3 cells, header has 4"),
+    ("t,x_1,z_1,phi\n0,0,0,0\n0.5,0,0,0\n1,abc,0.1,0\n",
+     "data row 3 has a non-numeric cell: '1,abc,0.1,0'"),
+])
+def test_malformed_csv_row_is_named(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(sw.ParseError) as raised:
+        read_trajectory_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
 
 
 def test_block_writer_matches_the_per_cell_writer(tmp_path):

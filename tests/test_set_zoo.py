@@ -552,7 +552,8 @@ def test_ball_distance_sums_left_to_right_unfused():
 
 
 # ---------------------------------------------------------------------------
-# spec.nearest(t, x, z): the frozen instance's answer, with no instance built
+# spec.at(t, x)(z) and spec.nearest(t, x, z): the frozen instance's answer,
+# with no instance built
 # ---------------------------------------------------------------------------
 
 # empty for t > 0.25 and for t > 0.5; the intersection has parallel normals, so it is probed
@@ -590,6 +591,15 @@ def _answer(query):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _raised(call):
+    """The name and message of the error call() raises, or None."""
+    try:
+        call()
+    except sw.SweepSolveError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
 signed_coord = finite_coord | st.sampled_from([-0.0, 0.0, 5e-324])
 
 
@@ -605,6 +615,17 @@ def test_spec_nearest_is_the_frozen_instances_nearest(kind, t, x, z):
     x, z = list(x), list(z)
     want = _answer(lambda: spec.freeze(t, np.array(x)).nearest(z))
     assert _answer(lambda: spec.nearest(t, x, z)) == want
+    # the lookup raises exactly what freeze raises (an empty set); once it
+    # succeeds, its query answers every point, as the RK4 stages k2 and k3 share it
+    looked_up = _raised(lambda: spec.at(t, x))
+    assert looked_up == _raised(lambda: spec.freeze(t, np.array(x)))
+    if looked_up is None:
+        query = spec.at(t, x)
+        for point in (z, x):
+            assert _answer(lambda: query(point)) == _answer(
+                lambda: spec.freeze(t, np.array(x)).nearest(point))
+    else:
+        assert looked_up == want
 
 
 _STILL_BOX = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[0.5, -0.0],
@@ -635,12 +656,16 @@ def test_parameters_are_the_numpy_expressions_they_replace(t, x):
 
 def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     x, z = [0.0, 0.0], [1.0, 1.0]
+    # an empty set raises from the lookup, before any point is queried: a
+    # crossed box, an empty probed intersection and an all-empty union
     for spec in (_CROSSED_BOX, _CROSSING, sw.UnionSpec((_CROSSED_BOX, _CROSSING))):
         with pytest.raises(sw.EmptyInstance) as frozen:
             spec.freeze(0.9, np.array(x))
+        with pytest.raises(sw.EmptyInstance) as looked_up:
+            spec.at(0.9, x)
         with pytest.raises(sw.EmptyInstance) as queried:
             spec.nearest(0.9, x, z)
-        assert str(queried.value) == str(frozen.value) != ""
+        assert str(queried.value) == str(looked_up.value) == str(frozen.value) != ""
     assert str(queried.value) == "all 2 union members are empty at t = 0.9"
     # an exhausted Dykstra budget probes for emptiness, then gives up
     probes = []
@@ -651,7 +676,10 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     for spec in (_OBLIQUE, sw.UnionSpec((_OBLIQUE, ZOO["ball"]))):
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
             spec.nearest(0.0, x, [2.5, 0.5])      # onto the vertex in 38 cycles
-    assert probes == [1, 1]
+        query = spec.at(0.0, x)                   # the lookup succeeds: the query raises
+        with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
+            query([2.5, 0.5])
+    assert probes == [1, 1, 1, 1]
 
 
 def test_spec_nearest_builds_no_instance(monkeypatch):
