@@ -1,10 +1,12 @@
 """sweepsolve: penalized dynamics for sweeping processes with a degenerate operator.
 
-The package freezes moving sets C(t, x) into exact geometric instances,
-integrates the penalized motion -dx/dt = (A(x) - proj_{C(t,x)}(A(x)))/lambda,
-cross-checks against the catching-up recursion where that oracle is valid, and
-certifies the quantitative tracking bounds (tube bound, trajectory Lipschitz
-constant, truncated-Hausdorff moduli, far parameter alpha) on the results.
+The package integrates the penalized motion
+-dx/dt = (A(x) - proj_{C(t,x)}(A(x)))/lambda, looking the moving set C(t, x)
+up on floats with ``spec.at(t, x)`` at each stage, cross-checks against the
+catching-up recursion where that oracle is valid, and certifies the
+quantitative tracking bounds (tube bound, trajectory Lipschitz constant,
+truncated-Hausdorff moduli, far parameter alpha) on the results.  Only the
+sampled estimators freeze a set into an exact geometric instance.
 """
 
 from .analysis import (
@@ -29,7 +31,6 @@ from .dynamics import (
     penalized_rhs,
 )
 from .errors import (
-    DegenerateSample,
     DimensionMismatch,
     EmptyCandidates,
     EmptyInstance,
@@ -44,14 +45,12 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .hulls import min_norm_distance, min_norm_point
+from .hulls import min_norm_point
 from .operators import (
-    ConstantsCheck,
     IdentityOperator,
     LinearSPDOperator,
     Operator,
     ScaledIdentityOperator,
-    verify_constants,
 )
 from .scenario_io import (
     OutputConfig,
@@ -76,20 +75,18 @@ from .set_zoo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallSpec", "BoxSpec", "ConstantsCheck", "DegenerateSample",
-    "DiagnosticsReport", "DimensionMismatch", "EmptyCandidates",
-    "EmptyInstance", "GridMismatch", "HalfSpaceIntersectionSpec",
-    "HalfSpaceSpec", "IdentityOperator", "IntegratorConfig", "InvalidVector",
-    "LambdaDiagnostics", "LinearSPDOperator", "Operator", "OutputConfig",
-    "ParseError", "ProjectionNotConverged", "SamplerConfig", "Scenario",
-    "ScaledIdentityOperator", "SetInstance", "StepFailure", "SweepSolveError",
-    "Trajectory", "TubeSamplingFailed", "UnionSpec", "UnsupportedScenario",
-    "UsageError", "ValidationError", "WedgeSpec", "catching_up", "check_phi_bound",
-    "dykstra_project", "estimate_alpha", "estimate_kappa",
-    "instantiate", "integrate", "kappa_tilde", "lambda_sweep",
-    "lipschitz_estimate", "load_scenario", "min_norm_distance",
-    "min_norm_point", "parse_scenario", "penalized_rhs",
-    "read_trajectory_csv", "sup_diff",
-    "truncated_hausdorff", "validate_scenario", "verify_constants",
-    "write_trajectory_csv",
+    "BallSpec", "BoxSpec", "DiagnosticsReport", "DimensionMismatch",
+    "EmptyCandidates", "EmptyInstance", "GridMismatch",
+    "HalfSpaceIntersectionSpec", "HalfSpaceSpec", "IdentityOperator",
+    "IntegratorConfig", "InvalidVector", "LambdaDiagnostics",
+    "LinearSPDOperator", "Operator", "OutputConfig", "ParseError",
+    "ProjectionNotConverged", "SamplerConfig", "ScaledIdentityOperator",
+    "Scenario", "SetInstance", "StepFailure", "SweepSolveError", "Trajectory",
+    "TubeSamplingFailed", "UnionSpec", "UnsupportedScenario", "UsageError",
+    "ValidationError", "WedgeSpec", "catching_up", "check_phi_bound",
+    "dykstra_project", "estimate_alpha", "estimate_kappa", "instantiate",
+    "integrate", "kappa_tilde", "lambda_sweep", "lipschitz_estimate",
+    "load_scenario", "min_norm_point", "parse_scenario", "penalized_rhs",
+    "read_trajectory_csv", "sup_diff", "truncated_hausdorff",
+    "validate_scenario", "write_trajectory_csv",
 ]

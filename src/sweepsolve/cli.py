@@ -152,8 +152,14 @@ def _dispatch(args) -> int:
     return code
 
 
+def _lam_text(lam: float) -> str:
+    """lam as %g when that reads back as lam, else its repr: one text per lambda."""
+    text = format(lam, "g")
+    return text if float(text) == lam else repr(float(lam))   # a NumPy float's repr names its type
+
+
 def _lam_tag(lam: float) -> str:
-    return format(lam, "g").replace("-", "m")
+    return _lam_text(lam).replace("-", "m")
 
 
 def _certify(scenario, lam, trajectory, csv_ref):
@@ -176,7 +182,7 @@ def _run_solve(args, scenario, out_dir):
         write_trajectory_csv(out_dir / csv_name, traj)
         return traj
     payload, code = _certify(scenario, lam, trajectory, csv_name)
-    return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
+    return payload, (f"lambda={_lam_text(lam)} phi_max={payload['phi_max']:.6g} "
                      f"bound={payload['phi_bound']:.6g} ok={payload['bound_satisfied']}"), code
 
 
@@ -189,7 +195,7 @@ def _run_diagnose(args, scenario, out_dir):
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")
     payload, code = _certify(scenario, lam, lambda: replace(traj, lam=lam), str(args.traj))
-    return payload, (f"lambda={lam:g} phi_max={payload['phi_max']:.6g} "
+    return payload, (f"lambda={_lam_text(lam)} phi_max={payload['phi_max']:.6g} "
                      f"bound_ok={payload['bound_satisfied']} "
                      f"lipschitz_ok={payload['lipschitz_ok']}"), code
 
@@ -199,7 +205,7 @@ def _run_sweep(args, scenario, out_dir):
                                    seed=args.seed)
     for lam, traj in report.trajectories.items():
         write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
-    stdout = "\n".join(f"lambda={d.lam:g} status={d.status} worst_ratio={d.worst_ratio:.4g} "
+    stdout = "\n".join(f"lambda={_lam_text(d.lam)} status={d.status} worst_ratio={d.worst_ratio:.4g} "
                        f"bound_ok={d.bound_satisfied}" for d in report.per_lambda)
     if any(d.status != "ok" for d in report.per_lambda):
         code = EXIT_ERROR

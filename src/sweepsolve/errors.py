@@ -25,10 +25,6 @@ class EmptyCandidates(SweepSolveError):
     """A projection selection was requested from an empty candidate list."""
 
 
-class DegenerateSample(SweepSolveError):
-    """All sampled pairs were coincident; no quotient could be formed."""
-
-
 class UnsupportedScenario(SweepSolveError):
     """The catching-up oracle was asked to run outside its validity domain."""
 

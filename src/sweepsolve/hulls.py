@@ -49,10 +49,6 @@ def min_norm_point(points):
     return best_p, best_d
 
 
-def min_norm_distance(points) -> float:
-    return min_norm_point(points)[1]
-
-
 def _segment_min_norm(a, b):
     """Closed-form projection of the origin onto segment [a, b], row-wise over the last axis."""
     d = b - a

@@ -2,20 +2,16 @@
 
 Each kind defines one unvalidated kernel, ``image(x)``, from a finite list of
 floats to a list, x itself for the identity (no caller mutates either); ``apply``
-validates x and wraps it in arrays.  Matrix rows and the sums of
-``verify_constants`` run through ``set_zoo._fdot`` and ``_dot``, left to right:
-one bit pattern on every BLAS kernel.
+validates x and wraps it in arrays.  Matrix rows run through ``set_zoo._fdot``,
+left to right: one bit pattern on every BLAS kernel.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, ValidationError
-from .set_zoo import _dot, _fdot, as_vector
+from .errors import DimensionMismatch, ValidationError
+from .set_zoo import _fdot, as_vector
 
 
 class Operator:
@@ -83,52 +79,3 @@ class LinearSPDOperator(Operator):
 
     def image(self, x):
         return [_fdot(row, x) for row in self._rows]
-
-
-@dataclass(frozen=True)
-class ConstantsCheck:
-    m_hat: float
-    M_hat: float
-    ok: bool
-    pairs_used: int
-
-
-def verify_constants(op: Operator, n: int, sample_count: int, radius: float,
-                     seed: int) -> ConstantsCheck:
-    """Empirically validate the declared (m, M) on sampled point pairs.
-
-    m_hat is the minimum monotonicity quotient <A(x)-A(y), x-y>/|x-y|^2 and
-    M_hat the maximum Lipschitz quotient over ``sample_count`` pairs drawn
-    uniformly from the radius ball.  ``ok`` is cleared when the samples fall
-    outside the declared range (beyond a 1e-9 relative slack).
-    """
-    if sample_count < 2:
-        raise DegenerateSample("need at least two sampled pairs")
-    rng = np.random.default_rng(seed)
-    m_hat = np.inf
-    M_hat = 0.0
-    used = 0
-    for _ in range(sample_count):
-        x = _ball_point(rng, n, radius)
-        y = _ball_point(rng, n, radius)
-        gap = x - y
-        nrm2 = _dot(gap, gap)
-        if nrm2 <= (1e-14 * max(radius, 1.0)) ** 2:
-            continue  # coincident pair, no quotient
-        img = op.apply(x) - op.apply(y)
-        m_hat = min(m_hat, _dot(img, gap) / nrm2)
-        M_hat = max(M_hat, math.sqrt(_dot(img, img)) / math.sqrt(nrm2))
-        used += 1
-    if used == 0:
-        raise DegenerateSample("all sampled pairs were coincident")
-    ok = (m_hat >= op.m * (1.0 - 1e-9)) and (M_hat <= op.M * (1.0 + 1e-9))
-    return ConstantsCheck(m_hat=float(m_hat), M_hat=float(M_hat), ok=ok, pairs_used=used)
-
-
-def _ball_point(rng, n, radius):
-    g = rng.standard_normal(n)
-    nrm = math.sqrt(_dot(g, g))
-    if nrm == 0.0:
-        return np.zeros(n)
-    r = radius * rng.uniform() ** (1.0 / n)
-    return (r / nrm) * g

@@ -15,7 +15,7 @@ and box directly, the intersection by Dykstra on lists, the wedge from its two
 feet and the union from its members' ``nearest``.  ``project``, ``distance``
 and ``member`` validate z once and then ask ``nearest``.  A spec's ``at(t, x)``
 looks the set up, raising as ``freeze`` does, and returns z -> the frozen
-instance's ``nearest(z)`` bit for bit; ``nearest(t, x, z)`` is ``at(t, x)(z)``.
+instance's ``nearest(z)`` bit for bit.
 
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
@@ -115,9 +115,7 @@ def _unit(v, name, tol=1e-9):
 
 
 def _frozen(v):
-    """v as a read-only float64 array; copied unless it is one that owns its data."""
-    if isinstance(v, np.ndarray) and v.dtype == float and v.base is None and not v.flags.writeable:
-        return v
+    """A read-only float64 copy of v."""
     return _readonly(np.array(v, dtype=float))
 
 
@@ -423,9 +421,6 @@ class _Moving:
     def at(self, t, x):
         return partial(self._instance.kernel, *self._params(t, x))
 
-    def nearest(self, t, x, z):
-        return self.at(t, x)(z)
-
 
 def _store(spec, name, v):
     """Set the field ``name`` of a frozen spec to v as a read-only array, and ``_<name>`` to its floats."""
@@ -452,8 +447,6 @@ class _Composite:
     @property
     def state_lipschitz(self) -> float:
         return max(m.state_lipschitz for m in self.members)
-
-    nearest = _Moving.nearest
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,10 +485,6 @@ class HalfSpaceSpec(_Moving):
     @property
     def n(self):
         return self.normal.size
-
-    def freeze(self, t, x):
-        zeta, beta = self._params(t, x.tolist())        # a fixed normal is shared, not copied
-        return HalfSpaceInstance(self.normal if zeta is self._normal else zeta, beta)
 
     def _params(self, t, x):
         zeta = self._normal

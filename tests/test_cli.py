@@ -282,3 +282,24 @@ def test_solve_and_diagnose_agree_on_every_corpus_scenario(tmp_path, scenario_di
         assert diag.pop("trajectory_csv") == str(out / summary.pop("trajectory_csv"))
         assert set(summary) >= {"kappa_tilde", "bound_satisfied", "lipschitz_ok", "worst_ratio"}
         assert diag == summary, path.stem
+
+
+def test_sweep_writes_one_csv_per_lambda_when_g_tags_collide(tmp_path, drift_file, capsys):
+    # 0.1000001 formats as 0.1 under %g: it is named by its repr instead
+    doc = json.loads(open(drift_file).read())
+    doc["lambdas"] = [0.1000001, 0.1]
+    path = tmp_path / "close_lambdas.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--scenario", str(path), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("trajectory_lam*.csv")) == [
+        "trajectory_lam0.1.csv", "trajectory_lam0.1000001.csv"]
+    for lam in doc["lambdas"]:
+        assert sweepsolve.read_trajectory_csv(out / f"trajectory_lam{lam!r}.csv").lam == lam
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["lambda=0.1000001", "lambda=0.1"]
+
+
+def test_public_names_resolve():
+    assert len(set(sweepsolve.__all__)) == len(sweepsolve.__all__)
+    assert [name for name in sweepsolve.__all__ if not hasattr(sweepsolve, name)] == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sweepsolve.hulls import min_norm_distance, min_norm_point
+from sweepsolve.hulls import min_norm_point
 
 
 def test_single_point():
@@ -45,10 +45,6 @@ def test_matches_dense_convex_combinations():
         sampled = np.min(np.linalg.norm(w @ pts, axis=1))
         assert d <= sampled + 1e-12
         assert d >= sampled - 0.05  # dense sampling approaches the optimum
-
-
-def test_min_norm_distance_shortcut():
-    assert min_norm_distance([[0.0, 2.0]]) == pytest.approx(2.0)
 
 
 def test_distances_sum_left_to_right_unfused():

@@ -47,38 +47,6 @@ def test_scaled_identity_rejects_nonpositive():
         sw.ScaledIdentityOperator(0.0)
 
 
-def test_verify_constants_homothety_exact():
-    check = sw.verify_constants(sw.ScaledIdentityOperator(2.0), n=3,
-                                sample_count=50, radius=1.0, seed=0)
-    assert check.m_hat == pytest.approx(2.0, abs=1e-12)
-    assert check.M_hat == pytest.approx(2.0, abs=1e-12)
-    assert check.ok
-
-
-def test_verify_constants_identity():
-    check = sw.verify_constants(sw.IdentityOperator(), n=2,
-                                sample_count=10, radius=2.0, seed=1)
-    assert (check.m_hat, check.M_hat) == (pytest.approx(1.0), pytest.approx(1.0))
-    assert check.ok
-
-
-def test_verify_constants_spd_brackets_eigenvalues():
-    op = sw.LinearSPDOperator([[1.0, 0.0], [0.0, 4.0]])
-    check = sw.verify_constants(op, n=2, sample_count=4000, radius=1.0, seed=5)
-    assert op.m - 1e-9 <= check.m_hat
-    assert check.M_hat <= op.M + 1e-9
-    # with many sampled directions the extremes are approached
-    assert check.m_hat == pytest.approx(1.0, abs=0.05)
-    assert check.M_hat == pytest.approx(4.0, abs=0.05)
-    assert check.ok
-
-
-def test_verify_constants_needs_two_pairs():
-    with pytest.raises(sw.DegenerateSample):
-        sw.verify_constants(sw.IdentityOperator(), n=1, sample_count=1,
-                            radius=1.0, seed=0)
-
-
 def test_scaled_identity_homogeneity():
     op = sw.ScaledIdentityOperator(3.0)
     x = np.array([0.5, -2.0])

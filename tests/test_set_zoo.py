@@ -70,8 +70,6 @@ def test_frozen_instances_are_read_only(spec, arrays):
 
 
 def test_frozen_keeps_read_only_arrays_and_copies_the_rest():
-    spec = sw.HalfSpaceSpec(normal=[0.6, 0.8])
-    assert spec.freeze(0.0, np.zeros(2)).zeta is spec.normal    # no copy per freeze
     center = np.array([1.0, 2.0])
     inst = set_zoo.BallInstance(center, 0.5)
     center[0] = 9.0                                             # the caller's array
@@ -552,8 +550,7 @@ def test_ball_distance_sums_left_to_right_unfused():
 
 
 # ---------------------------------------------------------------------------
-# spec.at(t, x)(z) and spec.nearest(t, x, z): the frozen instance's answer,
-# with no instance built
+# spec.at(t, x)(z): the frozen instance's answer, with no instance built
 # ---------------------------------------------------------------------------
 
 # empty for t > 0.25 and for t > 0.5; the intersection has parallel normals, so it is probed
@@ -614,7 +611,7 @@ def test_spec_nearest_is_the_frozen_instances_nearest(kind, t, x, z):
     spec = MOVING[kind]
     x, z = list(x), list(z)
     want = _answer(lambda: spec.freeze(t, np.array(x)).nearest(z))
-    assert _answer(lambda: spec.nearest(t, x, z)) == want
+    assert _answer(lambda: spec.at(t, x)(z)) == want
     # the lookup raises exactly what freeze raises (an empty set); once it
     # succeeds, its query answers every point, as the RK4 stages k2 and k3 share it
     looked_up = _raised(lambda: spec.at(t, x))
@@ -664,7 +661,7 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
         with pytest.raises(sw.EmptyInstance) as looked_up:
             spec.at(0.9, x)
         with pytest.raises(sw.EmptyInstance) as queried:
-            spec.nearest(0.9, x, z)
+            spec.at(0.9, x)(z)
         assert str(queried.value) == str(looked_up.value) == str(frozen.value) != ""
     assert str(queried.value) == "all 2 union members are empty at t = 0.9"
     # an exhausted Dykstra budget probes for emptiness, then gives up
@@ -675,7 +672,7 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
     for spec in (_OBLIQUE, sw.UnionSpec((_OBLIQUE, ZOO["ball"]))):
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
-            spec.nearest(0.0, x, [2.5, 0.5])      # onto the vertex in 38 cycles
+            spec.at(0.0, x)([2.5, 0.5])      # onto the vertex in 38 cycles
         query = spec.at(0.0, x)                   # the lookup succeeds: the query raises
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
             query([2.5, 0.5])
@@ -688,4 +685,4 @@ def test_spec_nearest_builds_no_instance(monkeypatch):
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
     for kind in ("half_space", "rotating_half_space", "state_ball", "box", "wedge",
                  "intersection"):
-        MOVING[kind].nearest(0.1, [0.3, -0.2], [2.0, 1.0])
+        MOVING[kind].at(0.1, [0.3, -0.2])([2.0, 1.0])
