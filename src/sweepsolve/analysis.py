@@ -35,6 +35,7 @@ from .set_zoo import _dot, _fdot, _readonly, as_vector, instantiate, row_norms
 PHI_BOUND_TOL = 0.02       # discretization slack accepted by check_phi_bound
 ALPHA_TIE_SLACK = 0.02     # relative distance slack admitting rival projections
 DEFAULT_SAMPLES = 4096
+SWEEP_ALPHA_SAMPLES = 2000  # tube samples behind a lambda sweep's alpha estimate
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,7 @@ def sup_diff(traj_a: Trajectory, traj_b: Trajectory, common_grid=1000) -> float:
 @dataclass(frozen=True)
 class KappaTildeResult:
     value: float
-    radius: float
-    estimates: dict
-    L_hat: float
+    estimates: dict     # radius -> time modulus there; value is the travel radius's
 
 
 def default_time_pairs(T: float):
@@ -365,15 +364,13 @@ def kappa_tilde(scenario: Scenario, sampler: SamplerConfig | None = None) -> Kap
     z0 = op.image(scenario.x0.tolist())
     a0 = math.sqrt(_fdot(z0, z0))
     t_pairs = default_time_pairs(scenario.T)
-    x_pairs = default_state_pairs(scenario.x0) if spec.state_lipschitz != 0.0 else []
 
     r1 = a0 + op.M * 1.0
-    k1, L1 = estimate_kappa(spec, r1, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
+    k1, _ = estimate_kappa(spec, r1, t_pairs, [], sampler, x_ref=scenario.x0)
     travel = 2.0 * scenario.T * k1 / scenario.margin
     r2 = max(a0 + op.M * travel, 1e-3)
-    k2, L2 = estimate_kappa(spec, r2, t_pairs, x_pairs, sampler, x_ref=scenario.x0)
-    memo["_kappa_tilde"] = KappaTildeResult(value=k2, radius=r2,
-                                            estimates={r1: k1, r2: k2}, L_hat=max(L1, L2))
+    k2, _ = estimate_kappa(spec, r2, t_pairs, [], sampler, x_ref=scenario.x0)
+    memo["_kappa_tilde"] = KappaTildeResult(value=k2, estimates={r1: k1, r2: k2})
     return memo["_kappa_tilde"]
 
 
@@ -447,8 +444,7 @@ def diagnose_trajectory(traj: Trajectory, scenario: Scenario, kt: float) -> Lamb
 
 
 def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
-                 grid_points: int = 1000, seed: int = 0, jobs: int = 1,
-                 alpha_samples: int = 2000) -> DiagnosticsReport:
+                 grid_points: int = 1000, seed: int = 0, jobs: int = 1) -> DiagnosticsReport:
     """Integrate every lambda, check the bounds, and tabulate Cauchy gaps.
 
     A failed lambda is recorded in its diagnostics entry, not fatal.  The
@@ -487,14 +483,12 @@ def lambda_sweep(scenario: Scenario, kt: KappaTildeResult | None = None,
     diffs = [row[2] for row in table]
     monotone = all(b < a for a, b in zip(diffs, diffs[1:]))
 
-    alpha_est = None
-    if alpha_samples > 0:
-        rho_est = scenario.rho_assumed if math.isfinite(scenario.rho_assumed) else 1.0
-        try:
-            inst0 = instantiate(scenario.moving_set, 0.0, scenario.x0)
-            alpha_est = estimate_alpha(inst0, rho_est, alpha_samples, seed)
-        except SweepSolveError:
-            alpha_est = None
+    rho_est = scenario.rho_assumed if math.isfinite(scenario.rho_assumed) else 1.0
+    try:
+        inst0 = instantiate(scenario.moving_set, 0.0, scenario.x0)
+        alpha_est = estimate_alpha(inst0, rho_est, SWEEP_ALPHA_SAMPLES, seed)
+    except SweepSolveError:
+        alpha_est = None
 
     return DiagnosticsReport(
         kappa_tilde=kt.value, alpha=scenario.alpha_assumed, rho=scenario.rho_assumed,

@@ -152,14 +152,14 @@ def _dispatch(args) -> int:
     return code
 
 
-def _lam_text(lam: float) -> str:
-    """lam as %g when that reads back as lam, else its repr: one text per lambda."""
-    text = format(lam, "g")
-    return text if float(text) == lam else repr(float(lam))   # a NumPy float's repr names its type
+def _float_text(v: float) -> str:
+    """v as %g when that reads back as v, else its repr: one text per lambda or radius."""
+    text = format(v, "g")
+    return text if float(text) == v else repr(float(v))   # a NumPy float's repr names its type
 
 
 def _lam_tag(lam: float) -> str:
-    return _lam_text(lam).replace("-", "m")
+    return _float_text(lam).replace("-", "m")
 
 
 def _certify(scenario, lam, trajectory, csv_ref):
@@ -182,7 +182,7 @@ def _run_solve(args, scenario, out_dir):
         write_trajectory_csv(out_dir / csv_name, traj)
         return traj
     payload, code = _certify(scenario, lam, trajectory, csv_name)
-    return payload, (f"lambda={_lam_text(lam)} phi_max={payload['phi_max']:.6g} "
+    return payload, (f"lambda={_float_text(lam)} phi_max={payload['phi_max']:.6g} "
                      f"bound={payload['phi_bound']:.6g} ok={payload['bound_satisfied']}"), code
 
 
@@ -195,7 +195,7 @@ def _run_diagnose(args, scenario, out_dir):
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")
     payload, code = _certify(scenario, lam, lambda: replace(traj, lam=lam), str(args.traj))
-    return payload, (f"lambda={_lam_text(lam)} phi_max={payload['phi_max']:.6g} "
+    return payload, (f"lambda={_float_text(lam)} phi_max={payload['phi_max']:.6g} "
                      f"bound_ok={payload['bound_satisfied']} "
                      f"lipschitz_ok={payload['lipschitz_ok']}"), code
 
@@ -205,7 +205,7 @@ def _run_sweep(args, scenario, out_dir):
                                    seed=args.seed)
     for lam, traj in report.trajectories.items():
         write_trajectory_csv(out_dir / f"trajectory_lam{_lam_tag(lam)}.csv", traj)
-    stdout = "\n".join(f"lambda={_lam_text(d.lam)} status={d.status} worst_ratio={d.worst_ratio:.4g} "
+    stdout = "\n".join(f"lambda={_float_text(d.lam)} status={d.status} worst_ratio={d.worst_ratio:.4g} "
                        f"bound_ok={d.bound_satisfied}" for d in report.per_lambda)
     if any(d.status != "ok" for d in report.per_lambda):
         code = EXIT_ERROR
@@ -225,7 +225,7 @@ def _run_estimate_set(args, scenario, out_dir):
     for r in args.r:
         k_r, L_r = analysis.estimate_kappa(spec, r, t_pairs, x_pairs, sampler,
                                            x_ref=scenario.x0)
-        kappa_estimates[format(r, "g")] = k_r
+        kappa_estimates[_float_text(r)] = k_r
         L_hat = max(L_hat, L_r)
 
     rho = scenario.rho_assumed if math.isfinite(scenario.rho_assumed) else 1.0

@@ -1,9 +1,9 @@
 """Penalized dynamics: right-hand side construction, time stepping, catching-up oracle.
 
 The penalized motion follows -dx/dt = (A(x) - p)/lambda with p the selected
-nearest point of A(x) on the instantaneous set.  The explicit fixed-step
-Euler and RK4 must resolve the 1/lambda decay, hence their step is capped by
-the stiffness guard h <= SAFETY*lambda/(1 + M).
+nearest point of A(x) on the instantaneous set.  The explicit fixed-step RK4
+must resolve the 1/lambda decay, hence its step is capped by the stiffness
+guard h <= SAFETY*lambda/(1 + M).
 
 Inputs are validated once, at the boundary: x0, the set and operator
 dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
@@ -18,10 +18,10 @@ t + h/2; k4's lookup serves the next k1 at t + h).  A node's image and phi come
 from its k1 query; only the node at T needs its own.
 
 States and images are lists of floats and every set kind answers on floats, so
-a stage costs a few float operations, and the updates read k = (p - A(x))/lambda
-inline.  Stages combine in the order of the array expressions in the comments
-and dot products run left to right (``set_zoo._fdot``): one bit pattern per
-input on every BLAS kernel.
+a stage costs a few float operations, and the RK4 update reads
+k = (p - A(x))/lambda inline.  Stages combine in the order of the array
+expressions in the comments and dot products run left to right
+(``set_zoo._fdot``): one bit pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -47,12 +47,9 @@ SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"          # euler | rk4
-    h_max: float = math.inf
+    h_max: float = math.inf     # RK4's step is the largest T/n under the guard and h_max
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if not self.h_max > 0.0:
             raise ValueError("h_max must be positive")
 
@@ -175,21 +172,19 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
-    """Integrate the penalized dynamics over [0, T] with fixed steps of the
-    configured method, h = T/n the largest such step under the guard and h_max.
+    """Integrate the penalized dynamics over [0, T] with fixed RK4 steps,
+    h = T/n the largest such step under the guard and h_max.
 
     The tracking gap phi is recomputed from the geometry at every node, never
     propagated from its differential inequality.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    cfg = scenario.integrator
     f = _stage(scenario.operator, scenario.moving_set)
     T = float(scenario.T)
     guard = SAFETY * lam / (1.0 + scenario.operator.M)
-    n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
+    n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
-    euler = cfg.method == "euler"
     half, sixth = 0.5 * h, h / 6.0
 
     nodes, q = [], None
@@ -199,21 +194,19 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
         nodes.append((t, x, z1, phi))
         if k == n_steps:
             break
-        if euler:       # x + h*k1, with k_i = (p_i - z_i)/lam read inline
-            x = [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)]
-        else:           # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k
-            z2, p2, _, q = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)])
-            z3, p3, _, _ = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p2, z2)], q)
-            z4, p4, _, q = f(t + h, [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p3, z3)])
-            x = [xi + sixth * ((a1 - b1) / lam + 2.0 * ((a2 - b2) / lam) + 2.0 * ((a3 - b3) / lam) + (a4 - b4) / lam)
-                 for xi, a1, b1, a2, b2, a3, b3, a4, b4 in zip(x, p1, z1, p2, z2, p3, z3, p4, z4)]
+        # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k, k_i = (p_i - z_i)/lam
+        z2, p2, _, q = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)])
+        z3, p3, _, _ = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p2, z2)], q)
+        z4, p4, _, q = f(t + h, [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p3, z3)])
+        x = [xi + sixth * ((a1 - b1) / lam + 2.0 * ((a2 - b2) / lam) + 2.0 * ((a3 - b3) / lam) + (a4 - b4) / lam)
+             for xi, a1, b1, a2, b2, a3, b3, a4, b4 in zip(x, p1, z1, p2, z2, p3, z3, p4, z4)]
         if not all(map(math.isfinite, x)):
             raise StepFailure(
                 f"state became non-finite at t = {t + h:g} (h = {h:g}); "
                 "tighten the stiffness guard")
         t_next = (k + 1) * h if k + 1 < n_steps else T
         t, q = t_next, (q if t_next == t + h else None)        # k4's lookup serves the next k1
-    stats = StepStats(n_steps, 0, n_steps * (1 if euler else 4), h)
+    stats = StepStats(n_steps, 0, 4 * n_steps, h)
     return Trajectory.of(nodes, lam, stats)
 
 

@@ -171,10 +171,11 @@ def _build_set(node, n, path, default_kind=None):
 
 
 def _build_integrator(node, path):
-    """Range checks live in IntegratorConfig; its ValueError is re-addressed here."""
+    """RK4 is the one stepper, so ``method`` may only name it.  h_max's range check
+    lives in IntegratorConfig; its ValueError is re-addressed here."""
     kwargs = {"h_max": _number(node["h_max"], f"{path}.h_max")} if "h_max" in node else {}
-    if "method" in node:
-        kwargs["method"] = node["method"]
+    if node.get("method", "rk4") != "rk4":
+        raise ParseError(f"{path}: unknown integrator method {node['method']!r}")
     try:
         return IntegratorConfig(**kwargs)
     except ValueError as exc:

@@ -104,7 +104,7 @@ def test_criterion_05_trajectory_lipschitz(scenario_dir):
 def test_criterion_06_lambda_convergence():
     start = time.perf_counter()
     sc = drift_halfspace_scenario(lambdas=(0.2, 0.1, 0.05, 0.025))
-    report = sw.lambda_sweep(sc, alpha_samples=0)
+    report = sw.lambda_sweep(sc)
     diffs = [row[2] for row in report.convergence_table]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     ratios = [b / a for a, b in zip(diffs, diffs[1:])]

@@ -293,7 +293,7 @@ def test_sup_diff_grid_mismatch():
 
 def test_lambda_sweep_drift_halving():
     sc = drift_halfspace_scenario(lambdas=(0.2, 0.1, 0.05, 0.025))
-    report = sw.lambda_sweep(sc, alpha_samples=0)
+    report = sw.lambda_sweep(sc)
     diffs = [row[2] for row in report.convergence_table]
     assert len(diffs) == 3
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
@@ -305,14 +305,14 @@ def test_lambda_sweep_drift_halving():
 
 def test_lambda_sweep_static_all_zero():
     sc = static_interior_scenario(lambdas=(0.1, 0.05))
-    report = sw.lambda_sweep(sc, alpha_samples=0)
+    report = sw.lambda_sweep(sc)
     assert all(row[2] == 0.0 for row in report.convergence_table)
     assert report.bound_satisfied
 
 
 def test_lambda_sweep_wedge_uses_far_parameter():
     sc = wedge_scenario()
-    report = sw.lambda_sweep(sc, alpha_samples=0)
+    report = sw.lambda_sweep(sc)
     diffs = [row[2] for row in report.convergence_table]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     assert report.bound_satisfied
@@ -330,7 +330,7 @@ def test_lambda_sweep_records_failed_lambda(monkeypatch):
         return real(scenario, lam)
 
     monkeypatch.setattr(analysis, "integrate", integrate)
-    report = sw.lambda_sweep(sc, kt=kappa_tilde(sc), alpha_samples=0)
+    report = sw.lambda_sweep(sc, kt=kappa_tilde(sc))
     statuses = {d.lam: d.status for d in report.per_lambda}
     assert statuses[0.1] == "ok"
     assert statuses[0.05] == "StepFailure: state became non-finite"
@@ -342,6 +342,17 @@ def test_kappa_tilde_pipeline_drift():
     kt = kappa_tilde(sc)
     assert kt.value == pytest.approx(1.0, rel=0.02)
     assert len(kt.estimates) == 2
+
+
+def test_kappa_tilde_freezes_the_set_only_at_x0(monkeypatch):
+    # the state modulus L is exact from state_gain: kappa_tilde samples no state pairs
+    sc = state_feedback_scenario()
+    frozen = []
+    real = analysis.instantiate
+    monkeypatch.setattr(analysis, "instantiate", lambda *a: frozen.append(a) or real(*a))
+    kappa_tilde(sc, sampler=SamplerConfig(count=64))
+    assert len(frozen) == 2 * 5      # the five times of default_time_pairs, at each radius
+    assert all(np.array_equal(x, sc.x0) for _, _, x in frozen)
 
 
 def test_kappa_tilde_radius_sums_left_to_right_unfused():

@@ -300,6 +300,17 @@ def test_sweep_writes_one_csv_per_lambda_when_g_tags_collide(tmp_path, drift_fil
     assert [line.split()[0] for line in lines] == ["lambda=0.1000001", "lambda=0.1"]
 
 
+def test_estimate_set_keys_each_radius_when_g_texts_collide(tmp_path, drift_file, capsys):
+    # 0.1000001 formats as 0.1 under %g: it is keyed by its repr instead
+    out = tmp_path / "est"
+    assert run_cli("estimate-set", "--scenario", drift_file, "--out", str(out),
+                   "--r", "0.1000001,0.1", "--seed", "1") == 0
+    payload = json.loads((out / "set_estimates.json").read_text())
+    assert sorted(payload["kappa_estimates"]) == ["0.1", "0.1000001"]
+    assert [s["r"] for s in payload["hausdorff_samples"]] == [0.1000001, 0.1]
+    assert "kappa={'0.1000001': " in capsys.readouterr().out
+
+
 def test_public_names_resolve():
     assert len(set(sweepsolve.__all__)) == len(sweepsolve.__all__)
     assert [name for name in sweepsolve.__all__ if not hasattr(sweepsolve, name)] == []

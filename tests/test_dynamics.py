@@ -204,23 +204,12 @@ def test_speed_bounded_by_phi_over_lambda(make):
     assert np.max(speeds) <= 1.05 * np.max(traj.phis) / lam + 1e-12
 
 
-def test_observed_order_euler():
-    lam, T = 0.1, 0.2
-    exact = math.exp(-2.0 * T / lam)
-    errs = []
-    for h in (lam / 16, lam / 32):
-        sc = decay_scenario(gamma=2.0, T=T, lambdas=(lam,), method="euler", h_max=h)
-        errs.append(abs(sw.integrate(sc, lam).states[-1, 0] - exact))
-    order = math.log2(errs[0] / errs[1])
-    assert abs(order - 1.0) <= 0.3
-
-
 def test_observed_order_rk4():
     lam, T = 0.1, 0.2
     exact = math.exp(-2.0 * T / lam)
     errs = []
     for h in (lam / 16, lam / 32):
-        sc = decay_scenario(gamma=2.0, T=T, lambdas=(lam,), method="rk4", h_max=h)
+        sc = decay_scenario(gamma=2.0, T=T, lambdas=(lam,), h_max=h)
         errs.append(abs(sw.integrate(sc, lam).states[-1, 0] - exact))
     order = math.log2(errs[0] / errs[1])
     assert abs(order - 4.0) <= 0.3
@@ -246,7 +235,7 @@ def _reference_integrate(sc, lam):
     ``nearest``, and each node's image and phi come from a fresh ``apply`` and
     ``distance`` once the grid is fixed.
     """
-    cfg, T = sc.integrator, float(sc.T)
+    T = float(sc.T)
     guard = dynamics.SAFETY * lam / (1.0 + sc.operator.M)
 
     def f(t, x):
@@ -254,20 +243,17 @@ def _reference_integrate(sc, lam):
         p = sw.instantiate(sc.moving_set, t, x).nearest(z.tolist())[0][0]
         return (np.array(p) - z) / lam
 
-    def rk4(t, x, h):
+    x = sc.x0.copy()
+    times, states = [0.0], [x.copy()]
+    n_steps = max(1, math.ceil(T / min(guard, sc.integrator.h_max, T) - 1e-12))
+    h = T / n_steps
+    for k in range(n_steps):
+        t = k * h
         k1 = f(t, x)
         k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
         k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
         k4 = f(t + h, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    x = sc.x0.copy()
-    times, states = [0.0], [x.copy()]
-    n_steps = max(1, math.ceil(T / min(guard, cfg.h_max, T) - 1e-12))
-    h = T / n_steps
-    for k in range(n_steps):
-        t = k * h
-        x = x + h * f(t, x) if cfg.method == "euler" else rk4(t, x, h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         times.append((k + 1) * h)
         states.append(x)
     times[-1] = T
@@ -301,30 +287,27 @@ ORACLE_CASES = {
 }
 
 
-def _oracle_scenario(kind, method, lam):
+def _oracle_scenario(kind, lam):
     # T = 0.47 is not n*(T/n) in floating point, so the last node must sit at T
     spec, op = ORACLE_CASES[kind]
     return sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
-                       moving_set=spec, lambdas=(lam,),
-                       integrator=sw.IntegratorConfig(method=method))
+                       moving_set=spec, lambdas=(lam,))
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-@pytest.mark.parametrize("kind", list(ORACLE_CASES))
-def test_integrate_bit_identical_to_per_node_reassembly(kind, method):
+@pytest.mark.parametrize("kind", list(ORACLE_CASES), ids=lambda kind: f"{kind}-rk4")
+def test_integrate_bit_identical_to_per_node_reassembly(kind):
     lam = 0.1
-    sc = _oracle_scenario(kind, method, lam)
+    sc = _oracle_scenario(kind, lam)
     traj = sw.integrate(sc, lam)
     ref = _reference_integrate(sc, lam)
     got = (traj.times, traj.states, traj.images, traj.phis)
     for name, a, b in zip(("times", "states", "images", "phis"), got, ref):
         assert a.shape == b.shape and np.array_equal(a, b), name
     assert traj.phis.max() > 0.0  # the set pushes: the velocity is not trivially zero
-    n = traj.stats.n_accepted
-    assert traj.stats.rhs_evals == (n if method == "euler" else 4 * n)
+    assert traj.stats.rhs_evals == 4 * traj.stats.n_accepted
 
 
-def _stage_times(traj, method, fixed):
+def _stage_times(traj, fixed):
     """(lookup times, query times) that ``integrate`` should make on ``traj``'s grid:
     a query per stage, at t, t + h/2, t + h/2 and t + h for RK4, and one at T.
     A state-dependent set is looked up once per query; a state-independent one
@@ -333,21 +316,17 @@ def _stage_times(traj, method, fixed):
     h, nodes = traj.stats.h, traj.times.tolist()
     lookups, queries, reuse = [], [], False
     for t, t_next in zip(nodes, nodes[1:]):
-        if method == "euler":
-            stages = looked_up = [t]
-        else:
-            stages = [t, t + 0.5 * h, t + 0.5 * h, t + h]
-            looked_up = stages[(1 if reuse else 0):2] + stages[3:] if fixed else stages
+        stages = [t, t + 0.5 * h, t + 0.5 * h, t + h]
         queries += stages
-        lookups += looked_up
-        reuse = fixed and method == "rk4" and t_next == t + h
+        lookups += stages[(1 if reuse else 0):2] + stages[3:] if fixed else stages
+        reuse = fixed and t_next == t + h
     return lookups + nodes[-1:][(1 if reuse else 0):], queries + nodes[-1:]
 
 
-@pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
-def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
+@pytest.mark.parametrize("per_step", [4], ids=["rk4-4"])
+def test_fixed_step_makes_one_query_per_stage(monkeypatch, per_step):
     lam = 0.05
-    sc = drift_halfspace_scenario(lambdas=(lam,), method=method)
+    sc = drift_halfspace_scenario(lambdas=(lam,))
     _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceSpec)
     traj = sw.integrate(sc, lam)
@@ -355,11 +334,11 @@ def test_fixed_step_makes_one_query_per_stage(monkeypatch, method, per_step):
     assert len(queries) == per_step * n_steps + 1   # the node at T adds one query
     assert traj.stats.rhs_evals == per_step * n_steps
     # the first step's stage times, then the next node's
-    assert queries[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h][:per_step] + [h]
-    # the set is state-independent: RK4's k2 and k3 share the lookup at h/2
-    assert lookups[:3] == ([0.0, h, 2 * h] if method == "euler" else [0.0, 0.5 * h, h])
-    assert len(lookups) <= (1 if method == "euler" else 3) * n_steps + 1
-    assert (lookups, queries) == _stage_times(traj, method, fixed=True)
+    assert queries[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h, h]
+    # the set is state-independent: k2 and k3 share the lookup at h/2
+    assert lookups[:3] == [0.0, 0.5 * h, h]
+    assert len(lookups) <= 3 * n_steps + 1
+    assert (lookups, queries) == _stage_times(traj, fixed=True)
 
 
 _OVERFLOW_SETS = {
@@ -389,15 +368,14 @@ def test_overflowing_image_is_a_named_error(monkeypatch, kind):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_state_is_a_step_failure():
-    # A(x0) = x0 is finite, but the pull toward {z >= 0} overflows the first
-    # Euler step; the check on the new state must catch it before A(x1)
+    # A(x0) = x0 and the velocity 1e308 toward {z >= 0} are finite, but the first
+    # step's 2*k2 overflows; the check on the new state must catch it before A(x1)
     sc = sw.Scenario(n=1, T=1.0, x0=np.array([-1e308]), operator=sw.IdentityOperator(),
-                     moving_set=sw.HalfSpaceSpec(normal=[-1.0]), lambdas=(0.1,),
-                     integrator=sw.IntegratorConfig(method="euler"),
+                     moving_set=sw.HalfSpaceSpec(normal=[-1.0]), lambdas=(1.0,),
                      allow_infeasible_start=True)
-    assert np.isinf(sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)).all()
-    with pytest.raises(sw.StepFailure):
-        sw.integrate(sc, 0.1)
+    assert sw.penalized_rhs(sc, 1.0, 0.0, sc.x0).tolist() == [1e308]
+    with pytest.raises(sw.StepFailure, match=r"at t = 0\.1 "):
+        sw.integrate(sc, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +384,7 @@ def test_overflowing_state_is_a_step_failure():
 
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
 def test_integrate_builds_no_instance(monkeypatch, kind):
-    sc = _oracle_scenario(kind, "rk4", 0.1)
+    sc = _oracle_scenario(kind, 0.1)
     _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
     traj = sw.integrate(sc, 0.1)
@@ -416,13 +394,13 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
     assert fixed == (kind not in ("state_half_space", "state_ball"))
     # looked up once per stage time, or at every stage when the set moves with x
     assert len(lookups) <= (3 if fixed else 4) * n + 1
-    assert (lookups, queries) == _stage_times(traj, "rk4", fixed)
+    assert (lookups, queries) == _stage_times(traj, fixed)
 
 
 @pytest.mark.parametrize("kind", ["half_space", "rotating_half_space", "ball", "box",
                                   "intersection"])
 def test_catching_up_builds_no_instance(monkeypatch, kind):
-    sc = _oracle_scenario(kind, "rk4", 0.1)
+    sc = _oracle_scenario(kind, 0.1)
     _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
     traj = sw.catching_up(sc, 0.01)
@@ -442,7 +420,7 @@ def _count_freezes(monkeypatch, spec_cls):
 
 @pytest.mark.parametrize("kind", ["half_space", "ball", "box", "wedge", "intersection", "union"])
 def test_state_independent_set_freezes_at_most_three_times_per_step(monkeypatch, kind):
-    sc = _oracle_scenario(kind, "rk4", 0.1)
+    sc = _oracle_scenario(kind, 0.1)
     calls = _count_freezes(monkeypatch, type(sc.moving_set))
     n = sw.integrate(sc, 0.1).stats.n_accepted
     # k2 and k3 share t + h/2; k4 shares t + h with the next node's k1
@@ -452,8 +430,8 @@ def test_state_independent_set_freezes_at_most_three_times_per_step(monkeypatch,
 
 def test_threaded_sweep_matches_serial_sweep():
     sc = drift_halfspace_scenario(lambdas=(0.1, 0.05, 0.02, 0.01))
-    serial = sw.lambda_sweep(sc, jobs=1, alpha_samples=0).trajectories
-    threaded = sw.lambda_sweep(sc, jobs=2, alpha_samples=0).trajectories
+    serial = sw.lambda_sweep(sc, jobs=1).trajectories
+    threaded = sw.lambda_sweep(sc, jobs=2).trajectories
     assert list(serial) == list(threaded) == list(sc.lambdas)
     for lam, a in serial.items():
         b = threaded[lam]
@@ -484,7 +462,7 @@ def test_probed_intersection_freezes_once_per_query(monkeypatch):
     calls = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, 0.1)
     assert traj.phis.max() > 0.0 and len(calls) <= 3 * traj.stats.n_accepted + 1
-    assert calls == _stage_times(traj, "rk4", fixed=True)[0]
+    assert calls == _stage_times(traj, fixed=True)[0]
 
 
 def test_crossing_intersection_raises_when_empty():

@@ -33,7 +33,10 @@ def test_minimal_document_parses():
     assert sc.n == 1 and sc.T == 1.0
     assert sc.lambdas == (0.1, 0.05)
     assert sc.alpha_assumed == 1.0 and math.isinf(sc.rho_assumed)
-    assert sc.integrator.method == "rk4"
+    assert sc.integrator == sw.IntegratorConfig()
+    # RK4 is the one stepper; corpus files still name it
+    sc = sw.parse_scenario(json.dumps(doc(integrator={"method": "rk4", "h_max": 0.01})))
+    assert sc.integrator == sw.IntegratorConfig(h_max=0.01)
 
 
 def test_syntax_error_reports_location():
@@ -57,7 +60,7 @@ def test_unknown_nested_key_rejected_with_path():
 
 
 @pytest.mark.parametrize("integrator", [{"method": "adaptive"}, {"tol_adapt": 1e-7},
-                                        {"safety": 0.5}])
+                                        {"safety": 0.5}, {"method": "euler"}])
 def test_adaptive_integrator_settings_are_parse_errors(tmp_path, capsys, integrator):
     text = json.dumps(doc(integrator=integrator))
     with pytest.raises(sw.ParseError) as err:
