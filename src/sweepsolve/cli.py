@@ -32,7 +32,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import SamplerConfig
 from .dynamics import integrate
-from .errors import DimensionMismatch, SweepSolveError, UsageError
+from .errors import DimensionMismatch, GridMismatch, SweepSolveError, UsageError
 from .scenario_io import (
     check_penalty_gate,
     diagnostics_to_dict,
@@ -191,6 +191,11 @@ def _run_diagnose(args, scenario, out_dir):
     if traj.states.shape[1] != scenario.n:
         raise DimensionMismatch(f"{args.traj}: trajectory has dimension {traj.states.shape[1]}, "
                                 f"scenario has {scenario.n}")
+    # a partial trajectory certifies nothing: span [0, T] (within sup_diff's 1e-12) from x0
+    t0, tN, x, x0 = traj.times[0], traj.horizon, traj.states[0].tolist(), scenario.x0.tolist()
+    if t0 != 0.0 or abs(tN - scenario.T) > 1e-12 or x != x0:
+        raise GridMismatch(f"{args.traj}: trajectory covers [{t0:.17g}, {tN:.17g}] from x = {x}, "
+                           f"scenario needs [0, {scenario.T:.17g}] from x0 = {x0}")
     lam = args.lam if args.lam is not None else traj.lam
     if lam is None:
         raise SweepSolveError("trajectory CSV carries no lambda; pass --lam")

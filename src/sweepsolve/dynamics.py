@@ -27,8 +27,8 @@ expressions in the comments and dot products run left to right
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -116,7 +116,9 @@ class StepStats:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Grid solution with operator images and the set-tracking gap phi."""
+    """Grid solution with operator images and the set-tracking gap phi.  Built by ``of``,
+    times, states, images and phis are column views of one (N, 2n + 2) float64 table laid
+    out like the CSV: a row t, x, A(x), phi per node, 8*(2n + 2) bytes."""
 
     times: np.ndarray
     states: np.ndarray
@@ -126,10 +128,9 @@ class Trajectory:
     stats: StepStats = field(default=StepStats(0, 0, 0, 0.0))
 
     @classmethod
-    def of(cls, nodes, lam, stats):     # nodes (t, x, A(x), phi), x and A(x) lists of floats
-        ts, xs, zs, phis = zip(*nodes)
-        rows = lambda vs: np.fromiter(chain.from_iterable(vs), float).reshape(len(ts), -1)
-        return cls(np.fromiter(ts, float), rows(xs), rows(zs), np.fromiter(phis, float), lam, stats)
+    def of(cls, table, n, lam, stats):      # table: flat float64 buffer of the rows, no copy
+        rows = np.frombuffer(table, float).reshape(-1, 2 * n + 2)
+        return cls(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:-1], rows[:, -1], lam, stats)
 
     @property
     def horizon(self) -> float:
@@ -176,7 +177,8 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     h = T/n the largest such step under the guard and h_max.
 
     The tracking gap phi is recomputed from the geometry at every node, never
-    propagated from its differential inequality.
+    propagated from its differential inequality.  Each node appends its row to
+    one float64 ``array``, the table the Trajectory's columns view.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -187,11 +189,11 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     h = T / n_steps
     half, sixth = 0.5 * h, h / 6.0
 
-    nodes, q = [], None
+    table, q = array("d"), None
     t, x = 0.0, scenario.x0.tolist()
     for k in range(n_steps + 1):
         z1, p1, phi, _ = f(t, x, q)
-        nodes.append((t, x, z1, phi))
+        table.fromlist([t, *x, *z1, phi])
         if k == n_steps:
             break
         # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k, k_i = (p_i - z_i)/lam
@@ -207,7 +209,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
         t_next = (k + 1) * h if k + 1 < n_steps else T
         t, q = t_next, (q if t_next == t + h else None)        # k4's lookup serves the next k1
     stats = StepStats(n_steps, 0, 4 * n_steps, h)
-    return Trajectory.of(nodes, lam, stats)
+    return Trajectory.of(table, scenario.n, lam, stats)
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:
@@ -239,10 +241,10 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
 
     x0 = scenario.x0.tolist()       # the set is state-independent: look it up at x0
     z = op.image(x0)
-    nodes = [(0.0, x0, z, spec.at(0.0, x0)(z)[1])]
+    table = array("d", [0.0, *x0, *z, spec.at(0.0, x0)(z)[1]])
     for k in range(n_steps):
         t = (k + 1) * h_eff if k + 1 < n_steps else T
         q = spec.at(t, x0)          # queried for the projection, then for its phi
         z = q(z)[0][0]
-        nodes.append((t, [zi / gamma for zi in z], z, q(z)[1]))
-    return Trajectory.of(nodes, None, StepStats(n_steps, 0, 0, h_eff))
+        table.fromlist([t, *(zi / gamma for zi in z), *z, q(z)[1]])
+    return Trajectory.of(table, scenario.n, None, StepStats(n_steps, 0, 0, h_eff))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -294,67 +295,68 @@ def _fmt(v: float) -> str:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Full-precision CSV with columns t, x_1..x_n, z_1..z_n, phi."""
+    """Full-precision CSV with columns t, x_1..x_n, z_1..z_n, phi, a block of rows per write."""
     n = traj.states.shape[1]
     cols = ["t"] + [f"x_{j + 1}" for j in range(n)] + [f"z_{j + 1}" for j in range(n)] + ["phi"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if traj.lam is not None:
             fh.write(f"# lambda = {_fmt(traj.lam)}\n")
         fh.write(",".join(cols) + "\n")
-        table = np.column_stack([traj.times, traj.states, traj.images, traj.phis])
         line = ",".join(["%.17g"] * len(cols)) + "\n"       # the bytes of format(v, ".17g")
-        for block in np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)):
+        for i in range(0, len(traj), _CSV_BLOCK_ROWS):
+            block = np.column_stack([a[i:i + _CSV_BLOCK_ROWS]
+                                     for a in (traj.times, traj.states, traj.images, traj.phis)])
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Round-trip reader for CSVs produced by write_trajectory_csv.
 
-    Any malformed content (a lambda header that is not a positive finite
-    number, column layout, ragged row, non-numeric or non-finite cell, times
-    not strictly increasing, fewer than two data rows) raises ParseError.
+    Rows stream into one float64 table, 8*(2n + 2) bytes a row, whose column
+    views the Trajectory holds.  Any malformed content (a lambda header that is
+    not a positive finite number, column layout, ragged row, non-numeric or
+    non-finite cell, times not strictly increasing, fewer than two data rows)
+    raises ParseError; a ragged or non-numeric row is named before too few rows.
     """
     lam = None
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
-    if lines and lines[0].startswith("#"):
-        head = lines.pop(0)
-        if "lambda" in head and "=" in head:
-            try:
-                lam = float(head.split("=", 1)[1])
-            except ValueError:
-                lam = math.nan
-            if not (lam > 0 and math.isfinite(lam)):      # also false on NaN
-                raise ParseError(f"{path}: lambda header is not a positive finite number: "
-                                 f"{head!r}")
-    if not lines:
-        raise ParseError(f"{path}: empty trajectory file")
-    header = lines.pop(0).split(",")
-    if header[0] != "t" or header[-1] != "phi" or (len(header) - 2) % 2 != 0:
-        raise ParseError(f"{path}: unexpected column layout {header}")
-    if len(lines) < 2:
-        raise ParseError(f"{path}: a trajectory needs at least two data rows, got {len(lines)}")
-    n = (len(header) - 2) // 2
-    values = []         # one flat list of every cell, row after row
-    try:
-        for i, ln in enumerate(lines, start=1):
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ParseError(f"{path}: data row {i} has {len(cells)} cells, "
-                                 f"header has {len(header)}")
-            values.extend(map(float, cells))
-    except ValueError:
-        raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
-    rows = np.array(values).reshape(-1, len(header))
+        lines = filter(None, map(str.strip, fh))
+        head = next(lines, "")
+        if head.startswith("#"):
+            if "lambda" in head and "=" in head:
+                try:
+                    lam = float(head.split("=", 1)[1])
+                except ValueError:
+                    lam = math.nan
+                if not (lam > 0 and math.isfinite(lam)):      # also false on NaN
+                    raise ParseError(f"{path}: lambda header is not a positive finite number: "
+                                     f"{head!r}")
+            head = next(lines, "")
+        if not head:
+            raise ParseError(f"{path}: empty trajectory file")
+        header = head.split(",")
+        if header[0] != "t" or header[-1] != "phi" or (len(header) - 2) % 2 != 0:
+            raise ParseError(f"{path}: unexpected column layout {header}")
+        table, i = array("d"), 0        # every cell, row after row
+        try:
+            for i, ln in enumerate(lines, start=1):
+                cells = ln.split(",")
+                if len(cells) != len(header):
+                    raise ParseError(f"{path}: data row {i} has {len(cells)} cells, "
+                                     f"header has {len(header)}")
+                table.fromlist(list(map(float, cells)))
+        except ValueError:
+            raise ParseError(f"{path}: data row {i} has a non-numeric cell: {ln!r}") from None
+    if i < 2:
+        raise ParseError(f"{path}: a trajectory needs at least two data rows, got {i}")
+    rows = np.frombuffer(table, float).reshape(i, len(header))
     bad = np.flatnonzero(~np.isfinite(rows).all(1))
     if bad.size:
         raise ParseError(f"{path}: data row {bad[0] + 1} has a non-finite cell")
     bad = np.flatnonzero(np.diff(rows[:, 0]) <= 0)
     if bad.size:
         raise ParseError(f"{path}: data row {bad[0] + 2}: times must increase strictly")
-    return Trajectory(times=rows[:, 0], states=rows[:, 1:1 + n],
-                      images=rows[:, 1 + n:1 + 2 * n], phis=rows[:, -1],
-                      lam=lam, stats=StepStats(rows.shape[0] - 1, 0, 0, 0.0))
+    return Trajectory.of(table, (len(header) - 2) // 2, lam, StepStats(i - 1, 0, 0, 0.0))
 
 
 def jsonable(obj):

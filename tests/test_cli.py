@@ -60,6 +60,27 @@ def test_diagnose_round_trip_phi_max(tmp_path, drift_file):
     assert abs(diag["phi_max"] - summary["phi_max"]) <= 1e-12
 
 
+@pytest.mark.parametrize("cut, found", [
+    (lambda rows: rows[:10], "covers [0, 0.089999999999999997] from x = [0.0, 0.0]"),
+    (lambda rows: rows[10:], "covers [0.10000000000000001, 2] from x = "),
+    (lambda rows: ["0,0.5,0,0,0,0"] + rows[1:], "covers [0, 2] from x = [0.5, 0.0]"),
+], ids=["cut_short", "started_late", "started_off_x0"])
+def test_diagnose_refuses_a_partial_trajectory(tmp_path, scenario_dir, capsys, cut, found):
+    # a CSV cut short, started late or started off x0 is not the scenario's trajectory
+    ball = str(scenario_dir / "moving_ball_escape.json")
+    assert run_cli("solve", "--scenario", ball, "--out", str(tmp_path / "solve"), "--lam", "0.1") == 0
+    comment, header, *rows = (tmp_path / "solve" / "trajectory_lam0.1.csv").read_text().splitlines()
+    part = tmp_path / "part.csv"
+    part.write_text("\n".join([comment, header, *cut(rows)]) + "\n")
+    capsys.readouterr()
+    assert run_cli("diagnose", "--scenario", ball, "--traj", str(part),
+                   "--out", str(tmp_path / "diag")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {part}: trajectory {found}")
+    assert "scenario needs [0, 2] from x0 = [0.0, 0.0]" in err
+    assert not (tmp_path / "diag" / "diagnose.json").exists()
+
+
 def test_estimate_set_wedge_alpha(tmp_path, scenario_dir):
     out = tmp_path / "est"
     code = run_cli("estimate-set", "--scenario", str(scenario_dir / "wedge_rising.json"),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,10 @@ def test_csv_text_is_pinned(tmp_path):
     ("t,x_1,z_1,phi\n0,0,0,0\n0.5,0.1,0.1\n1,0.2,0.2,0\n", "data row 2 has 3 cells, header has 4"),
     ("t,x_1,z_1,phi\n0,0,0,0\n0.5,0,0,0\n1,abc,0.1,0\n",
      "data row 3 has a non-numeric cell: '1,abc,0.1,0'"),
+    # rows stream in, so a one-row file's bad cell is named before its row count
+    ("t,x_1,z_1,phi\n0,abc,0,0\n", "data row 1 has a non-numeric cell: '0,abc,0,0'"),
+    ("t,x_1,z_1,phi\n0,0,0\n", "data row 1 has 3 cells, header has 4"),
+    ("t,x_1,z_1,phi\n0,0,0,0\n", "a trajectory needs at least two data rows, got 1"),
 ])
 def test_malformed_csv_row_is_named(tmp_path, body, message):
     path = tmp_path / "bad.csv"
@@ -371,6 +376,39 @@ def test_malformed_csv_row_is_named(tmp_path, body, message):
     with pytest.raises(sw.ParseError) as raised:
         read_trajectory_csv(path)
     assert str(raised.value) == f"{path}: {message}"
+
+
+_MEMORY_NODES = 20_000
+
+
+@pytest.mark.parametrize("problem", [
+    doc(integrator={"h_max": 1.0 / _MEMORY_NODES}),
+    doc(problem={"dimension": 2, "horizon": 0.25, "x0": [-0.25, 0.0]},
+        operator={"kind": "scaled_identity", "gamma": 2.0},
+        set={"kind": "ball", "center": [0.0, 0.0], "velocity": [1.0, 0.0], "radius": 1.0},
+        integrator={"h_max": 0.25 / _MEMORY_NODES}),
+], ids=["drift_n1", "ball_n2"])
+def test_a_trajectory_costs_its_float_table(tmp_path, problem):
+    # integrate and read_trajectory_csv each peak within 1.5x of 8*(2n + 2) bytes a node
+    sc = sw.parse_scenario(json.dumps(problem))
+    row_bytes = 8 * (2 * sc.n + 2)
+    path = tmp_path / "traj.csv"
+
+    def peak_per_node(run):
+        tracemalloc.start()
+        try:
+            traj = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == _MEMORY_NODES + 1
+        return peak / len(traj)
+
+    write_trajectory_csv(path, sw.integrate(sc, 0.05))     # first use fills the caches
+    per_node = peak_per_node(lambda: sw.integrate(sc, 0.05))
+    assert per_node <= 1.5 * row_bytes, f"integrate: {per_node:.1f} B a node"
+    per_node = peak_per_node(lambda: read_trajectory_csv(path))
+    assert per_node <= 1.5 * row_bytes, f"read_trajectory_csv: {per_node:.1f} B a node"
 
 
 def test_block_writer_matches_the_per_cell_writer(tmp_path):
