@@ -9,23 +9,31 @@ Inputs are validated once, at the boundary: x0, the set and operator
 dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
 H1 (L < m) and H2 in ``Scenario``, whose ``margin`` m*alpha^2 - L is the one
 source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
-in ``integrate``, and each new state's finiteness.  Each right-hand-side stage
-makes one query q(A(x)) of the set looked up as q = ``spec.at(t, x)``, building
-no set instance but a probed intersection's; a member A(x) is its own nearest
-point, so the velocity vanishes exactly there.  A set moving with x is looked up
-at every stage, a state-independent one once per stage time (k2 and k3 share
-t + h/2; k4's lookup serves the next k1 at t + h).  A node's image and phi come
-from its k1 query; only the node at T needs its own.
+in ``integrate``, and each new state's finiteness.
 
-States and images are lists of floats and every set kind answers on floats, so
-a stage costs a few float operations, and the RK4 update reads
-k = (p - A(x))/lambda inline.  Stages combine in the order of the array
-expressions in the comments and dot products run left to right
-(``set_zoo._fdot``): one bit pattern per input on every BLAS kernel.
+``integrate`` runs one RK4 loop, generated as Python source per (dimension n,
+operator kind, set kind) and compiled on first use, once per process; each
+vector is n float locals and the parameters are arguments.  A stage at (t, s)
+runs the operator's ``image_source`` statements, checks A(s), looks the set up
+and queries it.  Half-spaces with a fixed normal, balls and boxes inline their
+lookup and one-point kernel (``kernel_source``); other kinds fall back to
+q = ``spec.at(t, s)`` and q(A(s)) on lists, building no set instance but a
+probed intersection's.  A set moving with x is looked up at every stage, a
+state-independent one once per stage time (k2 and k3 share t + h/2; k4's
+lookup serves the next k1 at t + h).  A node's image and phi come from its k1
+query.  A member A(x) is its own nearest point: the velocity is exactly 0.
+
+The generated statements run the list kernels' float operations in their
+order: dot products left to right from 0.0 (``set_zoo._fdot``), the box's clip
+rule, stages x + (h/2)*k with k = (p - A(x))/lambda, the update
+x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), node times (k + 1)*h and T, and the checks
+with their messages: a trajectory is bitwise the stage-by-stage one, with one
+bit pattern per input on every BLAS kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -34,13 +42,14 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyInstance,
     InvalidVector,
     StepFailure,
     UnsupportedScenario,
     ValidationError,
 )
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import as_vector, checked_point
+from .set_zoo import _each, as_vector, checked_point
 
 SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
@@ -140,23 +149,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _stage(op, spec):
-    """The stage (t, x, q) -> (A(x), p, phi, q) at a list state x: p is A(x)'s first nearest
-    point by q, or by ``spec.at(t, x)`` if q is None, and the q returned serves any stage at t
-    unless the set moves with x (then it is None); a non-finite A(x) raises first."""
-    image, at = op.image, spec.at
-    fixed = spec.state_lipschitz == 0.0
-
-    def stage(t, x, q=None):
-        z = image(x)
-        if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
-            raise InvalidVector("operator image A(x) contains non-finite entries")
-        q = q or at(t, x)
-        points, phi = q(z)
-        return z, points[0], phi, q if fixed else None
-    return stage
-
-
 def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     """Velocity of the penalized dynamics at (t, x), with t, x and lambda validated.
 
@@ -168,8 +160,45 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     t, x = checked_point(scenario.moving_set, t, x)
-    z, p, _, _ = _stage(scenario.operator, scenario.moving_set)(t, x.tolist())
+    z = scenario.operator.image(x.tolist())
+    if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
+        raise InvalidVector("operator image A(x) contains non-finite entries")
+    p = scenario.moving_set.at(t, x.tolist())(z)[0][0]
     return np.array([(pi - zi) / lam for pi, zi in zip(p, z)])
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(source):
+    """The function ``rk4`` that ``source`` defines, compiled once per process (the corpus has 8)."""
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "EmptyInstance": EmptyInstance,
+                 "InvalidVector": InvalidVector, "StepFailure": StepFailure}
+    exec(compile(source, "<sweepsolve.dynamics rk4>", "exec"), namespace)
+    return namespace["rk4"]
+
+
+def _rk4_source(n, image, lookup, query, fixed, params):
+    """Source of ``rk4(table, T, n_steps, h, half, sixth, lam, **params)``, each list unpacked
+    to name_#.  A stage at (ts, s_#) runs ``image``, its check, ``lookup`` (once per stage time
+    if the set is ``fixed`` in x, k4's serving the next k1 at t4) and ``query`` for p_#, phi."""
+    def stage(time, state, look, slope=""):       # the stage at (ts, s_#), then its slope k_#
+        return [time, _each(f"s_# = {state}", n), image, f"if not ({_each('isfinite(z_#)', n, ' and ')}):",
+                "    raise InvalidVector('operator image A(x) contains non-finite entries')", *look, *query,
+                slope and _each(f"{slope}_# = (p_# - z_#) / lam", n)]
+    body = [*stage("ts = t", "x_#", ["if t != t4:", *("    " + ln for ln in lookup)] if fixed else lookup),
+            f"fromlist([t, {_each('x_#', n, ', ')}, {_each('z_#', n, ', ')}, phi])",
+            "if k == n_steps:", "    break", _each("k1_# = (p_# - z_#) / lam", n),
+            *stage("ts = t + half", "x_# + half * k1_#", lookup, "k2"),
+            *stage("", "x_# + half * k2_#", [] if fixed else lookup, "k3"),
+            *stage("ts = t4 = t + h", "x_# + h * k3_#", lookup),
+            # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), k4 read inline
+            _each("x_# = x_# + sixth * (k1_# + 2.0 * k2_# + 2.0 * k3_# + (p_# - z_#) / lam)", n),
+            f"if not ({_each('isfinite(x_#)', n, ' and ')}):",
+            "    raise StepFailure(f'state became non-finite at t = {t + h:g} (h = {h:g}); tighten the stiffness guard')",
+            "t = (k + 1) * h if k + 1 < n_steps else T"]
+    unpack = [f"    {_each(f'{name}_#', len(v), ', ')}, = {name}" for name, v in params.items() if isinstance(v, list)]
+    return "\n".join([f"def rk4(table, T, n_steps, h, half, sixth, lam, {', '.join(params)}):", *unpack,
+                      "    fromlist, t, t4 = table.fromlist, 0.0, None",
+                      "    for k in range(n_steps + 1):", *("        " + ln for ln in body if ln), ""])
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
@@ -182,34 +211,19 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    f = _stage(scenario.operator, scenario.moving_set)
-    T = float(scenario.T)
+    spec, n, T = scenario.moving_set, scenario.n, float(scenario.T)
     guard = SAFETY * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-
-    table, q = array("d"), None
-    t, x = 0.0, scenario.x0.tolist()
-    for k in range(n_steps + 1):
-        z1, p1, phi, _ = f(t, x, q)
-        table.fromlist([t, *x, *z1, phi])
-        if k == n_steps:
-            break
-        # x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), stages at x + 0.5*h*k, k_i = (p_i - z_i)/lam
-        z2, p2, _, q = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p1, z1)])
-        z3, p3, _, _ = f(t + half, [xi + half * ((pi - zi) / lam) for xi, pi, zi in zip(x, p2, z2)], q)
-        z4, p4, _, q = f(t + h, [xi + h * ((pi - zi) / lam) for xi, pi, zi in zip(x, p3, z3)])
-        x = [xi + sixth * ((a1 - b1) / lam + 2.0 * ((a2 - b2) / lam) + 2.0 * ((a3 - b3) / lam) + (a4 - b4) / lam)
-             for xi, a1, b1, a2, b2, a3, b3, a4, b4 in zip(x, p1, z1, p2, z2, p3, z3, p4, z4)]
-        if not all(map(math.isfinite, x)):
-            raise StepFailure(
-                f"state became non-finite at t = {t + h:g} (h = {h:g}); "
-                "tighten the stiffness guard")
-        t_next = (k + 1) * h if k + 1 < n_steps else T
-        t, q = t_next, (q if t_next == t + h else None)        # k4's lookup serves the next k1
-    stats = StepStats(n_steps, 0, 4 * n_steps, h)
-    return Trajectory.of(table, scenario.n, lam, stats)
+    op_args, image = scenario.operator.image_source(n)
+    set_args, lookup, query = getattr(spec, "kernel_source", lambda: None)() or (
+        {"at": spec.at}, [f"q = at(ts, [{_each('s_#', n, ', ')}])"],
+        [f"points, phi = q([{_each('z_#', n, ', ')}])", f"{_each('p_#', n, ', ')}, = points[0]"])
+    args = {"x": scenario.x0.tolist(), **op_args, **set_args}
+    table = array("d")
+    _compiled(_rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0, args))(
+        table, T, n_steps, h, 0.5 * h, h / 6.0, lam, **args)
+    return Trajectory.of(table, n, lam, StepStats(n_steps, 0, 4 * n_steps, h))
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:

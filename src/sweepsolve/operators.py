@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .set_zoo import _fdot, as_vector
+from .set_zoo import _each, _fdot, _fsum, as_vector
 
 
 class Operator:
@@ -23,6 +23,10 @@ class Operator:
 
     def image(self, x) -> list:
         raise NotImplementedError
+
+    def image_source(self, n):
+        """(arguments, statements setting z_# = A(s)_# from s_0..s_{n-1}) for ``dynamics``' loop."""
+        return {"image": self.image}, f"{_each('z_#', n, ', ')}, = image([{_each('s_#', n, ', ')}])"
 
     def apply(self, x) -> np.ndarray:
         return np.array(self.image(as_vector(x, self.n, "x").tolist()))
@@ -37,6 +41,9 @@ class IdentityOperator(Operator):
     def image(self, x):
         return x
 
+    def image_source(self, n):
+        return {}, _each("z_# = s_#", n)
+
 
 class ScaledIdentityOperator(Operator):
     def __init__(self, gamma):
@@ -49,6 +56,9 @@ class ScaledIdentityOperator(Operator):
 
     def image(self, x):
         return [self.gamma * xi for xi in x]
+
+    def image_source(self, n):
+        return {"gamma": self.gamma}, _each("z_# = gamma * s_#", n)
 
 
 class LinearSPDOperator(Operator):
@@ -79,3 +89,7 @@ class LinearSPDOperator(Operator):
 
     def image(self, x):
         return [_fdot(row, x) for row in self._rows]
+
+    def image_source(self, n):
+        return ({f"K{i}": row for i, row in enumerate(self._rows)},
+                "; ".join(f"z_{i} = {_fsum(f'K{i}_# * s_#', n)}" for i in range(n)))

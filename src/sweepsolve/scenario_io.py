@@ -294,10 +294,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _columns(n):
+    return ["t", *(f"x_{j + 1}" for j in range(n)), *(f"z_{j + 1}" for j in range(n)), "phi"]
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Full-precision CSV with columns t, x_1..x_n, z_1..z_n, phi, a block of rows per write."""
-    n = traj.states.shape[1]
-    cols = ["t"] + [f"x_{j + 1}" for j in range(n)] + [f"z_{j + 1}" for j in range(n)] + ["phi"]
+    cols = _columns(traj.states.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if traj.lam is not None:
             fh.write(f"# lambda = {_fmt(traj.lam)}\n")
@@ -314,9 +317,10 @@ def read_trajectory_csv(path) -> Trajectory:
 
     Rows stream into one float64 table, 8*(2n + 2) bytes a row, whose column
     views the Trajectory holds.  Any malformed content (a lambda header that is
-    not a positive finite number, column layout, ragged row, non-numeric or
-    non-finite cell, times not strictly increasing, fewer than two data rows)
-    raises ParseError; a ragged or non-numeric row is named before too few rows.
+    not a positive finite number, columns other than t, x_1..x_n, z_1..z_n, phi
+    for some n >= 1, ragged row, non-numeric or non-finite cell, times not
+    strictly increasing, fewer than two data rows) raises ParseError; a ragged
+    or non-numeric row is named before too few rows.
     """
     lam = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -335,7 +339,7 @@ def read_trajectory_csv(path) -> Trajectory:
         if not head:
             raise ParseError(f"{path}: empty trajectory file")
         header = head.split(",")
-        if header[0] != "t" or header[-1] != "phi" or (len(header) - 2) % 2 != 0:
+        if len(header) < 4 or header != _columns((len(header) - 2) // 2):
             raise ParseError(f"{path}: unexpected column layout {header}")
         table, i = array("d"), 0        # every cell, row after row
         try:

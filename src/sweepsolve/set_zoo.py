@@ -95,6 +95,16 @@ def _fdot(a, b):
     return s
 
 
+def _each(stmt, n, sep="; "):
+    """``stmt`` once per coordinate, # replaced by 0..n-1, joined by ``sep``: unrolled source."""
+    return sep.join(stmt.replace("#", str(i)) for i in range(n))
+
+
+def _fsum(term, n):
+    """Source of ``_fdot``'s sum of ``term`` over the coordinates, in its order."""
+    return "0.0 + " + _each(term, n, " + ")
+
+
 def row_norms(G):
     """Euclidean norms along the last axis, summed in ``_dot``'s fixed order."""
     return np.sqrt(_dot(G, G))
@@ -497,6 +507,20 @@ class HalfSpaceSpec(_Moving):
             beta += self.state_gain * _fdot(self._state_direction, x)
         return zeta, beta
 
+    def kernel_source(self):
+        """(arguments, lookup, query) for ``dynamics``' loop: ``_params`` at (ts, s_#) and the kernel
+        at z_#, setting p_# and phi, as float statements; None when the normal turns."""
+        if self.rotation_rate != 0.0:
+            return None
+        n, args = self.n, {"beta0": self.beta0, "drift": self.drift, "nu": self._normal}
+        lookup = ["beta = beta0 + drift * ts"]
+        if self.state_gain != 0.0:
+            args.update(gain=self.state_gain, u=self._state_direction)
+            lookup.append(f"beta = beta + gain * ({_fsum('u_# * s_#', n)})")
+        return args, lookup, [f"v = {_fsum('z_# * nu_#', n)} - beta",
+                              f"if v > 0.0: {_each('p_# = z_# - v * nu_#', n)}; phi = v",
+                              f"else: {_each('p_# = z_#', n)}; phi = 0.0"]
+
 
 @dataclass(frozen=True, eq=False)
 class BallSpec(_Moving):
@@ -524,6 +548,17 @@ class BallSpec(_Moving):
         if self.state_gain != 0.0:
             c = [ci + self.state_gain * xi for ci, xi in zip(c, x)]
         return c, self.radius
+
+    def kernel_source(self):
+        """``_params`` and ``BallInstance.kernel`` as float statements (see ``HalfSpaceSpec``)."""
+        n, args = self.n, {"radius": self.radius, "c0": self._center, "w": self._velocity}
+        lookup = [_each("c_# = c0_# + ts * w_#", n)]
+        if self.state_gain != 0.0:
+            args["gain"] = self.state_gain
+            lookup.append(_each("c_# = c_# + gain * s_#", n))
+        return args, lookup, [_each("g_# = z_# - c_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
+                              f"if nrm <= radius: {_each('p_# = z_#', n)}; phi = 0.0",
+                              f"else: {_each('p_# = c_# + radius / nrm * g_#', n)}; phi = nrm - radius"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,6 +591,17 @@ class BoxSpec(_Moving):
         if any(a > b for a, b in zip(lo, hi)):
             raise EmptyInstance(f"box has crossed bounds at t = {t!r}")
         return lo, hi
+
+    def kernel_source(self):
+        """``_params`` and ``BoxInstance.kernel`` as float statements (see ``HalfSpaceSpec``)."""
+        n = self.n
+        args = {"lo0": self._lower, "low": self._lower_velocity, "hi0": self._upper, "hiw": self._upper_velocity}
+        return args, [_each("lo_# = lo0_# + ts * low_#", n), _each("hi_# = hi0_# + ts * hiw_#", n),
+                      f"if {_each('lo_# > hi_#', n, ' or ')}:",
+                      "    raise EmptyInstance('box has crossed bounds at t = ' + repr(ts))"], [
+            _each("p_# = z_# if z_# > lo_# else lo_#", n), _each("p_# = p_# if p_# < hi_# else hi_#", n),
+            _each("g_# = z_# - p_#", n), f"phi = sqrt({_fsum('g_# * g_#', n)})",
+            f"if phi == 0.0: {_each('p_# = z_#', n)}"]
 
 
 @dataclass(frozen=True, eq=False)

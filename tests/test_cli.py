@@ -155,6 +155,17 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, drift_file):
             assert (same / name).read_bytes() == (fresh / name).read_bytes(), (i, name)
 
 
+def test_diagnose_refuses_columns_it_did_not_write(tmp_path, drift_file, capsys):
+    # four columns, but not t, x_1, z_1, phi: a phi of 0 must not certify anything
+    path = tmp_path / "renamed.csv"
+    path.write_text("# lambda = 0.1\nt,a,b,phi\n0,0,0,0\n1,1,1,0\n")
+    code = run_cli("diagnose", "--scenario", drift_file, "--traj", str(path),
+                   "--out", str(tmp_path / "diag"))
+    assert code == 1 and not (tmp_path / "diag" / "diagnose.json").exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: unexpected column layout ['t', 'a', 'b', 'phi']\n"
+
+
 def test_failed_bound_exit_code(tmp_path, drift_file):
     # a trajectory diagnosed against a much smaller lambda fails the tube bound
     out = tmp_path / "art"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sweepsolve as sw
 from sweepsolve import dynamics, set_zoo
@@ -307,6 +309,54 @@ def test_integrate_bit_identical_to_per_node_reassembly(kind):
     assert traj.stats.rhs_evals == 4 * traj.stats.n_accepted
 
 
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _inlined_scenarios(draw):
+    """A scenario whose operator and set the compiled loop runs inline, at n = 1, 2 or 3:
+    the identity, gamma*I or an SPD matrix, and a fixed-normal half-space or a ball,
+    moving in t and optionally in x, or a box with moving bounds."""
+    n = draw(st.integers(1, 3))
+
+    def vec():
+        return np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+    op = draw(st.sampled_from(["identity", "scaled_identity", "linear_spd"]))
+    if op == "identity":
+        op = sw.IdentityOperator()
+    elif op == "scaled_identity":
+        op = sw.ScaledIdentityOperator(draw(st.floats(0.5, 2.0)))
+    else:
+        B = np.array([vec() for _ in range(n)])
+        op = sw.LinearSPDOperator(B @ B.T + 0.5 * np.eye(n))
+    gain = draw(st.sampled_from([0.0, 0.5, -0.5])) * op.m      # H1: L = |gain| < m
+    kind = draw(st.sampled_from(["half_space", "ball", "box"]))
+    if kind == "half_space":
+        normal, direction = vec(), vec()
+        assume(min(np.linalg.norm(normal), np.linalg.norm(direction)) > 0.1)
+        spec = sw.HalfSpaceSpec(normal=normal / np.linalg.norm(normal), beta0=draw(_coord),
+                                drift=draw(_coord), state_gain=gain,
+                                state_direction=direction / np.linalg.norm(direction))
+    elif kind == "ball":
+        spec = sw.BallSpec(center=vec(), radius=draw(st.floats(0.1, 1.0)), velocity=vec(),
+                           state_gain=gain)
+    else:
+        lower, lower_velocity = vec(), vec()
+        spec = sw.BoxSpec(lower=lower, upper=lower + np.abs(vec()), lower_velocity=lower_velocity,
+                          upper_velocity=lower_velocity + np.abs(vec()))
+    return sw.Scenario(n=n, T=0.05, x0=2.0 * vec(), operator=op, moving_set=spec, lambdas=(0.1,),
+                       allow_infeasible_start=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=_inlined_scenarios())
+def test_inlined_kinds_match_the_reference_bit_for_bit(sc):
+    traj = sw.integrate(sc, 0.1)
+    got = (traj.times, traj.states, traj.images, traj.phis)
+    for name, a, b in zip(("times", "states", "images", "phis"), got, _reference_integrate(sc, 0.1)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name     # signs of zero too
+
+
 def _stage_times(traj, fixed):
     """(lookup times, query times) that ``integrate`` should make on ``traj``'s grid:
     a query per stage, at t, t + h/2, t + h/2 and t + h for RK4, and one at T.
@@ -325,10 +375,11 @@ def _stage_times(traj, fixed):
 
 @pytest.mark.parametrize("per_step", [4], ids=["rk4-4"])
 def test_fixed_step_makes_one_query_per_stage(monkeypatch, per_step):
+    # an intersection is not inlined into the compiled loop: each stage asks ``spec.at``
     lam = 0.05
-    sc = drift_halfspace_scenario(lambdas=(lam,))
+    sc = _oracle_scenario("intersection", lam)
     _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceSpec)
+    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, lam)
     n_steps, h = traj.stats.n_accepted, traj.stats.h
     assert len(queries) == per_step * n_steps + 1   # the node at T adds one query
@@ -344,6 +395,8 @@ def test_fixed_step_makes_one_query_per_stage(monkeypatch, per_step):
 _OVERFLOW_SETS = {
     "half_space": sw.HalfSpaceSpec(normal=[1.0]),
     "intersection": sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0]),)),
+    "ball": sw.BallSpec(center=[0.0], radius=1.0),
+    "box": sw.BoxSpec(lower=[-1.0], upper=[1.0]),
 }
 
 
@@ -378,9 +431,25 @@ def test_overflowing_state_is_a_step_failure():
         sw.integrate(sc, 1.0)
 
 
+def test_box_crossing_mid_horizon_is_named_at_its_stage_time():
+    # the bounds of the second axis cross at t = 2/1.7; the first stage past it is the
+    # midpoint t + h/2 of the step from 176*h, with h = 1.5/225
+    spec = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[0.0, 1.0],
+                      upper_velocity=[0.0, -0.7])
+    sc = sw.Scenario(n=2, T=1.5, x0=np.array([0.0, 0.25]), operator=sw.ScaledIdentityOperator(2.0),
+                     moving_set=spec, lambdas=(0.1,))
+    with pytest.raises(sw.EmptyInstance) as raised:
+        sw.integrate(sc, 0.1)
+    assert str(raised.value) == "box has crossed bounds at t = 1.1766666666666667"
+
+
 # ---------------------------------------------------------------------------
 # integrate and catching_up: the spec answers every query, no instance is built
 # ---------------------------------------------------------------------------
+
+# the kinds whose lookup and kernel the compiled loop runs inline, never calling ``at``
+_INLINED = ("half_space", "ball", "box", "linear_spd", "state_half_space", "state_ball")
+
 
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
 def test_integrate_builds_no_instance(monkeypatch, kind):
@@ -388,13 +457,48 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
     _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
     traj = sw.integrate(sc, 0.1)
+    assert (getattr(sc.moving_set, "kernel_source", lambda: None)() is not None) == (kind in _INLINED)
+    if kind in _INLINED:
+        assert lookups == queries == [] and traj.phis.max() > 0.0
+        return
     n = traj.stats.n_accepted
     assert len(queries) == 4 * n + 1
-    fixed = sc.moving_set.state_lipschitz == 0.0
-    assert fixed == (kind not in ("state_half_space", "state_ball"))
-    # looked up once per stage time, or at every stage when the set moves with x
-    assert len(lookups) <= (3 if fixed else 4) * n + 1
-    assert (lookups, queries) == _stage_times(traj, fixed)
+    # a state-independent set is looked up once per stage time
+    assert sc.moving_set.state_lipschitz == 0.0 and len(lookups) <= 3 * n + 1
+    assert (lookups, queries) == _stage_times(traj, fixed=True)
+
+
+def test_state_dependent_fallback_kind_is_looked_up_at_every_stage(monkeypatch):
+    # a turning normal is not inlined; moving with x, it is looked up once per query
+    spec = sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-0.1, drift=-1.0, rotation_rate=2.0,
+                            rotation_partner=[0.0, 1.0], state_gain=-0.5, state_direction=[0.6, 0.8])
+    sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=sw.IdentityOperator(),
+                     moving_set=spec, lambdas=(0.1,))
+    ref = _reference_integrate(sc, 0.1)
+    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceSpec)
+    traj = sw.integrate(sc, 0.1)
+    for a, b in zip((traj.times, traj.states, traj.images, traj.phis), ref):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert traj.phis.max() > 0.0 and lookups == queries
+    assert (lookups, queries) == _stage_times(traj, fixed=False)
+
+
+class _SourcelessOperator(sw.Operator):
+    """An operator kind with only ``image``: the compiled loop calls it on a list."""
+
+    m = M = 1.5
+
+    def image(self, x):
+        return [1.5 * xi for xi in x]
+
+
+def test_an_operator_kind_without_source_calls_its_image():
+    sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=_SourcelessOperator(),
+                     moving_set=ORACLE_CASES["ball"][0], lambdas=(0.1,))
+    traj = sw.integrate(sc, 0.1)
+    for a, b in zip((traj.times, traj.states, traj.images, traj.phis), _reference_integrate(sc, 0.1)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert traj.phis.max() > 0.0
 
 
 @pytest.mark.parametrize("kind", ["half_space", "rotating_half_space", "ball", "box",

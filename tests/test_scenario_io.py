@@ -440,6 +440,7 @@ def test_block_writer_matches_the_per_cell_writer(tmp_path):
     "# lambda = 0\nt,x_1,z_1,phi\n0,0,0,0\n1,0.1,0.1,0\n",        # zero lambda
     "# lambda = 0.1\nt,x_1,z_1,phi\n0,0,0,0\n1,nan,0.1,0\n",      # non-finite cell
     "# lambda = 0.1\nt,x_1,z_1,phi\n0,0,0,0\n0,0,0,0\n1,0.1,0.1,0\n",  # repeated time
+    "# lambda = 0.1\nt,a,b,phi\n0,0,0,0\n1,1,1,0\n",            # columns not x_1, z_1
 ])
 def test_malformed_trajectory_csv_is_a_parse_error(tmp_path, scenario_dir, capsys, body):
     """Every body is rejected by the reader, except the well-formed 2-d one,
