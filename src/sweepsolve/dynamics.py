@@ -12,20 +12,20 @@ source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
 in ``integrate``, and each new state's finiteness.
 
 ``integrate`` runs one RK4 loop, generated as Python source per (dimension n,
-operator kind, set kind) and compiled on first use, once per process; each
-vector is n float locals and the parameters are arguments.  A stage at (t, s)
-runs the operator's ``image_source`` statements, checks A(s), looks the set up
-and queries it.  Half-spaces with a fixed normal, balls and boxes inline their
-lookup and one-point kernel (``kernel_source``); other kinds fall back to
-q = ``spec.at(t, s)`` and q(A(s)) on lists, building no set instance but a
-probed intersection's.  A set moving with x is looked up at every stage, a
+operator kind, set kind) and built by ``set_zoo.compiled`` on first use, once
+per process; each vector is n float locals and the parameters are arguments.
+A stage at (t, s) runs the operator's ``image_source`` statements, checks A(s),
+looks the set up and queries it: inline for every moving kind, from its
+``kernel_source``, and through q = ``spec.at(t, s)`` and q(A(s)) on lists for
+an intersection or a union, building no set instance but a probed
+intersection's.  A set moving with x is looked up at every stage, a
 state-independent one once per stage time (k2 and k3 share t + h/2; k4's
 lookup serves the next k1 at t + h).  A node's image and phi come from its k1
 query.  A member A(x) is its own nearest point: the velocity is exactly 0.
 
-The generated statements run the list kernels' float operations in their
-order: dot products left to right from 0.0 (``set_zoo._fdot``), the box's clip
-rule, stages x + (h/2)*k with k = (p - A(x))/lambda, the update
+The generated statements run one fixed order of float operations: dot
+products left to right from 0.0 (``set_zoo._fdot``), the box's clip rule,
+stages x + (h/2)*k with k = (p - A(x))/lambda, the update
 x + (h/6)*(k1 + 2*k2 + 2*k3 + k4), node times (k + 1)*h and T, and the checks
 with their messages: a trajectory is bitwise the stage-by-stage one, with one
 bit pattern per input on every BLAS kernel.
@@ -33,7 +33,6 @@ bit pattern per input on every BLAS kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -42,14 +41,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyInstance,
     InvalidVector,
-    StepFailure,
     UnsupportedScenario,
     ValidationError,
 )
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import _each, as_vector, checked_point
+from .set_zoo import _each, as_vector, checked_point, compiled
 
 SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
@@ -167,19 +164,10 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     return np.array([(pi - zi) / lam for pi, zi in zip(p, z)])
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(source):
-    """The function ``rk4`` that ``source`` defines, compiled once per process (the corpus has 8)."""
-    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "EmptyInstance": EmptyInstance,
-                 "InvalidVector": InvalidVector, "StepFailure": StepFailure}
-    exec(compile(source, "<sweepsolve.dynamics rk4>", "exec"), namespace)
-    return namespace["rk4"]
-
-
-def _rk4_source(n, image, lookup, query, fixed, params):
-    """Source of ``rk4(table, T, n_steps, h, half, sixth, lam, **params)``, each list unpacked
-    to name_#.  A stage at (ts, s_#) runs ``image``, its check, ``lookup`` (once per stage time
-    if the set is ``fixed`` in x, k4's serving the next k1 at t4) and ``query`` for p_#, phi."""
+def _rk4_source(n, image, lookup, query, fixed):
+    """Body of ``rk4(table, T, n_steps, h, half, sixth, lam, *params)``, each list parameter
+    unpacked to name_#.  A stage at (ts, s_#) runs ``image``, its check, ``lookup`` (once per stage
+    time if the set is ``fixed`` in x, k4's serving the next k1 at t4) and ``query`` for p_#, phi."""
     def stage(time, state, look, slope=""):       # the stage at (ts, s_#), then its slope k_#
         return [time, _each(f"s_# = {state}", n), image, f"if not ({_each('isfinite(z_#)', n, ' and ')}):",
                 "    raise InvalidVector('operator image A(x) contains non-finite entries')", *look, *query,
@@ -195,10 +183,8 @@ def _rk4_source(n, image, lookup, query, fixed, params):
             f"if not ({_each('isfinite(x_#)', n, ' and ')}):",
             "    raise StepFailure(f'state became non-finite at t = {t + h:g} (h = {h:g}); tighten the stiffness guard')",
             "t = (k + 1) * h if k + 1 < n_steps else T"]
-    unpack = [f"    {_each(f'{name}_#', len(v), ', ')}, = {name}" for name, v in params.items() if isinstance(v, list)]
-    return "\n".join([f"def rk4(table, T, n_steps, h, half, sixth, lam, {', '.join(params)}):", *unpack,
-                      "    fromlist, t, t4 = table.fromlist, 0.0, None",
-                      "    for k in range(n_steps + 1):", *("        " + ln for ln in body if ln), ""])
+    return ("fromlist, t, t4 = table.fromlist, 0.0, None", "for k in range(n_steps + 1):",
+            *("    " + ln for ln in body if ln))
 
 
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
@@ -216,13 +202,16 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
     op_args, image = scenario.operator.image_source(n)
-    set_args, lookup, query = getattr(spec, "kernel_source", lambda: None)() or (
+    # a composite set has no source: its stages ask ``spec.at``
+    set_args, lookup, query = spec.kernel_source() if hasattr(spec, "kernel_source") else (
         {"at": spec.at}, [f"q = at(ts, [{_each('s_#', n, ', ')}])"],
         [f"points, phi = q([{_each('z_#', n, ', ')}])", f"{_each('p_#', n, ', ')}, = points[0]"])
     args = {"x": scenario.x0.tolist(), **op_args, **set_args}
+    rk4 = compiled("rk4", ("table", "T", "n_steps", "h", "half", "sixth", "lam", *args),
+                   _rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0), n,
+                   tuple(k for k, v in args.items() if isinstance(v, list)))
     table = array("d")
-    _compiled(_rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0, args))(
-        table, T, n_steps, h, 0.5 * h, h / 6.0, lam, **args)
+    rk4(table, T, n_steps, h, 0.5 * h, h / 6.0, lam, *args.values())
     return Trajectory.of(table, n, lam, StepStats(n_steps, 0, 4 * n_steps, h))
 
 

@@ -10,12 +10,15 @@ A single point has one query, ``nearest(z)``: for a finite list of floats z
 it returns every nearest point of z, as lists of floats sorted and
 deduplicated by ``_ties``, and the distance.  A member comes back as itself,
 bit for bit, at distance 0, so projecting a point of the set returns that
-point.  Every kind answers it in closed form on floats: the half-space, ball
-and box directly, the intersection by Dykstra on lists, the wedge from its two
-feet and the union from its members' ``nearest``.  ``project``, ``distance``
-and ``member`` validate z once and then ask ``nearest``.  A spec's ``at(t, x)``
-looks the set up, raising as ``freeze`` does, and returns z -> the frozen
-instance's ``nearest(z)`` bit for bit.
+point.  The half-space, ball, box and wedge state their float geometry once,
+as source: ``query_source(n)`` sets the instance's nearest point p_# and phi
+from its ``params`` and z_# (the wedge's sets ``points`` too, through
+``_ties``), ``lookup_source()`` sets the spec's params from ts and s_#, and
+``compiled`` builds ``nearest``, ``_params`` and ``dynamics``' loop from them.
+The intersection runs Dykstra on lists, the union asks its members.
+``project``, ``distance`` and ``member`` validate z once and then ask
+``nearest``.  A spec's ``at(t, x)`` looks the set up, raising as ``freeze``
+does, and returns z -> the frozen instance's ``nearest(z)`` bit for bit.
 
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
@@ -35,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, cached_property, lru_cache, partial
 from operator import add, mul, sub
 
 import numpy as np
@@ -46,6 +49,7 @@ from .errors import (
     EmptyInstance,
     InvalidVector,
     ProjectionNotConverged,
+    StepFailure,
 )
 
 MEMBER_TOL = 1e-12          # membership slack for analytic variants
@@ -105,6 +109,27 @@ def _fsum(term, n):
     return "0.0 + " + _each(term, n, " + ")
 
 
+@lru_cache(maxsize=256)
+def compiled(name, params, body, n, lists):
+    """The function ``def name(*params)`` that unpacks each list parameter named in ``lists``
+    to name_0..name_{n-1}, then runs the statements ``body``: compiled once per process."""
+    source = "\n    ".join([f"def {name}({', '.join(params)}):",
+                            *(f"{_each(f'{v}_#', n, ', ')}, = {v}" for v in lists), *body])
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "_ties": _ties, "EmptyInstance": EmptyInstance,
+                 "InvalidVector": InvalidVector, "StepFailure": StepFailure,      # NumPy's cos and sin, as floats:
+                 "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a))}   # math's may differ
+    exec(compile(source, f"<sweepsolve {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@cache
+def _query(kind, n):
+    """``nearest`` of the instance class ``kind`` in dimension n, on its ``params`` and z."""
+    points = "points" if kind.ties else f"[[{_each('p_#', n, ', ')}]]"
+    return compiled("nearest", (*kind.params, "z"), (*kind.query_source(n), f"return {points}, phi"),
+                    n, (*kind.lists, "z"))
+
+
 def row_norms(G):
     """Euclidean norms along the last axis, summed in ``_dot``'s fixed order."""
     return np.sqrt(_dot(G, G))
@@ -141,6 +166,8 @@ class SetInstance:
     """A moving set frozen at one (t, x): pure geometry, immutable, shareable."""
 
     member_tol = MEMBER_TOL
+    params = lists = ()     # the names of ``_args``, and of those that are lists of floats
+    ties = False            # whether ``query_source`` sets ``points`` too, else the one point p_#
 
     def __init__(self, n):
         self.n = int(n)
@@ -176,9 +203,12 @@ class SetInstance:
         so the first is the deterministic selection."""
         return self.kernel(*self._args, z)      # the kind's kernel, on the parameters it was built from
 
+    kernel = property(lambda self: _query(type(self), self.n))     # nearest(*_args, z) from ``query_source``
+
 
 class HalfSpaceInstance(SetInstance):
     """{z : <zeta, z> <= beta} with unit normal zeta."""
+    params, lists = ("zeta", "beta"), ("zeta",)
 
     def __init__(self, zeta, beta):
         super().__init__(len(zeta))
@@ -191,9 +221,10 @@ class HalfSpaceInstance(SetInstance):
         return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
 
     @staticmethod
-    def kernel(zeta, beta, z):
-        v = _fdot(z, zeta) - beta
-        return ([[zi - v * ci for zi, ci in zip(z, zeta)]], v) if v > 0.0 else ([z], 0.0)
+    def query_source(n):
+        return [f"v = {_fsum('z_# * zeta_#', n)} - beta",
+                f"if v > 0.0: {_each('p_# = z_# - v * zeta_#', n)}; phi = v",
+                f"else: {_each('p_# = z_#', n)}; phi = 0.0"]
 
     def anchor(self):
         return self.beta * self.zeta
@@ -201,6 +232,7 @@ class HalfSpaceInstance(SetInstance):
 
 class BallInstance(SetInstance):
     """Closed ball of fixed center and radius."""
+    params, lists = ("center", "radius"), ("center",)
 
     def __init__(self, center, radius):
         super().__init__(len(center))
@@ -216,12 +248,10 @@ class BallInstance(SetInstance):
                 np.maximum(nrm - self.radius, 0.0).T)
 
     @staticmethod
-    def kernel(center, radius, z):
-        gap = list(map(sub, z, center))
-        nrm = math.sqrt(_fdot(gap, gap))
-        if nrm <= radius:
-            return [z], 0.0
-        return [[ci + radius / nrm * gi for ci, gi in zip(center, gap)]], nrm - radius
+    def query_source(n):
+        return [_each("g_# = z_# - center_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
+                f"if nrm <= radius: {_each('p_# = z_#', n)}; phi = 0.0",
+                f"else: {_each('p_# = center_# + radius / nrm * g_#', n)}; phi = nrm - radius"]
 
     def anchor(self):
         return self.center.copy()
@@ -229,6 +259,7 @@ class BallInstance(SetInstance):
 
 class BoxInstance(SetInstance):
     """Axis-aligned box [lower, upper]."""
+    params = lists = ("lower", "upper")
 
     def __init__(self, lower, upper):
         super().__init__(len(lower))
@@ -244,12 +275,12 @@ class BoxInstance(SetInstance):
         return P[None], D[None]
 
     @staticmethod
-    def kernel(lower, upper, z):
-        # np.clip's order; max and min keep their first argument, the bound, on a tie (0.0 against -0.0)
-        p = list(map(min, upper, map(max, lower, z)))
-        gap = list(map(sub, z, p))
-        d = math.sqrt(_fdot(gap, gap))
-        return [z if d == 0.0 else p], d
+    def query_source(n):
+        # np.clip's order, keeping the bound on a tie (0.0 against -0.0)
+        return [_each("p_# = z_# if z_# > lower_# else lower_#", n),
+                _each("p_# = p_# if p_# < upper_# else upper_#", n), _each("g_# = z_# - p_#", n),
+                f"phi = sqrt({_fsum('g_# * g_#', n)})",
+                f"if phi == 0.0: {_each('p_# = z_#', n)}"]
 
     def anchor(self):
         return 0.5 * (self.lower + self.upper)
@@ -260,7 +291,8 @@ class WedgeInstance(SetInstance):
 
     # boundary ray directions of the reference wedge, apex at the origin
     _RAYS = np.array([[1.0, -1.0], [-1.0, -1.0]]) / _SQRT2
-    _RAY_LISTS = _RAYS.tolist()
+    params = lists = ("apex",)
+    ties = True
 
     def __init__(self, apex):
         super().__init__(2)
@@ -279,16 +311,15 @@ class WedgeInstance(SetInstance):
         return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
 
     @staticmethod
-    def kernel(apex, z):
-        w = list(map(sub, z, apex))
-        a, b = w
-        if b >= -abs(a):
-            return [z], 0.0
-        feet = []
-        for ray in WedgeInstance._RAY_LISTS:
-            s = _fdot(w, ray)
-            feet.append([ci + s * ri for ci, ri in zip(apex, ray)])
-        return _ties(feet, (abs(a + b) / _SQRT2, abs(b - a) / _SQRT2))
+    def query_source(n):
+        r = repr(WedgeInstance._RAYS[0, 0].item())      # the rays are (r, -r) and (-r, -r)
+        return ["w_0 = z_0 - apex_0; w_1 = z_1 - apex_1",
+                "if w_1 >= -abs(w_0): p_0 = z_0; p_1 = z_1; phi = 0.0; points = [[z_0, z_1]]",
+                # outside, the feet of the perpendiculars on both rays' lines, as in ``candidates``
+                "else:", f"    f0 = 0.0 + w_0 * {r} + w_1 * -{r}; f1 = 0.0 + w_0 * -{r} + w_1 * -{r}",
+                f"    points, phi = _ties([[apex_0 + f0 * {r}, apex_1 + f0 * -{r}], [apex_0 + f1 * -{r},",
+                f"        apex_1 + f1 * -{r}]], (abs(w_0 + w_1) / {_SQRT2!r}, abs(w_1 - w_0) / {_SQRT2!r}))",
+                "    p_0, p_1 = points[0]"]
 
     def anchor(self):
         return self.apex.copy()
@@ -415,8 +446,9 @@ class UnionInstance(SetInstance):
 # ---------------------------------------------------------------------------
 
 class _Moving:
-    """Family moved by x only through ``state_gain`` and built as ``_instance`` from
-    its float parameters ``_params(t, x)``; ``at`` binds them to the kind's kernel."""
+    """Family moved by x only through ``state_gain`` and built as ``_instance`` from its float
+    parameters ``_params(t, x)``, ``lookup_source()`` compiled once per structure: (arguments,
+    statements setting the params from ts and s_#).  ``at`` binds them to the kind's kernel."""
 
     convex = True
     state_gain = 0.0
@@ -425,11 +457,24 @@ class _Moving:
     def state_lipschitz(self) -> float:
         return abs(self.state_gain)
 
+    @cached_property
+    def _params(self):
+        args, lookup = self.lookup_source()
+        kind, n = self._instance, self.n
+        packed = ", ".join(f"[{_each(f'{p}_#', n, ', ')}]" if p in kind.lists else p for p in kind.params)
+        lists = tuple(k for k, v in args.items() if isinstance(v, list))
+        return partial(compiled("lookup", (*args, "ts", "s"), (*lookup, f"return {packed},"), n, (*lists, "s")),
+                       *args.values())
+
     def freeze(self, t, x):
         return self._instance(*self._params(t, x.tolist()))
 
     def at(self, t, x):
-        return partial(self._instance.kernel, *self._params(t, x))
+        return partial(_query(self._instance, self.n), *self._params(t, x))
+
+    def kernel_source(self):
+        """(arguments, lookup, query) for ``dynamics``' loop: the spec's and the instance's source."""
+        return *self.lookup_source(), self._instance.query_source(self.n)
 
 
 def _store(spec, name, v):
@@ -496,30 +541,17 @@ class HalfSpaceSpec(_Moving):
     def n(self):
         return self.normal.size
 
-    def _params(self, t, x):
-        zeta = self._normal
-        if self.rotation_rate != 0.0:
-            ang = self.rotation_rate * t    # NumPy's cos and sin: math's may differ in the last bit
-            c, s = float(np.cos(ang)), float(np.sin(ang))
-            zeta = [c * a + s * b for a, b in zip(zeta, self._rotation_partner)]
-        beta = self.beta0 + self.drift * t
-        if self.state_gain != 0.0:
-            beta += self.state_gain * _fdot(self._state_direction, x)
-        return zeta, beta
-
-    def kernel_source(self):
-        """(arguments, lookup, query) for ``dynamics``' loop: ``_params`` at (ts, s_#) and the kernel
-        at z_#, setting p_# and phi, as float statements; None when the normal turns."""
-        if self.rotation_rate != 0.0:
-            return None
-        n, args = self.n, {"beta0": self.beta0, "drift": self.drift, "nu": self._normal}
-        lookup = ["beta = beta0 + drift * ts"]
+    def lookup_source(self):
+        n, args, lookup = self.n, {"beta0": self.beta0, "drift": self.drift}, ["beta = beta0 + drift * ts"]
+        if self.rotation_rate == 0.0:
+            args["zeta"] = self._normal
+        else:
+            args.update(rate=self.rotation_rate, nu=self._normal, mu=self._rotation_partner)
+            lookup += ["ang = rate * ts; cs = cos(ang); sn = sin(ang)", _each("zeta_# = cs * nu_# + sn * mu_#", n)]
         if self.state_gain != 0.0:
             args.update(gain=self.state_gain, u=self._state_direction)
             lookup.append(f"beta = beta + gain * ({_fsum('u_# * s_#', n)})")
-        return args, lookup, [f"v = {_fsum('z_# * nu_#', n)} - beta",
-                              f"if v > 0.0: {_each('p_# = z_# - v * nu_#', n)}; phi = v",
-                              f"else: {_each('p_# = z_#', n)}; phi = 0.0"]
+        return args, lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,22 +575,13 @@ class BallSpec(_Moving):
     def n(self):
         return self.center.size
 
-    def _params(self, t, x):
-        c = [ci + t * vi for ci, vi in zip(self._center, self._velocity)]
-        if self.state_gain != 0.0:
-            c = [ci + self.state_gain * xi for ci, xi in zip(c, x)]
-        return c, self.radius
-
-    def kernel_source(self):
-        """``_params`` and ``BallInstance.kernel`` as float statements (see ``HalfSpaceSpec``)."""
+    def lookup_source(self):
         n, args = self.n, {"radius": self.radius, "c0": self._center, "w": self._velocity}
-        lookup = [_each("c_# = c0_# + ts * w_#", n)]
+        lookup = [_each("center_# = c0_# + ts * w_#", n)]
         if self.state_gain != 0.0:
             args["gain"] = self.state_gain
-            lookup.append(_each("c_# = c_# + gain * s_#", n))
-        return args, lookup, [_each("g_# = z_# - c_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
-                              f"if nrm <= radius: {_each('p_# = z_#', n)}; phi = 0.0",
-                              f"else: {_each('p_# = c_# + radius / nrm * g_#', n)}; phi = nrm - radius"]
+            lookup.append(_each("center_# = center_# + gain * s_#", n))
+        return args, lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,23 +608,11 @@ class BoxSpec(_Moving):
     def n(self):
         return self.lower.size
 
-    def _params(self, t, x):
-        lo = [a + t * v for a, v in zip(self._lower, self._lower_velocity)]
-        hi = [a + t * v for a, v in zip(self._upper, self._upper_velocity)]
-        if any(a > b for a, b in zip(lo, hi)):
-            raise EmptyInstance(f"box has crossed bounds at t = {t!r}")
-        return lo, hi
-
-    def kernel_source(self):
-        """``_params`` and ``BoxInstance.kernel`` as float statements (see ``HalfSpaceSpec``)."""
-        n = self.n
-        args = {"lo0": self._lower, "low": self._lower_velocity, "hi0": self._upper, "hiw": self._upper_velocity}
-        return args, [_each("lo_# = lo0_# + ts * low_#", n), _each("hi_# = hi0_# + ts * hiw_#", n),
-                      f"if {_each('lo_# > hi_#', n, ' or ')}:",
-                      "    raise EmptyInstance('box has crossed bounds at t = ' + repr(ts))"], [
-            _each("p_# = z_# if z_# > lo_# else lo_#", n), _each("p_# = p_# if p_# < hi_# else hi_#", n),
-            _each("g_# = z_# - p_#", n), f"phi = sqrt({_fsum('g_# * g_#', n)})",
-            f"if phi == 0.0: {_each('p_# = z_#', n)}"]
+    def lookup_source(self):
+        n, args = self.n, {"lo0": self._lower, "low": self._lower_velocity, "hi0": self._upper, "hiw": self._upper_velocity}
+        return args, [_each("lower_# = lo0_# + ts * low_#", n), _each("upper_# = hi0_# + ts * hiw_#", n),
+                      f"if {_each('lower_# > upper_#', n, ' or ')}:",
+                      "    raise EmptyInstance('box has crossed bounds at t = ' + repr(ts))"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,8 +631,8 @@ class WedgeSpec(_Moving):
     n = 2
     convex = False
 
-    def _params(self, t, x):
-        return [a + t * v for a, v in zip(self._apex, self._apex_velocity)],
+    def lookup_source(self):
+        return {"a0": self._apex, "aw": self._apex_velocity}, [_each("apex_# = a0_# + ts * aw_#", 2)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -230,19 +231,26 @@ def test_phi_recomputed_from_geometry():
 # integrate: one set query per stage
 # ---------------------------------------------------------------------------
 
+def _batched_nearest(inst, z):
+    """(nearest points, distance) of z from a one-row ``candidates`` and ``_ties``:
+    the NumPy path, which shares no code with the generated kernels."""
+    P, D = inst.candidates(np.array([z]))
+    return set_zoo._ties(P[:, 0].tolist(), D[:, 0].tolist())
+
+
 def _reference_integrate(sc, lam):
     """The integrator loop on arrays and frozen instances, independent of the stage.
 
-    Every stage freezes the set through ``instantiate`` and asks the instance
-    ``nearest``, and each node's image and phi come from a fresh ``apply`` and
-    ``distance`` once the grid is fixed.
+    Every stage freezes the set through ``instantiate`` and asks the instance's
+    batched ``candidates``, and each node's image and phi come from a fresh
+    ``apply`` and ``candidates`` once the grid is fixed.
     """
     T = float(sc.T)
     guard = dynamics.SAFETY * lam / (1.0 + sc.operator.M)
 
     def f(t, x):
         z = sc.operator.apply(x)
-        p = sw.instantiate(sc.moving_set, t, x).nearest(z.tolist())[0][0]
+        p = _batched_nearest(sw.instantiate(sc.moving_set, t, x), z)[0][0]
         return (np.array(p) - z) / lam
 
     x = sc.x0.copy()
@@ -260,7 +268,7 @@ def _reference_integrate(sc, lam):
         states.append(x)
     times[-1] = T
     images = [sc.operator.apply(x) for x in states]
-    phis = [sw.instantiate(sc.moving_set, t, x).distance(z)
+    phis = [_batched_nearest(sw.instantiate(sc.moving_set, t, x), z)[1]
             for t, x, z in zip(times, states, images)]
     return tuple(np.array(a) for a in (times, states, images, phis))
 
@@ -315,12 +323,16 @@ _coord = st.floats(-1.0, 1.0, allow_nan=False)
 @st.composite
 def _inlined_scenarios(draw):
     """A scenario whose operator and set the compiled loop runs inline, at n = 1, 2 or 3:
-    the identity, gamma*I or an SPD matrix, and a fixed-normal half-space or a ball,
-    moving in t and optionally in x, or a box with moving bounds."""
+    the identity, gamma*I or an SPD matrix, and a half-space (its normal turning when
+    n > 1) or a ball, moving in t and optionally in x, a box with moving bounds, or
+    at n = 2 a translating wedge."""
     n = draw(st.integers(1, 3))
 
     def vec():
         return np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+
+    def unit(v):
+        return v / np.linalg.norm(v)
     op = draw(st.sampled_from(["identity", "scaled_identity", "linear_spd"]))
     if op == "identity":
         op = sw.IdentityOperator()
@@ -330,13 +342,18 @@ def _inlined_scenarios(draw):
         B = np.array([vec() for _ in range(n)])
         op = sw.LinearSPDOperator(B @ B.T + 0.5 * np.eye(n))
     gain = draw(st.sampled_from([0.0, 0.5, -0.5])) * op.m      # H1: L = |gain| < m
-    kind = draw(st.sampled_from(["half_space", "ball", "box"]))
+    kind = draw(st.sampled_from(["half_space", "ball", "box"] + ["wedge"] * (n == 2)))
     if kind == "half_space":
-        normal, direction = vec(), vec()
+        normal, direction, partner = vec(), vec(), vec()
+        rate = draw(st.sampled_from([0.0, 2.5, -1.5])) if n > 1 else 0.0
         assume(min(np.linalg.norm(normal), np.linalg.norm(direction)) > 0.1)
-        spec = sw.HalfSpaceSpec(normal=normal / np.linalg.norm(normal), beta0=draw(_coord),
-                                drift=draw(_coord), state_gain=gain,
-                                state_direction=direction / np.linalg.norm(direction))
+        partner = partner - np.dot(partner, unit(normal)) * unit(normal)
+        assume(rate == 0.0 or np.linalg.norm(partner) > 0.1)
+        spec = sw.HalfSpaceSpec(normal=unit(normal), beta0=draw(_coord), drift=draw(_coord),
+                                state_gain=gain, state_direction=unit(direction),
+                                rotation_rate=rate, rotation_partner=unit(partner) if rate else None)
+    elif kind == "wedge":
+        spec = sw.WedgeSpec(apex=vec(), apex_velocity=vec())
     elif kind == "ball":
         spec = sw.BallSpec(center=vec(), radius=draw(st.floats(0.1, 1.0)), velocity=vec(),
                            state_gain=gain)
@@ -447,8 +464,10 @@ def test_box_crossing_mid_horizon_is_named_at_its_stage_time():
 # integrate and catching_up: the spec answers every query, no instance is built
 # ---------------------------------------------------------------------------
 
-# the kinds whose lookup and kernel the compiled loop runs inline, never calling ``at``
-_INLINED = ("half_space", "ball", "box", "linear_spd", "state_half_space", "state_ball")
+# the kinds whose lookup and kernel the compiled loop runs inline, never calling ``at``:
+# all but the intersection and the union
+_INLINED = ("half_space", "rotating_half_space", "ball", "box", "wedge", "linear_spd",
+            "state_half_space", "state_ball")
 
 
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
@@ -457,7 +476,7 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
     _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
     traj = sw.integrate(sc, 0.1)
-    assert (getattr(sc.moving_set, "kernel_source", lambda: None)() is not None) == (kind in _INLINED)
+    assert hasattr(sc.moving_set, "kernel_source") == (kind in _INLINED)
     if kind in _INLINED:
         assert lookups == queries == [] and traj.phis.max() > 0.0
         return
@@ -469,18 +488,41 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
 
 
 def test_state_dependent_fallback_kind_is_looked_up_at_every_stage(monkeypatch):
-    # a turning normal is not inlined; moving with x, it is looked up once per query
-    spec = sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-0.1, drift=-1.0, rotation_rate=2.0,
-                            rotation_partner=[0.0, 1.0], state_gain=-0.5, state_direction=[0.6, 0.8])
+    # an intersection is not inlined; moving with x, it is looked up once per query
+    spec = sw.HalfSpaceIntersectionSpec((
+        sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
+        sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=0.2, state_gain=0.25, state_direction=[0.0, 1.0])))
     sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=sw.IdentityOperator(),
                      moving_set=spec, lambdas=(0.1,))
     ref = _reference_integrate(sc, 0.1)
-    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceSpec)
+    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, 0.1)
     for a, b in zip((traj.times, traj.states, traj.images, traj.phis), ref):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert traj.phis.max() > 0.0 and lookups == queries
     assert (lookups, queries) == _stage_times(traj, fixed=False)
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_CASES))
+def test_a_spec_of_a_compiled_structure_compiles_nothing(kind):
+    spec, op = ORACLE_CASES[kind]
+    x, z = [0.3, -0.2], [2.0, 1.0]
+
+    def run(spec):
+        spec.freeze(0.1, np.array(x)).nearest(z)
+        spec.at(0.1, x)(z)
+        sw.integrate(sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
+                                 moving_set=spec, lambdas=(0.1,)), 0.1)
+    run(spec)
+    twin = dataclasses.replace(spec)        # a new spec of the same structure
+    before = set_zoo.compiled.cache_info()
+    run(twin)
+    assert set_zoo.compiled.cache_info().misses == before.misses
+    # queries reuse the kind's kernel and the spec's lookup without asking the cache
+    before = set_zoo.compiled.cache_info()
+    inst = twin.freeze(0.2, np.array(x))
+    inst.nearest(z), inst.distance(z), inst.project(z), twin.at(0.2, x)(z), twin.at(0.3, z)(x)
+    assert set_zoo.compiled.cache_info() == before
 
 
 class _SourcelessOperator(sw.Operator):

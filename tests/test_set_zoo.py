@@ -625,6 +625,9 @@ def test_spec_nearest_is_the_frozen_instances_nearest(kind, t, x, z):
         assert looked_up == want
 
 
+_TURNING_STATE_HALF_SPACE = sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=-0.1, drift=0.7, rotation_rate=-1.3,
+                                             rotation_partner=[-0.8, 0.6], state_gain=-0.4,
+                                             state_direction=[0.0, -1.0])
 _STILL_BOX = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[0.5, -0.0],
                         upper_velocity=[1.0, -0.0])       # nonempty for t > -4
 
@@ -634,13 +637,13 @@ _STILL_BOX = sw.BoxSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], lower_velocity=[0.
        x=st.tuples(signed_coord, signed_coord))
 def test_parameters_are_the_numpy_expressions_they_replace(t, x):
     x = np.array(x)
-    hs = MOVING["rotating_half_space"]
-    ang = hs.rotation_rate * t
-    assert _bits(hs.freeze(t, x).zeta) == _bits(np.cos(ang) * hs.normal
-                                                + np.sin(ang) * hs.rotation_partner)
-    hs = MOVING["state_half_space"]
-    beta = hs.beta0 + hs.drift * t + hs.state_gain * set_zoo._dot(hs.state_direction, x)
-    assert _bits(hs.freeze(t, x).beta) == _bits(beta)
+    for hs in (MOVING["rotating_half_space"], _TURNING_STATE_HALF_SPACE):
+        ang = hs.rotation_rate * t
+        assert _bits(hs.freeze(t, x).zeta) == _bits(np.cos(ang) * hs.normal
+                                                    + np.sin(ang) * hs.rotation_partner)
+    for hs in (MOVING["state_half_space"], _TURNING_STATE_HALF_SPACE):
+        beta = hs.beta0 + hs.drift * t + hs.state_gain * set_zoo._dot(hs.state_direction, x)
+        assert _bits(hs.freeze(t, x).beta) == _bits(beta)
     ball = sw.BallSpec(center=[0.7, -0.3], radius=0.3, velocity=[1.5, 0.1], state_gain=0.3)
     want = ball.center + t * ball.velocity + ball.state_gain * x
     assert _bits(ball.freeze(t, x).center) == _bits(want)
