@@ -2,13 +2,12 @@
 
 The package integrates the penalized motion
 -dx/dt = (A(x) - proj_{C(t,x)}(A(x)))/lambda with an RK4 loop compiled once
-per (dimension, operator kind, set kind), looking the moving set C(t, x) up on
-floats at each stage: inline for the half-space, ball, box and wedge, through
-``spec.at(t, x)`` for intersections and unions.  It cross-checks
+per (dimension, operator kind, set kind), looking the moving set C(t, x) up
+and querying it inline, on floats, at each stage.  It cross-checks
 against the catching-up recursion where that oracle is valid, and certifies
 the quantitative tracking bounds (tube bound, trajectory Lipschitz constant,
 truncated-Hausdorff moduli, far parameter alpha) on the results.  Only the
-sampled estimators freeze a set into an exact geometric instance.
+sampled estimators, parse-time checks and probed intersections freeze a set.
 """
 
 from .analysis import (

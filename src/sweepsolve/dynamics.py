@@ -15,10 +15,9 @@ in ``integrate``, and each new state's finiteness.
 operator kind, set kind) and built by ``set_zoo.compiled`` on first use, once
 per process; each vector is n float locals and the parameters are arguments.
 A stage at (t, s) runs the operator's ``image_source`` statements, checks A(s),
-looks the set up and queries it: inline for every moving kind, from its
-``kernel_source``, and through q = ``spec.at(t, s)`` and q(A(s)) on lists for
-an intersection or a union, building no set instance but a probed
-intersection's.  A set moving with x is looked up at every stage, a
+looks the set up and queries it inline, from the spec's ``kernel_source``,
+building no set instance but the probe of an intersection whose normals may
+fail to span.  A set moving with x is looked up at every stage, a
 state-independent one once per stage time (k2 and k3 share t + h/2; k4's
 lookup serves the next k1 at t + h).  A node's image and phi come from its k1
 query.  A member A(x) is its own nearest point: the velocity is exactly 0.
@@ -202,10 +201,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
     op_args, image = scenario.operator.image_source(n)
-    # a composite set has no source: its stages ask ``spec.at``
-    set_args, lookup, query = spec.kernel_source() if hasattr(spec, "kernel_source") else (
-        {"at": spec.at}, [f"q = at(ts, [{_each('s_#', n, ', ')}])"],
-        [f"points, phi = q([{_each('z_#', n, ', ')}])", f"{_each('p_#', n, ', ')}, = points[0]"])
+    set_args, lookup, query = spec.kernel_source()
     args = {"x": scenario.x0.tolist(), **op_args, **set_args}
     rk4 = compiled("rk4", ("table", "T", "n_steps", "h", "half", "sixth", "lam", *args),
                    _rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0), n,

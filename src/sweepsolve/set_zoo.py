@@ -2,7 +2,7 @@
 
 Every set family is described by an immutable spec that can be frozen at a
 given (t, x) into a :class:`SetInstance`.  Spec properties shared by several
-families are defined once: in ``_Moving`` for the families built from their
+families are defined once: in ``_Moving`` for every family, built from its
 float parameters at (t, x), and in ``_Composite`` for those built from members.
 A family depends on x exactly when its ``state_lipschitz`` is nonzero.
 
@@ -10,12 +10,12 @@ A single point has one query, ``nearest(z)``: for a finite list of floats z
 it returns every nearest point of z, as lists of floats sorted and
 deduplicated by ``_ties``, and the distance.  A member comes back as itself,
 bit for bit, at distance 0, so projecting a point of the set returns that
-point.  The half-space, ball, box and wedge state their float geometry once,
-as source: ``query_source(n)`` sets the instance's nearest point p_# and phi
-from its ``params`` and z_# (the wedge's sets ``points`` too, through
+point.  Every kind states its float geometry once, as source:
+``query_source(n)`` sets the nearest point p_# and phi from the instance's
+``params`` and z_# (the wedge's and the union's set ``points`` too, through
 ``_ties``), ``lookup_source()`` sets the spec's params from ts and s_#, and
 ``compiled`` builds ``nearest``, ``_params`` and ``dynamics``' loop from them.
-The intersection runs Dykstra on lists, the union asks its members.
+A composite's sources are its members', their names suffixed _m<index>.
 ``project``, ``distance`` and ``member`` validate z once and then ask
 ``nearest``.  A spec's ``at(t, x)`` looks the set up, raising as ``freeze``
 does, and returns z -> the frozen instance's ``nearest(z)`` bit for bit.
@@ -35,11 +35,11 @@ fixed order gives one bit pattern per input on every BLAS kernel.
 
 from __future__ import annotations
 
-import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
-from operator import add, mul, sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -117,14 +117,15 @@ def compiled(name, params, body, n, lists):
                             *(f"{_each(f'{v}_#', n, ', ')}, = {v}" for v in lists), *body])
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "_ties": _ties, "EmptyInstance": EmptyInstance,
                  "InvalidVector": InvalidVector, "StepFailure": StepFailure,      # NumPy's cos and sin, as floats:
-                 "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a))}   # math's may differ
+                 "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a)),   # math's may differ
+                 "zoo": sys.modules[__name__], "unconverged": _unconverged}      # Dykstra's constants, per call
     exec(compile(source, f"<sweepsolve {name}>", "exec"), namespace)
     return namespace[name]
 
 
 @cache
 def _query(kind, n):
-    """``nearest`` of the instance class ``kind`` in dimension n, on its ``params`` and z."""
+    """``nearest`` of the instance kind ``kind`` in dimension n, on its ``params`` and z."""
     points = "points" if kind.ties else f"[[{_each('p_#', n, ', ')}]]"
     return compiled("nearest", (*kind.params, "z"), (*kind.query_source(n), f"return {points}, phi"),
                     n, (*kind.lists, "z"))
@@ -169,8 +170,9 @@ class SetInstance:
     params = lists = ()     # the names of ``_args``, and of those that are lists of floats
     ties = False            # whether ``query_source`` sets ``points`` too, else the one point p_#
 
-    def __init__(self, n):
+    def __init__(self, n, kind=None):
         self.n = int(n)
+        self.kind = kind or type(self)      # what fixes the query's source, with n
 
     def candidates(self, Z):
         """Candidate nearest points (k, N, n) and distances (k, N) of each row of Z.
@@ -201,9 +203,7 @@ class SetInstance:
         """(nearest points, distance) of the finite point z, a list of floats:
         the points are lists of floats, sorted and deduplicated by ``_ties``,
         so the first is the deterministic selection."""
-        return self.kernel(*self._args, z)      # the kind's kernel, on the parameters it was built from
-
-    kernel = property(lambda self: _query(type(self), self.n))     # nearest(*_args, z) from ``query_source``
+        return _query(self.kind, self.n)(*self._args, z)    # the kind's query, on the params it was built from
 
 
 class HalfSpaceInstance(SetInstance):
@@ -221,9 +221,9 @@ class HalfSpaceInstance(SetInstance):
         return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
 
     @staticmethod
-    def query_source(n):
-        return [f"v = {_fsum('z_# * zeta_#', n)} - beta",
-                f"if v > 0.0: {_each('p_# = z_# - v * zeta_#', n)}; phi = v",
+    def query_source(n, sfx=""):
+        return [f"v = {_fsum(f'z_# * zeta{sfx}_#', n)} - beta{sfx}",
+                f"if v > 0.0: {_each(f'p_# = z_# - v * zeta{sfx}_#', n)}; phi = v",
                 f"else: {_each('p_# = z_#', n)}; phi = 0.0"]
 
     def anchor(self):
@@ -248,10 +248,10 @@ class BallInstance(SetInstance):
                 np.maximum(nrm - self.radius, 0.0).T)
 
     @staticmethod
-    def query_source(n):
-        return [_each("g_# = z_# - center_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
-                f"if nrm <= radius: {_each('p_# = z_#', n)}; phi = 0.0",
-                f"else: {_each('p_# = center_# + radius / nrm * g_#', n)}; phi = nrm - radius"]
+    def query_source(n, sfx=""):
+        return [_each(f"g_# = z_# - center{sfx}_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
+                f"if nrm <= radius{sfx}: {_each('p_# = z_#', n)}; phi = 0.0",
+                f"else: {_each(f'p_# = center{sfx}_# + radius{sfx} / nrm * g_#', n)}; phi = nrm - radius{sfx}"]
 
     def anchor(self):
         return self.center.copy()
@@ -275,10 +275,10 @@ class BoxInstance(SetInstance):
         return P[None], D[None]
 
     @staticmethod
-    def query_source(n):
+    def query_source(n, sfx=""):
         # np.clip's order, keeping the bound on a tie (0.0 against -0.0)
-        return [_each("p_# = z_# if z_# > lower_# else lower_#", n),
-                _each("p_# = p_# if p_# < upper_# else upper_#", n), _each("g_# = z_# - p_#", n),
+        return [_each(f"p_# = z_# if z_# > lower{sfx}_# else lower{sfx}_#", n),
+                _each(f"p_# = p_# if p_# < upper{sfx}_# else upper{sfx}_#", n), _each("g_# = z_# - p_#", n),
                 f"phi = sqrt({_fsum('g_# * g_#', n)})",
                 f"if phi == 0.0: {_each('p_# = z_#', n)}"]
 
@@ -345,14 +345,15 @@ class HalfSpaceIntersectionInstance(SetInstance):
     """Intersection of half-spaces; projections via Dykstra's alternating corrections."""
 
     member_tol = 1e-10  # limited by the Dykstra tolerance
+    flags = ()          # names that lead each member's params (see ``_Members``)
 
     def __init__(self, members):
         if not members:
             raise EmptyCandidates("intersection needs at least one half-space")
-        super().__init__(members[0].n)
+        super().__init__(members[0].n, _Members(type(self), tuple(m.kind for m in members)))
         self.members = tuple(members)
         self._normals, self._offsets = _stack(self.members)
-        self._faces = [m._args for m in self.members]
+        self._args = tuple(a for m in self.members for a in m._args)
         self._feasible_point = None
 
     def ensure_nonempty(self):
@@ -389,30 +390,26 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 raise
         return P[None], row_norms(Z - P)[None]
 
-    def nearest(self, z):
-        return self.kernel(self._faces, self.ensure_nonempty, z)
-
     @staticmethod
-    def kernel(faces, ensure_nonempty, z):
-        """``nearest`` on the intersection of the half-spaces ``faces``, (zeta, beta)
-        pairs of floats: ``dykstra_project`` on one row of lists, same order and exits."""
-        if max(_fdot(z, zeta) - beta for zeta, beta in faces) <= MEMBER_TOL:
-            return [z], 0.0
-        x = z
-        increments = [[0.0] * len(z) for _ in faces]
-        for _ in range(DYKSTRA_MAX_ITER):
-            start = x
-            for i, (zeta, beta) in enumerate(faces):
-                y = list(map(add, x, increments[i]))
-                v = _fdot(y, zeta) - beta
-                v = v if v > 0.0 else 0.0       # np.maximum(v, 0.0), signed zero included
-                x = [yi - v * ci for yi, ci in zip(y, zeta)]
-                increments[i] = list(map(sub, y, x))
-            if _dist(x, start) <= 0.1 * DYKSTRA_TOL and max(_fdot(x, c) - b for c, b in faces) <= DYKSTRA_TOL:
-                return [x], _dist(z, x)
-        ensure_nonempty()   # raises EmptyInstance when that is the cause
-        raise ProjectionNotConverged(
-            f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
+    def query_source(n, sfx="", *, kinds):
+        """``dykstra_project`` on one point, unrolled on float locals in its order and with its
+        exits: the member shortcut, the budget and tolerances read per call, the probe at the end."""
+        faces = [(f"zeta_m{j}{sfx}_#", f"beta_m{j}{sfx}") for j in range(len(kinds))]
+
+        def excess(pt):     # the largest <pt, zeta_j> - beta_j
+            return "max((" + "".join(_fsum(f"{pt}_# * {zeta}", n) + f" - {beta}, " for zeta, beta in faces) + "))"
+        cycle = [_each("o_# = d_#", n)]
+        for j, (zeta, beta) in enumerate(faces):    # v clipped as np.maximum(v, 0.0), signed zero included
+            cycle += [_each(f"w_# = d_# + i{j}_#", n), f"v = {_fsum(f'w_# * {zeta}', n)} - {beta}",
+                      "v = v if v > 0.0 else 0.0", _each(f"d_# = w_# - v * {zeta}", n), _each(f"i{j}_# = w_# - d_#", n)]
+        return [f"if {excess('z')} <= zoo.MEMBER_TOL: {_each('p_# = z_#', n)}; phi = 0.0", "else:",
+                f"    {_each('d_# = z_#', n)}; {'; '.join(_each(f'i{j}_# = 0.0', n) for j in range(len(faces)))}",
+                "    for _ in range(zoo.DYKSTRA_MAX_ITER):", *("        " + ln for ln in cycle),
+                f"        {_each('g_# = d_# - o_#', n)}",
+                f"        if sqrt({_fsum('g_# * g_#', n)}) <= 0.1 * zoo.DYKSTRA_TOL and {excess('d')} <= zoo.DYKSTRA_TOL:",
+                "            break",
+                f"    else: unconverged({', '.join('([' + _each(zeta, n, ', ') + f'], {beta})' for zeta, beta in faces)})",
+                f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})"]
 
     def anchor(self):
         return np.asarray(self.ensure_nonempty(), dtype=float).copy()
@@ -421,24 +418,63 @@ class HalfSpaceIntersectionInstance(SetInstance):
 class UnionInstance(SetInstance):
     """Union of convex instances; each member contributes its candidates."""
 
+    ties, flags = True, ("live",)   # a spec's lookup marks a member dead while it is empty
+
     def __init__(self, members):
         if not members:
             raise EmptyCandidates("union needs at least one member")
-        super().__init__(members[0].n)
+        super().__init__(members[0].n, _Members(type(self), tuple(m.kind for m in members)))
         self.members = tuple(members)
-        self._args = ([m.nearest for m in self.members],)
+        self._args = tuple(a for m in self.members for a in (True, *m._args))
 
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
         return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
 
     @staticmethod
-    def kernel(queries, z):     # on the union of the sets the one-point queries answer
-        found = [q(z) for q in queries]      # convex: one point each
-        return _ties([ps[0] for ps, _ in found], [d for _, d in found])
+    def query_source(n, sfx="", *, kinds):
+        """Each live member's query in member order, then ``_ties`` over their points."""
+        body = ["found, dists = [], []"]
+        for j, kind in enumerate(kinds):
+            body += [f"if live_m{j}{sfx}:", *("    " + ln for ln in kind.query_source(n, f"_m{j}{sfx}")),
+                     f"    found.append([{_each('p_#', n, ', ')}]); dists.append(phi)"]
+        return [*body, "points, phi = _ties(found, dists)", f"{_each('p_#', n, ', ')}, = points[0]"]
 
     def anchor(self):
         return self.members[0].anchor()
+
+
+@dataclass(frozen=True)
+class _Members:
+    """The kind of a composite instance: its class and its members' kinds, which fix its query's
+    source.  Its params are each member's, led by the class's ``flags`` and suffixed _m<index>."""
+
+    cls: type
+    kinds: tuple
+    ties = property(lambda self: self.cls.ties)
+    params = property(lambda self: self._suffixed(lambda kind: (*self.cls.flags, *kind.params)))
+    lists = property(lambda self: self._suffixed(lambda kind: kind.lists))
+    query_source = property(lambda self: partial(self.cls.query_source, kinds=self.kinds))
+
+    def _suffixed(self, names):
+        return tuple(f"{p}_m{j}" for j, kind in enumerate(self.kinds) for p in names(kind))
+
+    def __call__(self, *params):
+        """The instance of this kind on its params: each live member's, built from its own."""
+        params, members = iter(params), []
+        for kind in self.kinds:
+            live = all([next(params) for _ in self.cls.flags])
+            args = [next(params) for _ in kind.params]
+            if live:
+                members.append(kind(*args))
+        return self.cls(members)
+
+
+def _unconverged(*faces):
+    """Dykstra's budget ran out on one point of the half-spaces ``faces``, (zeta, beta) pairs: the
+    feasibility probe raises EmptyInstance when that is the cause, else ProjectionNotConverged."""
+    HalfSpaceIntersectionInstance([HalfSpaceInstance(*face) for face in faces]).ensure_nonempty()
+    raise ProjectionNotConverged(f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +482,10 @@ class UnionInstance(SetInstance):
 # ---------------------------------------------------------------------------
 
 class _Moving:
-    """Family moved by x only through ``state_gain`` and built as ``_instance`` from its float
-    parameters ``_params(t, x)``, ``lookup_source()`` compiled once per structure: (arguments,
-    statements setting the params from ts and s_#).  ``at`` binds them to the kind's kernel."""
+    """Family built as its instance ``kind`` from the params that ``lookup_source(sfx)`` sets from
+    ts and s_#, (arguments, statements) with every name suffixed by ``sfx``, compiled once per
+    structure by ``_params``; ``at`` binds them to the kind's query.  It moves with x only through
+    ``state_gain``, but a ``_Composite`` through its members."""
 
     convex = True
     state_gain = 0.0
@@ -460,21 +497,21 @@ class _Moving:
     @cached_property
     def _params(self):
         args, lookup = self.lookup_source()
-        kind, n = self._instance, self.n
+        kind, n = self.kind, self.n
         packed = ", ".join(f"[{_each(f'{p}_#', n, ', ')}]" if p in kind.lists else p for p in kind.params)
         lists = tuple(k for k, v in args.items() if isinstance(v, list))
         return partial(compiled("lookup", (*args, "ts", "s"), (*lookup, f"return {packed},"), n, (*lists, "s")),
                        *args.values())
 
     def freeze(self, t, x):
-        return self._instance(*self._params(t, x.tolist()))
+        return self.kind(*self._params(t, x.tolist()))
 
     def at(self, t, x):
-        return partial(_query(self._instance, self.n), *self._params(t, x))
+        return partial(_query(self.kind, self.n), *self._params(t, x))
 
     def kernel_source(self):
         """(arguments, lookup, query) for ``dynamics``' loop: the spec's and the instance's source."""
-        return *self.lookup_source(), self._instance.query_source(self.n)
+        return *self.lookup_source(), self.kind.query_source(self.n)
 
 
 def _store(spec, name, v):
@@ -483,8 +520,10 @@ def _store(spec, name, v):
     object.__setattr__(spec, f"_{name}", getattr(spec, name).tolist())
 
 
-class _Composite:
-    """Family built from a nonempty tuple of same-dimension ``members``."""
+class _Composite(_Moving):
+    """Family built from a nonempty tuple of same-dimension ``members`` as ``_instance``."""
+
+    kind = cached_property(lambda self: _Members(self._instance, tuple(m.kind for m in self.members)))
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -520,7 +559,7 @@ class HalfSpaceSpec(_Moving):
     state_direction: np.ndarray | None = None
     rotation_rate: float = 0.0
     rotation_partner: np.ndarray | None = None
-    _instance = HalfSpaceInstance
+    kind = HalfSpaceInstance
 
     def __post_init__(self):
         _store(self, "normal", _unit(self.normal, "normal"))
@@ -541,17 +580,18 @@ class HalfSpaceSpec(_Moving):
     def n(self):
         return self.normal.size
 
-    def lookup_source(self):
-        n, args, lookup = self.n, {"beta0": self.beta0, "drift": self.drift}, ["beta = beta0 + drift * ts"]
+    def lookup_source(self, sfx=""):
+        n, args, lookup = self.n, {"beta0": self.beta0, "drift": self.drift}, [f"beta{sfx} = beta0{sfx} + drift{sfx} * ts"]
         if self.rotation_rate == 0.0:
             args["zeta"] = self._normal
         else:
             args.update(rate=self.rotation_rate, nu=self._normal, mu=self._rotation_partner)
-            lookup += ["ang = rate * ts; cs = cos(ang); sn = sin(ang)", _each("zeta_# = cs * nu_# + sn * mu_#", n)]
+            lookup += [f"ang = rate{sfx} * ts; cs = cos(ang); sn = sin(ang)",
+                       _each(f"zeta{sfx}_# = cs * nu{sfx}_# + sn * mu{sfx}_#", n)]
         if self.state_gain != 0.0:
             args.update(gain=self.state_gain, u=self._state_direction)
-            lookup.append(f"beta = beta + gain * ({_fsum('u_# * s_#', n)})")
-        return args, lookup
+            lookup.append(f"beta{sfx} = beta{sfx} + gain{sfx} * ({_fsum(f'u{sfx}_# * s_#', n)})")
+        return {k + sfx: v for k, v in args.items()}, lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +602,7 @@ class BallSpec(_Moving):
     radius: float
     velocity: np.ndarray | None = None
     state_gain: float = 0.0
-    _instance = BallInstance
+    kind = BallInstance
 
     def __post_init__(self):
         c = as_vector(self.center, name="center")
@@ -575,13 +615,13 @@ class BallSpec(_Moving):
     def n(self):
         return self.center.size
 
-    def lookup_source(self):
+    def lookup_source(self, sfx=""):
         n, args = self.n, {"radius": self.radius, "c0": self._center, "w": self._velocity}
-        lookup = [_each("center_# = c0_# + ts * w_#", n)]
+        lookup = [_each(f"center{sfx}_# = c0{sfx}_# + ts * w{sfx}_#", n)]
         if self.state_gain != 0.0:
             args["gain"] = self.state_gain
-            lookup.append(_each("center_# = center_# + gain * s_#", n))
-        return args, lookup
+            lookup.append(_each(f"center{sfx}_# = center{sfx}_# + gain{sfx} * s_#", n))
+        return {k + sfx: v for k, v in args.items()}, lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,7 +632,7 @@ class BoxSpec(_Moving):
     upper: np.ndarray
     lower_velocity: np.ndarray | None = None
     upper_velocity: np.ndarray | None = None
-    _instance = BoxInstance
+    kind = BoxInstance
 
     def __post_init__(self):
         lo = as_vector(self.lower, name="lower")
@@ -608,11 +648,13 @@ class BoxSpec(_Moving):
     def n(self):
         return self.lower.size
 
-    def lookup_source(self):
+    def lookup_source(self, sfx=""):
         n, args = self.n, {"lo0": self._lower, "low": self._lower_velocity, "hi0": self._upper, "hiw": self._upper_velocity}
-        return args, [_each("lower_# = lo0_# + ts * low_#", n), _each("upper_# = hi0_# + ts * hiw_#", n),
-                      f"if {_each('lower_# > upper_#', n, ' or ')}:",
-                      "    raise EmptyInstance('box has crossed bounds at t = ' + repr(ts))"]
+        return {k + sfx: v for k, v in args.items()}, [
+            _each(f"lower{sfx}_# = lo0{sfx}_# + ts * low{sfx}_#", n),
+            _each(f"upper{sfx}_# = hi0{sfx}_# + ts * hiw{sfx}_#", n),
+            f"if {_each(f'lower{sfx}_# > upper{sfx}_#', n, ' or ')}:",
+            "    raise EmptyInstance('box has crossed bounds at t = ' + repr(ts))"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -621,7 +663,7 @@ class WedgeSpec(_Moving):
 
     apex: np.ndarray
     apex_velocity: np.ndarray | None = None
-    _instance = WedgeInstance
+    kind = WedgeInstance
 
     def __post_init__(self):
         _store(self, "apex", as_vector(self.apex, 2, "apex"))
@@ -638,12 +680,13 @@ class WedgeSpec(_Moving):
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
-    nonempty for all offsets, so only other intersections are probed at freeze,
-    and ``at`` freezes just those, once per lookup: the probe needs an instance."""
+    nonempty for all offsets, so only other intersections are probed: at freeze,
+    and by each lookup through the argument ``probe``, ``freeze`` itself."""
 
     members: tuple
 
     convex = True
+    _instance = HalfSpaceIntersectionInstance
 
     def __post_init__(self):
         super().__post_init__()
@@ -654,16 +697,22 @@ class HalfSpaceIntersectionSpec(_Composite):
                            and all(m.rotation_rate == 0.0 for m in self.members))
 
     def freeze(self, t, x):
-        inst = HalfSpaceIntersectionInstance([m.freeze(t, x) for m in self.members])
+        inst = self._instance([m.freeze(t, x) for m in self.members])
         if not self._always_nonempty:
             inst.ensure_nonempty()
         return inst
 
-    def at(self, t, x):
+    def lookup_source(self, sfx=""):
+        """The members' lookups, suffixed _m<index>, then the probe when it is needed."""
+        args, lookup = {}, []
+        for j, m in enumerate(self.members):
+            margs, mlookup = m.lookup_source(f"_m{j}{sfx}")
+            args.update(margs)
+            lookup += mlookup
         if not self._always_nonempty:
-            return self.freeze(t, np.array(x)).nearest
-        return partial(HalfSpaceIntersectionInstance.kernel, [m._params(t, x) for m in self.members],
-                       lambda: self.freeze(t, np.array(x)).ensure_nonempty())
+            args[f"probe{sfx}"] = lambda t, x: self.freeze(t, np.array(x))
+            lookup.append(f"probe{sfx}(ts, [{_each('s_#', self.n, ', ')}])")
+        return args, lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,26 +722,27 @@ class UnionSpec(_Composite):
     members: tuple
 
     convex = False
+    _instance = UnionInstance
 
     def __post_init__(self):
         super().__post_init__()
         if not all(m.convex for m in self.members):
             raise InvalidVector("union members must be convex variants")
 
-    def _nonempty(self, t, query):
-        found = []
-        for m in self.members:
-            with contextlib.suppress(EmptyInstance):
-                found.append(query(m))
-        if not found:
-            raise EmptyInstance(f"all {len(self.members)} union members are empty at t = {t!r}")
-        return found
-
-    def freeze(self, t, x):
-        return UnionInstance(self._nonempty(t, lambda m: m.freeze(t, x)))
-
-    def at(self, t, x):
-        return partial(UnionInstance.kernel, self._nonempty(t, lambda m: m.at(t, x)))
+    def lookup_source(self, sfx=""):
+        """Each member's lookup, suffixed _m<index>: one that raises EmptyInstance leaves its member
+        dead, its params None, and the query skips it."""
+        args, lookup, k = {}, [], len(self.members)
+        for j, m in enumerate(self.members):
+            s = f"_m{j}{sfx}"
+            margs, mlookup = m.lookup_source(s)
+            args.update(margs)
+            dead = [_each(f"{p}{s}_#", self.n, " = ") if p in m.kind.lists else p + s     # not its arguments
+                    for p in m.kind.params if p + s not in margs]
+            lookup += ["try:", *("    " + ln for ln in mlookup), f"    live{s} = True",
+                       "except EmptyInstance:", f"    live{s} = False; {' = '.join([*dead, 'None'])}"]
+        return args, [*lookup, f"if not ({' or '.join(f'live_m{j}{sfx}' for j in range(k))}):",
+                      f"    raise EmptyInstance('all {k} union members are empty at t = ' + repr(ts))"]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_rhs_scales_with_operator_and_lambda():
 
 
 def _no_instances(monkeypatch):
-    """Make building any set instance fail: a stage asks the spec instead."""
+    """Make building any set instance fail: a stage runs the spec's lookup instead."""
     def refuse(self, n):
         raise AssertionError("a set instance was built")
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
@@ -286,6 +286,10 @@ ORACLE_CASES = {
                        upper_velocity=[4.0, 0.0]), None),
     "wedge": (sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[0.0, 1.0]), None),  # ties on the axis
     "intersection": (sw.HalfSpaceIntersectionSpec(_CORNER_DRIFT), None),
+    # three normals in the plane: probed for emptiness at every lookup
+    "probed_intersection": (sw.HalfSpaceIntersectionSpec((
+        sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-0.1, drift=-1.0), sw.HalfSpaceSpec(normal=[-1.0, 0.0], beta0=1.0),
+        sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=-0.2, drift=-0.5))), None),
     "union": (sw.UnionSpec((sw.BallSpec(center=[-2.0, 0.0], radius=0.5, velocity=[2.0, 1.0]),
                             sw.HalfSpaceIntersectionSpec(_CORNER_DRIFT))), None),
     "linear_spd": (sw.BallSpec(center=[0.0, 0.0], radius=0.3, velocity=[1.0, -1.0]),
@@ -324,8 +328,10 @@ _coord = st.floats(-1.0, 1.0, allow_nan=False)
 def _inlined_scenarios(draw):
     """A scenario whose operator and set the compiled loop runs inline, at n = 1, 2 or 3:
     the identity, gamma*I or an SPD matrix, and a half-space (its normal turning when
-    n > 1) or a ball, moving in t and optionally in x, a box with moving bounds, or
-    at n = 2 a translating wedge."""
+    n > 1) or a ball, moving in t and optionally in x, a box with moving bounds, at n = 2
+    a translating wedge, an intersection of 1-3 such half-spaces, parallel normals among
+    them so that it is probed, or a union of a ball, a box whose bounds cross mid-horizon
+    and such an intersection, in any order."""
     n = draw(st.integers(1, 3))
 
     def vec():
@@ -342,35 +348,76 @@ def _inlined_scenarios(draw):
         B = np.array([vec() for _ in range(n)])
         op = sw.LinearSPDOperator(B @ B.T + 0.5 * np.eye(n))
     gain = draw(st.sampled_from([0.0, 0.5, -0.5])) * op.m      # H1: L = |gain| < m
-    kind = draw(st.sampled_from(["half_space", "ball", "box"] + ["wedge"] * (n == 2)))
-    if kind == "half_space":
-        normal, direction, partner = vec(), vec(), vec()
+
+    def half_space(normal, gain, beta0):
+        direction, partner = vec(), vec()
         rate = draw(st.sampled_from([0.0, 2.5, -1.5])) if n > 1 else 0.0
         assume(min(np.linalg.norm(normal), np.linalg.norm(direction)) > 0.1)
         partner = partner - np.dot(partner, unit(normal)) * unit(normal)
         assume(rate == 0.0 or np.linalg.norm(partner) > 0.1)
-        spec = sw.HalfSpaceSpec(normal=unit(normal), beta0=draw(_coord), drift=draw(_coord),
+        return sw.HalfSpaceSpec(normal=unit(normal), beta0=beta0, drift=draw(_coord),
                                 state_gain=gain, state_direction=unit(direction),
                                 rotation_rate=rate, rotation_partner=unit(partner) if rate else None)
+
+    def intersection():
+        faces = []
+        for _ in range(draw(st.integers(1, 3))):
+            if faces and (n == 1 or draw(st.booleans())):     # parallel to the first, turning with it
+                first, sign = faces[0], draw(st.sampled_from([1.0, -1.0]))
+                partner = first.rotation_partner
+                faces.append(dataclasses.replace(
+                    first, normal=sign * first.normal, beta0=draw(st.floats(0.0, 1.0)), drift=draw(_coord),
+                    rotation_partner=None if partner is None else sign * partner))
+                continue
+            normal = vec()      # else 25 degrees or more from the others, so Dykstra converges fast
+            assume(np.linalg.norm(normal) > 0.1 and all(abs(np.dot(unit(normal), f.normal)) < 0.9 for f in faces))
+            faces.append(half_space(normal, draw(st.sampled_from([0.0, gain])), draw(st.floats(0.0, 1.0))))
+        return sw.HalfSpaceIntersectionSpec(tuple(faces))
+
+    def ball():
+        return sw.BallSpec(center=vec(), radius=draw(st.floats(0.1, 1.0)), velocity=vec(), state_gain=gain)
+    kind = draw(st.sampled_from(["half_space", "ball", "box", "intersection", "union"] + ["wedge"] * (n == 2)))
+    if kind == "half_space":
+        spec = half_space(vec(), gain, draw(_coord))
     elif kind == "wedge":
         spec = sw.WedgeSpec(apex=vec(), apex_velocity=vec())
     elif kind == "ball":
-        spec = sw.BallSpec(center=vec(), radius=draw(st.floats(0.1, 1.0)), velocity=vec(),
-                           state_gain=gain)
-    else:
+        spec = ball()
+    elif kind == "box":
         lower, lower_velocity = vec(), vec()
         spec = sw.BoxSpec(lower=lower, upper=lower + np.abs(vec()), lower_velocity=lower_velocity,
                           upper_velocity=lower_velocity + np.abs(vec()))
+    elif kind == "intersection":
+        spec = intersection()
+    else:   # the box's bounds close at the rate ``closing`` and cross at t_cross
+        lower, lower_velocity, closing = vec(), vec(), 0.1 + np.abs(vec())
+        t_cross = draw(st.floats(0.005, 0.045))
+        box = sw.BoxSpec(lower=lower, upper=lower + closing * t_cross, lower_velocity=lower_velocity,
+                         upper_velocity=lower_velocity - closing)
+        spec = sw.UnionSpec(tuple(draw(st.permutations([ball(), box, intersection()]))))
     return sw.Scenario(n=n, T=0.05, x0=2.0 * vec(), operator=op, moving_set=spec, lambdas=(0.1,),
                        allow_infeasible_start=True)
+
+
+def _result_or_error(run):
+    """run()'s result, or the name and message of the named error it raises."""
+    try:
+        return run()
+    except sw.SweepSolveError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(sc=_inlined_scenarios())
 def test_inlined_kinds_match_the_reference_bit_for_bit(sc):
-    traj = sw.integrate(sc, 0.1)
+    # an intersection may empty: both then raise the same error, from the same stage
+    traj = _result_or_error(lambda: sw.integrate(sc, 0.1))
+    ref = _result_or_error(lambda: _reference_integrate(sc, 0.1))
+    if isinstance(ref, str) or isinstance(traj, str):
+        assert traj == ref
+        return
     got = (traj.times, traj.states, traj.images, traj.phis)
-    for name, a, b in zip(("times", "states", "images", "phis"), got, _reference_integrate(sc, 0.1)):
+    for name, a, b in zip(("times", "states", "images", "phis"), got, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name     # signs of zero too
 
 
@@ -390,23 +437,29 @@ def _stage_times(traj, fixed):
     return lookups + nodes[-1:][(1 if reuse else 0):], queries + nodes[-1:]
 
 
+def _assert_reference(traj, sc, lam):
+    """``traj`` is ``_reference_integrate(sc, lam)`` byte for byte, signs of zero included."""
+    for name, a, b in zip(("times", "states", "images", "phis"),
+                          (traj.times, traj.states, traj.images, traj.phis), _reference_integrate(sc, lam)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("per_step", [4], ids=["rk4-4"])
 def test_fixed_step_makes_one_query_per_stage(monkeypatch, per_step):
-    # an intersection is not inlined into the compiled loop: each stage asks ``spec.at``
+    # every stage queries the set inline; a probed intersection's lookup freezes it once, for
+    # the probe, so its freezes are the lookups, and the reference pins each stage's query
     lam = 0.05
-    sc = _oracle_scenario("intersection", lam)
-    _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    sc = _oracle_scenario("probed_intersection", lam)
+    lookups = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, lam)
     n_steps, h = traj.stats.n_accepted, traj.stats.h
-    assert len(queries) == per_step * n_steps + 1   # the node at T adds one query
     assert traj.stats.rhs_evals == per_step * n_steps
-    # the first step's stage times, then the next node's
-    assert queries[:per_step + 1] == [0.0, 0.5 * h, 0.5 * h, h, h]
     # the set is state-independent: k2 and k3 share the lookup at h/2
     assert lookups[:3] == [0.0, 0.5 * h, h]
     assert len(lookups) <= 3 * n_steps + 1
-    assert (lookups, queries) == _stage_times(traj, fixed=True)
+    assert lookups == _stage_times(traj, fixed=True)[0]
+    monkeypatch.undo()
+    _assert_reference(traj, sc, lam)
 
 
 _OVERFLOW_SETS = {
@@ -464,43 +517,33 @@ def test_box_crossing_mid_horizon_is_named_at_its_stage_time():
 # integrate and catching_up: the spec answers every query, no instance is built
 # ---------------------------------------------------------------------------
 
-# the kinds whose lookup and kernel the compiled loop runs inline, never calling ``at``:
-# all but the intersection and the union
-_INLINED = ("half_space", "rotating_half_space", "ball", "box", "wedge", "linear_spd",
-            "state_half_space", "state_ball")
-
-
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
 def test_integrate_builds_no_instance(monkeypatch, kind):
+    # every kind's lookup and query run inline, and no spec's ``at`` is asked; only
+    # probed_intersection builds an instance, its probe's, once per lookup
     sc = _oracle_scenario(kind, 0.1)
-    _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
+    if kind != "probed_intersection":
+        _no_instances(monkeypatch)
+    lookups, queries = _log_lookups(monkeypatch, set_zoo._Moving)    # every spec's ``at``
     traj = sw.integrate(sc, 0.1)
-    assert hasattr(sc.moving_set, "kernel_source") == (kind in _INLINED)
-    if kind in _INLINED:
-        assert lookups == queries == [] and traj.phis.max() > 0.0
-        return
-    n = traj.stats.n_accepted
-    assert len(queries) == 4 * n + 1
-    # a state-independent set is looked up once per stage time
-    assert sc.moving_set.state_lipschitz == 0.0 and len(lookups) <= 3 * n + 1
-    assert (lookups, queries) == _stage_times(traj, fixed=True)
+    assert hasattr(sc.moving_set, "kernel_source")
+    assert lookups == queries == [] and traj.phis.max() > 0.0
 
 
 def test_state_dependent_fallback_kind_is_looked_up_at_every_stage(monkeypatch):
-    # an intersection is not inlined; moving with x, it is looked up once per query
+    # a probed intersection moving with x is looked up, and frozen for its probe, once per query
     spec = sw.HalfSpaceIntersectionSpec((
         sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
-        sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=0.2, state_gain=0.25, state_direction=[0.0, 1.0])))
+        sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=1.0, state_gain=0.25, state_direction=[0.0, 1.0])))
     sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=sw.IdentityOperator(),
                      moving_set=spec, lambdas=(0.1,))
-    ref = _reference_integrate(sc, 0.1)
-    lookups, queries = _log_lookups(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    freezes = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
     traj = sw.integrate(sc, 0.1)
-    for a, b in zip((traj.times, traj.states, traj.images, traj.phis), ref):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    lookups, queries = _stage_times(traj, fixed=False)
     assert traj.phis.max() > 0.0 and lookups == queries
-    assert (lookups, queries) == _stage_times(traj, fixed=False)
+    assert freezes == lookups
+    monkeypatch.undo()
+    _assert_reference(traj, sc, 0.1)
 
 
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
@@ -622,6 +665,24 @@ def test_union_skips_an_empty_intersection_member():
     assert len(union.freeze(0.5, np.zeros(1)).members) == 2
     inst = union.freeze(1.5, np.zeros(1))
     assert len(inst.members) == 1 and inst.distance([0.0]) == 4.0
+
+
+def test_a_union_member_that_empties_and_refills_is_queried_again(monkeypatch):
+    # 0 <= z_1 <= 0.5 x_1 - 0.3 is empty until the ball pulls x_1 past 0.6; while the member
+    # is dead its lookup must leave the fixed normal of z_1 >= 0, a loop argument, in place
+    gap = sw.HalfSpaceIntersectionSpec((
+        sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-0.3, state_gain=0.5, state_direction=[1.0, 0.0]),
+        sw.HalfSpaceSpec(normal=[-1.0, 0.0])))
+    sc = sw.Scenario(n=2, T=0.1, x0=np.zeros(2), operator=sw.IdentityOperator(),
+                     moving_set=sw.UnionSpec((sw.BallSpec(center=[2.0, 0.0], radius=0.5), gap)), lambdas=(0.05,))
+    frozen = []
+    real = sw.HalfSpaceIntersectionSpec.freeze
+    monkeypatch.setattr(sw.HalfSpaceIntersectionSpec, "freeze",
+                        lambda self, t, x: frozen.append(bool(x[0] > 0.6)) or real(self, t, x))
+    traj = sw.integrate(sc, 0.05)
+    assert frozen[0] is False and frozen[-1] is True and traj.states[-1, 0] > 0.6
+    monkeypatch.undo()
+    _assert_reference(traj, sc, 0.05)
 
 
 # ---------------------------------------------------------------------------

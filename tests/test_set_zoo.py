@@ -686,6 +686,7 @@ def test_spec_nearest_builds_no_instance(monkeypatch):
     def refuse(self, n):
         raise AssertionError("a set instance was built")
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
-    for kind in ("half_space", "rotating_half_space", "state_ball", "box", "wedge",
-                 "intersection"):
-        MOVING[kind].at(0.1, [0.3, -0.2])([2.0, 1.0])
+    union = sw.UnionSpec((MOVING["ball"], MOVING["intersection"]))   # members never probed
+    for spec in (*(MOVING[kind] for kind in ("half_space", "rotating_half_space", "state_ball", "box", "wedge",
+                                             "intersection")), union):
+        spec.at(0.1, [0.3, -0.2])([2.0, 1.0])
