@@ -7,7 +7,7 @@ and querying it inline, on floats, at each stage.  It cross-checks
 against the catching-up recursion where that oracle is valid, and certifies
 the quantitative tracking bounds (tube bound, trajectory Lipschitz constant,
 truncated-Hausdorff moduli, far parameter alpha) on the results.  Only the
-sampled estimators, parse-time checks and probed intersections freeze a set.
+sampled estimators and parse-time checks freeze a set.
 """
 
 from .analysis import (

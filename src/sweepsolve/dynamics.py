@@ -14,10 +14,10 @@ in ``integrate``, and each new state's finiteness.
 ``integrate`` runs one RK4 loop, generated as Python source per (dimension n,
 operator kind, set kind) and built by ``set_zoo.compiled`` on first use, once
 per process; each vector is n float locals and the parameters are arguments.
-A stage at (t, s) runs the operator's ``image_source`` statements, checks A(s),
-looks the set up and queries it inline, from the spec's ``kernel_source``,
-building no set instance but the probe of an intersection whose normals may
-fail to span.  A set moving with x is looked up at every stage, a
+A stage at (t, s) runs the operator's ``image_source``, checks A(s), looks the
+set up and queries it inline, from the spec's ``lookup_source`` and its kind's
+``query_source``, building no instance but the probe of an intersection whose
+normals may fail to span.  A set moving with x is looked up at every stage, a
 state-independent one once per stage time (k2 and k3 share t + h/2; k4's
 lookup serves the next k1 at t + h).  A node's image and phi come from its k1
 query.  A member A(x) is its own nearest point: the velocity is exactly 0.
@@ -201,7 +201,7 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
     op_args, image = scenario.operator.image_source(n)
-    set_args, lookup, query = spec.kernel_source()
+    (set_args, lookup), query = spec.lookup_source(), spec.kind.query_source(n)
     args = {"x": scenario.x0.tolist(), **op_args, **set_args}
     rk4 = compiled("rk4", ("table", "T", "n_steps", "h", "half", "sixth", "lam", *args),
                    _rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0), n,

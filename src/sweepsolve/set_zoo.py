@@ -118,7 +118,7 @@ def compiled(name, params, body, n, lists):
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "_ties": _ties, "EmptyInstance": EmptyInstance,
                  "InvalidVector": InvalidVector, "StepFailure": StepFailure,      # NumPy's cos and sin, as floats:
                  "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a)),   # math's may differ
-                 "zoo": sys.modules[__name__], "unconverged": _unconverged}      # Dykstra's constants, per call
+                 "zoo": sys.modules[__name__]}      # Dykstra's constants, per call, and its probe
     exec(compile(source, f"<sweepsolve {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -170,9 +170,14 @@ class SetInstance:
     params = lists = ()     # the names of ``_args``, and of those that are lists of floats
     ties = False            # whether ``query_source`` sets ``points`` too, else the one point p_#
 
-    def __init__(self, n, kind=None):
-        self.n = int(n)
-        self.kind = kind or type(self)      # what fixes the query's source, with n
+    def __init__(self, *args):      # a closed-form kind on its params, each list a read-only float64 copy
+        if len(args) != len(self.params):
+            raise TypeError(f"{type(self).__name__} takes {len(self.params)} params, got {len(args)}")
+        for p, v in zip(self.params, args):
+            setattr(self, p, _frozen(v) if p in self.lists else float(v))
+        self._args = tuple(getattr(self, p).tolist() if p in self.lists else getattr(self, p) for p in self.params)
+        self.n = len(getattr(self, self.lists[0]))
+        self.kind = type(self)      # what fixes the query's source, with n
 
     def candidates(self, Z):
         """Candidate nearest points (k, N, n) and distances (k, N) of each row of Z.
@@ -210,12 +215,6 @@ class HalfSpaceInstance(SetInstance):
     """{z : <zeta, z> <= beta} with unit normal zeta."""
     params, lists = ("zeta", "beta"), ("zeta",)
 
-    def __init__(self, zeta, beta):
-        super().__init__(len(zeta))
-        self.zeta = _frozen(zeta)
-        self.beta = float(beta)
-        self._args = (self.zeta.tolist(), self.beta)
-
     def candidates(self, Z):
         v = (_dot(Z, self.zeta) - self.beta)[:, None]
         return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
@@ -233,12 +232,6 @@ class HalfSpaceInstance(SetInstance):
 class BallInstance(SetInstance):
     """Closed ball of fixed center and radius."""
     params, lists = ("center", "radius"), ("center",)
-
-    def __init__(self, center, radius):
-        super().__init__(len(center))
-        self.center = _frozen(center)
-        self.radius = float(radius)
-        self._args = (self.center.tolist(), self.radius)
 
     def candidates(self, Z):
         gap = Z - self.center
@@ -260,12 +253,6 @@ class BallInstance(SetInstance):
 class BoxInstance(SetInstance):
     """Axis-aligned box [lower, upper]."""
     params = lists = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        super().__init__(len(lower))
-        self.lower = _frozen(lower)
-        self.upper = _frozen(upper)
-        self._args = (self.lower.tolist(), self.upper.tolist())
 
     def candidates(self, Z):
         P = np.clip(Z, self.lower, self.upper)
@@ -293,11 +280,6 @@ class WedgeInstance(SetInstance):
     _RAYS = np.array([[1.0, -1.0], [-1.0, -1.0]]) / _SQRT2
     params = lists = ("apex",)
     ties = True
-
-    def __init__(self, apex):
-        super().__init__(2)
-        self.apex = _frozen(apex)
-        self._args = (self.apex.tolist(),)
 
     def candidates(self, Z):
         W = Z - self.apex
@@ -350,7 +332,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
     def __init__(self, members):
         if not members:
             raise EmptyCandidates("intersection needs at least one half-space")
-        super().__init__(members[0].n, _Members(type(self), tuple(m.kind for m in members)))
+        self.n, self.kind = members[0].n, _Members(type(self), tuple(m.kind for m in members))
         self.members = tuple(members)
         self._normals, self._offsets = _stack(self.members)
         self._args = tuple(a for m in self.members for a in m._args)
@@ -408,7 +390,7 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 f"        {_each('g_# = d_# - o_#', n)}",
                 f"        if sqrt({_fsum('g_# * g_#', n)}) <= 0.1 * zoo.DYKSTRA_TOL and {excess('d')} <= zoo.DYKSTRA_TOL:",
                 "            break",
-                f"    else: unconverged({', '.join('([' + _each(zeta, n, ', ') + f'], {beta})' for zeta, beta in faces)})",
+                f"    else: zoo._probe({_faces(len(faces), n, sfx)}); raise zoo._unconverged()",
                 f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})"]
 
     def anchor(self):
@@ -423,7 +405,7 @@ class UnionInstance(SetInstance):
     def __init__(self, members):
         if not members:
             raise EmptyCandidates("union needs at least one member")
-        super().__init__(members[0].n, _Members(type(self), tuple(m.kind for m in members)))
+        self.n, self.kind = members[0].n, _Members(type(self), tuple(m.kind for m in members))
         self.members = tuple(members)
         self._args = tuple(a for m in self.members for a in (True, *m._args))
 
@@ -470,11 +452,19 @@ class _Members:
         return self.cls(members)
 
 
-def _unconverged(*faces):
-    """Dykstra's budget ran out on one point of the half-spaces ``faces``, (zeta, beta) pairs: the
-    feasibility probe raises EmptyInstance when that is the cause, else ProjectionNotConverged."""
+def _faces(k, n, sfx):
+    """Source of the k faces of an intersection's lookup or query, (zeta, beta) pairs of floats."""
+    return ", ".join(f"([{_each(f'zeta_m{j}{sfx}_#', n, ', ')}], beta_m{j}{sfx})" for j in range(k))
+
+
+def _probe(*faces):
+    """The feasibility probe of the half-spaces ``faces``: raises EmptyInstance when they do not meet."""
     HalfSpaceIntersectionInstance([HalfSpaceInstance(*face) for face in faces]).ensure_nonempty()
-    raise ProjectionNotConverged(f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
+
+
+def _unconverged():
+    """The error of an exhausted Dykstra budget on a set not found empty (see ``_probe``)."""
+    return ProjectionNotConverged(f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +474,8 @@ def _unconverged(*faces):
 class _Moving:
     """Family built as its instance ``kind`` from the params that ``lookup_source(sfx)`` sets from
     ts and s_#, (arguments, statements) with every name suffixed by ``sfx``, compiled once per
-    structure by ``_params``; ``at`` binds them to the kind's query.  It moves with x only through
-    ``state_gain``, but a ``_Composite`` through its members."""
+    structure by ``_params``: ``freeze`` calls the kind on them, ``at`` binds them to its query.
+    It moves with x only through ``state_gain``, but a ``_Composite`` through its members."""
 
     convex = True
     state_gain = 0.0
@@ -508,10 +498,6 @@ class _Moving:
 
     def at(self, t, x):
         return partial(_query(self.kind, self.n), *self._params(t, x))
-
-    def kernel_source(self):
-        """(arguments, lookup, query) for ``dynamics``' loop: the spec's and the instance's source."""
-        return *self.lookup_source(), self.kind.query_source(self.n)
 
 
 def _store(spec, name, v):
@@ -680,8 +666,10 @@ class WedgeSpec(_Moving):
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
-    nonempty for all offsets, so only other intersections are probed: at freeze,
-    and by each lookup through the argument ``probe``, ``freeze`` itself."""
+    nonempty for all offsets, so only other intersections are probed, by ``_probe``
+    on the faces each lookup has just set.  Faces turning at different rates can
+    come near-parallel, and there the budget of DYKSTRA_MAX_ITER = 100,000 Dykstra
+    cycles per query is the only guard."""
 
     members: tuple
 
@@ -696,22 +684,15 @@ class HalfSpaceIntersectionSpec(_Composite):
         object.__setattr__(self, "_always_nonempty", bool(np.linalg.eigvalsh(N @ N.T)[0] > RANK_TOL ** 2)
                            and all(m.rotation_rate == 0.0 for m in self.members))
 
-    def freeze(self, t, x):
-        inst = self._instance([m.freeze(t, x) for m in self.members])
-        if not self._always_nonempty:
-            inst.ensure_nonempty()
-        return inst
-
     def lookup_source(self, sfx=""):
-        """The members' lookups, suffixed _m<index>, then the probe when it is needed."""
+        """The members' lookups, suffixed _m<index>, then the probe of their faces when it is needed."""
         args, lookup = {}, []
         for j, m in enumerate(self.members):
             margs, mlookup = m.lookup_source(f"_m{j}{sfx}")
             args.update(margs)
             lookup += mlookup
         if not self._always_nonempty:
-            args[f"probe{sfx}"] = lambda t, x: self.freeze(t, np.array(x))
-            lookup.append(f"probe{sfx}(ts, [{_each('s_#', self.n, ', ')}])")
+            lookup.append(f"zoo._probe({_faces(len(self.members), self.n, sfx)})")
         return args, lookup
 
 
@@ -813,5 +794,4 @@ def dykstra_project(members, Z):
         if done.any():  # only the rows still moving cycle on
             out[rows[done]] = X[done]
             rows, X, increments = rows[~done], X[~done], increments[:, ~done]
-    raise ProjectionNotConverged(
-        f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
+    raise _unconverged()

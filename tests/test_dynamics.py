@@ -40,7 +40,7 @@ def test_rhs_scales_with_operator_and_lambda():
 
 def _no_instances(monkeypatch):
     """Make building any set instance fail: a stage runs the spec's lookup instead."""
-    def refuse(self, n):
+    def refuse(self, *args):
         raise AssertionError("a set instance was built")
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
 
@@ -444,20 +444,35 @@ def _assert_reference(traj, sc, lam):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def _count_probes(monkeypatch):
+    """The faces of every feasibility probe, as its intersection instance's ``_args``: a probed
+    lookup builds that instance from the faces it has just set and asks its ``ensure_nonempty``."""
+    probes = []
+    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
+    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
+                        lambda self: probes.append(self._args) or real(self))
+    return probes
+
+
+def _faces_at(spec, t, x):
+    """The faces of the intersection ``spec`` at (t, x), from its members' own lookups."""
+    return tuple(a for m in spec.members for a in m.freeze(t, np.asarray(x))._args)
+
+
 @pytest.mark.parametrize("per_step", [4], ids=["rk4-4"])
 def test_fixed_step_makes_one_query_per_stage(monkeypatch, per_step):
-    # every stage queries the set inline; a probed intersection's lookup freezes it once, for
-    # the probe, so its freezes are the lookups, and the reference pins each stage's query
+    # every stage queries the set inline; a probed intersection's lookup probes its faces once,
+    # so its probes are the lookups, and the reference pins each stage's query
     lam = 0.05
     sc = _oracle_scenario("probed_intersection", lam)
-    lookups = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    probes = _count_probes(monkeypatch)
     traj = sw.integrate(sc, lam)
     n_steps, h = traj.stats.n_accepted, traj.stats.h
     assert traj.stats.rhs_evals == per_step * n_steps
     # the set is state-independent: k2 and k3 share the lookup at h/2
-    assert lookups[:3] == [0.0, 0.5 * h, h]
-    assert len(lookups) <= 3 * n_steps + 1
-    assert lookups == _stage_times(traj, fixed=True)[0]
+    assert probes[:3] == [_faces_at(sc.moving_set, t, sc.x0) for t in (0.0, 0.5 * h, h)]
+    assert len(probes) <= 3 * n_steps + 1
+    assert probes == [_faces_at(sc.moving_set, t, sc.x0) for t in _stage_times(traj, fixed=True)[0]]
     monkeypatch.undo()
     _assert_reference(traj, sc, lam)
 
@@ -526,22 +541,23 @@ def test_integrate_builds_no_instance(monkeypatch, kind):
         _no_instances(monkeypatch)
     lookups, queries = _log_lookups(monkeypatch, set_zoo._Moving)    # every spec's ``at``
     traj = sw.integrate(sc, 0.1)
-    assert hasattr(sc.moving_set, "kernel_source")
+    assert hasattr(sc.moving_set, "lookup_source") and hasattr(sc.moving_set.kind, "query_source")
     assert lookups == queries == [] and traj.phis.max() > 0.0
 
 
 def test_state_dependent_fallback_kind_is_looked_up_at_every_stage(monkeypatch):
-    # a probed intersection moving with x is looked up, and frozen for its probe, once per query
+    # a probed intersection moving with x is looked up, and its faces probed, once per query
     spec = sw.HalfSpaceIntersectionSpec((
         sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
         sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=1.0, state_gain=0.25, state_direction=[0.0, 1.0])))
     sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=sw.IdentityOperator(),
                      moving_set=spec, lambdas=(0.1,))
-    freezes = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    probes = _count_probes(monkeypatch)
     traj = sw.integrate(sc, 0.1)
     lookups, queries = _stage_times(traj, fixed=False)
     assert traj.phis.max() > 0.0 and lookups == queries
-    assert freezes == lookups
+    # the first face does not move with x: its offset -t names the stage time of each probe
+    assert [faces[1] for faces in probes] == [spec.members[0].freeze(t, sc.x0).beta for t in lookups]
     monkeypatch.undo()
     _assert_reference(traj, sc, 0.1)
 
@@ -644,14 +660,14 @@ _CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1
 
 
 def test_probed_intersection_freezes_once_per_query(monkeypatch):
-    # the probe for emptiness needs an instance, so each lookup builds one; the
+    # the probe for emptiness builds an instance from the faces of each lookup; the
     # set is state-independent, so there is one lookup per stage time
     sc = sw.Scenario(n=1, T=0.5, x0=np.array([2.0]), operator=sw.IdentityOperator(),
                      moving_set=_CROSSING, lambdas=(0.1,), allow_infeasible_start=True)
-    calls = _count_freezes(monkeypatch, sw.HalfSpaceIntersectionSpec)
+    probes = _count_probes(monkeypatch)
     traj = sw.integrate(sc, 0.1)
-    assert traj.phis.max() > 0.0 and len(calls) <= 3 * traj.stats.n_accepted + 1
-    assert calls == _stage_times(traj, fixed=True)[0]
+    assert traj.phis.max() > 0.0 and len(probes) <= 3 * traj.stats.n_accepted + 1
+    assert probes == [_faces_at(_CROSSING, t, sc.x0) for t in _stage_times(traj, fixed=True)[0]]
 
 
 def test_crossing_intersection_raises_when_empty():
@@ -675,12 +691,10 @@ def test_a_union_member_that_empties_and_refills_is_queried_again(monkeypatch):
         sw.HalfSpaceSpec(normal=[-1.0, 0.0])))
     sc = sw.Scenario(n=2, T=0.1, x0=np.zeros(2), operator=sw.IdentityOperator(),
                      moving_set=sw.UnionSpec((sw.BallSpec(center=[2.0, 0.0], radius=0.5), gap)), lambdas=(0.05,))
-    frozen = []
-    real = sw.HalfSpaceIntersectionSpec.freeze
-    monkeypatch.setattr(sw.HalfSpaceIntersectionSpec, "freeze",
-                        lambda self, t, x: frozen.append(bool(x[0] > 0.6)) or real(self, t, x))
+    probes = _count_probes(monkeypatch)
     traj = sw.integrate(sc, 0.05)
-    assert frozen[0] is False and frozen[-1] is True and traj.states[-1, 0] > 0.6
+    # the offset 0.5 x_1 - 0.3 of the first face is negative while x_1 < 0.6, the member empty
+    assert probes[0][1] < 0.0 and probes[-1][1] > 0.0 and traj.states[-1, 0] > 0.6
     monkeypatch.undo()
     _assert_reference(traj, sc, 0.05)
 

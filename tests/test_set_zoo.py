@@ -70,10 +70,26 @@ def test_frozen_instances_are_read_only(spec, arrays):
 
 
 def test_frozen_keeps_read_only_arrays_and_copies_the_rest():
-    center = np.array([1.0, 2.0])
-    inst = set_zoo.BallInstance(center, 0.5)
-    center[0] = 9.0                                             # the caller's array
-    assert inst.center.tolist() == [1.0, 2.0] and not inst.center.flags.writeable
+    # each closed-form kind is built from its params in order: a list as a read-only float64
+    # copy, a scalar as a float, ``_args`` their floats in params order, n the first list's length
+    for kind, args in [(set_zoo.HalfSpaceInstance, (np.array([0.6, 0.8]), np.float64(-0.5))),
+                       (set_zoo.BallInstance, (np.array([1.0, 2.0]), 0.5)),
+                       (set_zoo.BoxInstance, (np.array([-1.0, 0.0]), np.array([1, 2]))),     # ints
+                       (set_zoo.WedgeInstance, (np.array([0.5, -0.5]),))]:
+        want = [a.astype(float).tolist() if p in kind.lists else float(a) for p, a in zip(kind.params, args)]
+        inst = kind(*args)
+        for p, a in zip(kind.params, args):
+            v = getattr(inst, p)
+            if p in kind.lists:
+                a[0] = 9                                        # the caller's array
+                assert v.dtype == np.float64 and not v.flags.writeable and not np.shares_memory(v, a)
+            else:
+                assert type(v) is float
+        assert inst._args == tuple(want) and inst.n == 2 and inst.kind is kind
+        with pytest.raises(TypeError):
+            kind(*args[:-1])                                    # a param missing
+        with pytest.raises(TypeError):
+            kind(*args, 1.0)
 
 
 def test_instantiate_rejects_dimension_mismatch():
@@ -682,8 +698,22 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     assert probes == [1, 1, 1, 1]
 
 
+def test_a_probed_intersections_anchor_is_the_probe_of_its_faces():
+    # 1 <= z_1 <= 2 - t: freezing it probes the faces its lookup sets, then builds an instance
+    # that has not run the probe, so its anchor probes once more, to the same point
+    members = (sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=2.0, drift=-1.0), sw.HalfSpaceSpec(normal=[-1.0, 0.0], beta0=-1.0))
+    spec = sw.HalfSpaceIntersectionSpec(members)
+    inst = sw.instantiate(spec, 0.5, np.zeros(2))
+    assert not spec._always_nonempty and inst._feasible_point is None
+    by_hand = set_zoo.HalfSpaceIntersectionInstance([set_zoo.HalfSpaceInstance(m.normal, m.beta0 + m.drift * 0.5)
+                                                     for m in members])
+    anchor = inst.anchor()
+    assert inst.member(anchor) and anchor.tolist() == [1.0, 0.0]
+    assert anchor.tobytes() == by_hand.ensure_nonempty().tobytes()
+
+
 def test_spec_nearest_builds_no_instance(monkeypatch):
-    def refuse(self, n):
+    def refuse(self, *args):
         raise AssertionError("a set instance was built")
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
     union = sw.UnionSpec((MOVING["ball"], MOVING["intersection"]))   # members never probed
