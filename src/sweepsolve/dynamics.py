@@ -133,7 +133,7 @@ class Trajectory:
     stats: StepStats = field(default=StepStats(0, 0, 0, 0.0))
 
     @classmethod
-    def of(cls, table, n, lam, stats):      # table: flat float64 buffer of the rows, no copy
+    def of(cls, table, n, lam, stats):      # table: the rows in an array("d") or C-order ndarray, not copied
         rows = np.frombuffer(table, float).reshape(-1, 2 * n + 2)
         return cls(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:-1], rows[:, -1], lam, stats)
 

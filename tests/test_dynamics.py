@@ -615,22 +615,30 @@ def test_catching_up_builds_no_instance(monkeypatch, kind):
     assert len(queries) == 2 * n + 1 and queries[1:] == [t for t in lookups[1:] for _ in (0, 1)]
 
 
-def _count_freezes(monkeypatch, spec_cls):
-    calls = []
-    real = spec_cls.freeze
-    monkeypatch.setattr(spec_cls, "freeze",
-                        lambda self, t, x: calls.append(t) or real(self, t, x))
-    return calls
+def _log_lookup_blocks(monkeypatch, spec_cls):
+    """The stage time of every lookup block that ``integrate``'s compiled loop runs for a
+    ``spec_cls`` set, its inline freeze: the block starts with a call that logs ts."""
+    times, real = [], spec_cls.lookup_source
+
+    def lookup_source(self):
+        args, lookup = real(self)
+        return {**args, "lookup_log": times.append}, ["lookup_log(ts)", *lookup]
+    monkeypatch.setattr(spec_cls, "lookup_source", lookup_source)
+    return times
 
 
 @pytest.mark.parametrize("kind", ["half_space", "ball", "box", "wedge", "intersection", "union"])
 def test_state_independent_set_freezes_at_most_three_times_per_step(monkeypatch, kind):
     sc = _oracle_scenario(kind, 0.1)
-    calls = _count_freezes(monkeypatch, type(sc.moving_set))
-    n = sw.integrate(sc, 0.1).stats.n_accepted
+    lookups = _log_lookup_blocks(monkeypatch, type(sc.moving_set))
+    traj = sw.integrate(sc, 0.1)
+    n = traj.stats.n_accepted
     # k2 and k3 share t + h/2; k4 shares t + h with the next node's k1
-    assert len(calls) <= 3 * n + 1
-    assert len(set(calls)) == len(calls)   # no time is frozen twice
+    assert n > 0 and len(lookups) <= 3 * n + 1
+    assert len(set(lookups)) == len(lookups)   # no time is looked up twice
+    assert lookups == _stage_times(traj, fixed=True)[0]
+    monkeypatch.undo()
+    _assert_reference(traj, sc, 0.1)
 
 
 def test_threaded_sweep_matches_serial_sweep():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,63 @@ def test_malformed_csv_row_is_named(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(sw.ParseError) as raised:
         read_trajectory_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+_HEAD = b"t,x_1,z_1,phi\n"
+
+
+@pytest.mark.parametrize("body, want", [
+    # accepted, as float() reads each cell of the stripped non-blank lines
+    (_HEAD + b"0,0,0,0\n \t \n1,0.5,0.5,0\n", [[0, 0, 0, 0], [1, 0.5, 0.5, 0]]),
+    (b"# lambda = 0.1\r\nt,x_1,z_1,phi\r\n0,0,0,0\r\n1,0.5,0.5,0\r\n", [[0, 0, 0, 0], [1, 0.5, 0.5, 0]]),
+    (_HEAD + b"0 , \t0,0\t,0\n1,  0.5 ,0.5,\t-0\n", [[0, 0, 0, 0], [1, 0.5, 0.5, -0.0]]),
+    (_HEAD + b"+0,+1e-3,0,+0\n+1,0.5,+.5,0\n", [[0, 1e-3, 0, 0], [1, 0.5, 0.5, 0]]),
+    (_HEAD + b"0,0,0,0\n1,0.5,0.5,0\n\n\n  \n", [[0, 0, 0, 0], [1, 0.5, 0.5, 0]]),
+    # rejected, the bad row named
+    (_HEAD + b"0,0,0,0\n1,,0.5,0\n", "data row 2 has a non-numeric cell: '1,,0.5,0'"),
+    (_HEAD + b'0,0,0,0\n1,"0.5",0.5,0\n', "data row 2 has a non-numeric cell: '1,\"0.5\",0.5,0'"),
+    (_HEAD + b"0,0,0,0,\n1,0.5,0.5,0\n", "data row 1 has 5 cells, header has 4"),
+    (_HEAD + b"0,0,0,0\n# note\n1,0.5,0.5,0\n", "data row 2 has 1 cells, header has 4"),
+    (_HEAD + b"0,0,0,0\n#,0,0,0\n1,0.5,0.5,0\n", "data row 2 has a non-numeric cell: '#,0,0,0'"),
+    # where NumPy's C reader and float() part: float() reads 1_0 as 10 and the Arabic-Indic
+    # digit as 1, and refuses \x1c around a digit; no bytes of this kind are ever written.
+    # A byte that is not UTF-8 was a UnicodeDecodeError; now it makes a non-numeric row.
+    (_HEAD + b"0,0,0,0\n1,1_0,0.5,0\n", "data row 2 has a non-numeric cell: '1,1_0,0.5,0'"),
+    (_HEAD + "0,0,0,0\n1,١,0.5,0\n".encode(), "data row 2 has a non-numeric cell: '1,١,0.5,0'"),
+    (_HEAD + b"0,0,0,0\n1,\x1c1,0.5,0\n", [[0, 0, 0, 0], [1, 1, 0.5, 0]]),
+    (_HEAD + b"0,0,0,0\n1,\xff,0.5,0\n", "data row 2 has a non-numeric cell: '1,\\udcff,0.5,0'"),
+], ids=["whitespace_line", "crlf", "padded_cells", "leading_plus", "trailing_blank_lines",
+        "empty_cell", "quoted_cell", "trailing_comma", "comment_line", "comment_cells",
+        "underscore_digits", "non_ascii_digit", "ascii_separator", "non_utf8_byte"])
+def test_csv_grammar(tmp_path, body, want):
+    path = tmp_path / "grammar.csv"
+    path.write_bytes(body)
+    if isinstance(want, str):
+        with pytest.raises(sw.ParseError) as raised:
+            read_trajectory_csv(path)
+        assert str(raised.value) == f"{path}: {want}"
+    else:
+        back = read_trajectory_csv(path)
+        got = np.column_stack((back.times, back.states, back.images, back.phis))
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()     # signs of zero too
+
+
+@pytest.mark.parametrize("body, message", [
+    (_HEAD + "".join(f"{i},0,0,0\n" for i in range(60_000)).encode() + b"60000,0,x,0\n",
+     "data row 60001 has a non-numeric cell: '60000,0,x,0'"),
+    (_HEAD + "".join(f"{i},0,0,0\n" for i in range(60_000)).encode() + b"60000,0,0\n",
+     "data row 60001 has 3 cells, header has 4"),
+    (_HEAD, "a trajectory needs at least two data rows, got 0"),
+    (b"# lambda = 0.1\n" + _HEAD + b"\n \n", "a trajectory needs at least two data rows, got 0"),
+], ids=["bad_cell_at_row_60001", "ragged_row_60001", "header_only", "lambda_header_and_blanks"])
+def test_csv_error_path_names_the_row_without_warnings(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # NumPy's "input contained no data" must not escape
+        with pytest.raises(sw.ParseError) as raised:
+            read_trajectory_csv(path)
     assert str(raised.value) == f"{path}: {message}"
 
 
