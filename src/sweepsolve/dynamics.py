@@ -16,11 +16,12 @@ operator kind, set kind) and built by ``set_zoo.compiled`` on first use, once
 per process; each vector is n float locals and the parameters are arguments.
 A stage at (t, s) runs the operator's ``image_source``, checks A(s), looks the
 set up and queries it inline, from the spec's ``lookup_source`` and its kind's
-``query_source``, building no instance but the probe of an intersection whose
-normals may fail to span.  A set moving with x is looked up at every stage, a
-state-independent one once per stage time (k2 and k3 share t + h/2; k4's
-lookup serves the next k1 at t + h).  A node's image and phi come from its k1
-query.  A member A(x) is its own nearest point: the velocity is exactly 0.
+``query_source``, building no instance; ``set_zoo._feasible`` probes the faces
+of an intersection whose normals may fail to span.  A set moving with x is
+looked up at every stage, a state-independent one once per stage time (k2 and
+k3 share t + h/2; k4's lookup serves the next k1 at t + h).  A node's image
+and phi come from its k1 query.  A member A(x) is its own nearest point: the
+velocity is exactly 0.
 
 The generated statements run one fixed order of float operations: dot
 products left to right from 0.0 (``set_zoo._fdot``), the box's clip rule,

@@ -373,22 +373,13 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def jsonable(obj):
-    """Convert report structures to strict-JSON-safe primitives."""
+    """Report structures as strict JSON: string keys, lists for tuples, NaN as null, infinities as "inf"."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 

@@ -307,9 +307,10 @@ class WedgeInstance(SetInstance):
         return self.apex.copy()
 
 
-def _stack(members):
-    """Unit normals (m, n) and offsets (m,) of the half-space ``members``."""
-    return np.array([hs.zeta for hs in members]), np.array([hs.beta for hs in members])
+def _stack(faces):
+    """Unit normals (m, n) and offsets (m,) of the half-spaces ``faces``, (zeta, beta) pairs."""
+    normals, offsets = zip(*faces)
+    return np.array(normals), np.array(offsets)
 
 
 def _excess(normals, offsets, Z):
@@ -323,52 +324,53 @@ def _halfspace_step(Y, zeta, beta):
     return Y - np.maximum(_dot(Y, zeta) - beta, 0.0)[:, None] * zeta
 
 
-class HalfSpaceIntersectionInstance(SetInstance):
-    """Intersection of half-spaces; projections via Dykstra's alternating corrections."""
+def _feasible(faces, t=None):
+    """A fresh point of the intersection of the half-spaces ``faces``, (zeta, beta) pairs, or
+    EmptyInstance, naming the stage time t when one is given.  Cyclic projections from the
+    origin settle quickly when it is comfortably nonempty; the HiGHS LP settles the rest."""
+    normals, offsets = _stack(faces)
+    n = normals.shape[1]
+    x = np.zeros((1, n))
+    for _ in range(200):
+        for zeta, beta in zip(normals, offsets):
+            x = _halfspace_step(x, zeta, beta)
+        if _excess(normals, offsets, x)[0] <= 1e-12:
+            return x[0]
+    from scipy.optimize import linprog   # rarely needed, and slow to import
+    res = linprog(np.zeros(n), A_ub=normals, b_ub=offsets, bounds=[(None, None)] * n, method="highs")
+    if res.status == 2:
+        raise EmptyInstance("half-space intersection is empty" + ("" if t is None else f" at t = {t!r}"))
+    if not res.success:
+        raise EmptyInstance(f"feasibility LP failed: {res.message}")
+    return res.x
 
-    member_tol = 1e-10  # limited by the Dykstra tolerance
+
+class _CompositeInstance(SetInstance):
+    """A set built from a nonempty sequence of same-dimension member instances."""
+
     flags = ()          # names that lead each member's params (see ``_Members``)
 
     def __init__(self, members):
         if not members:
-            raise EmptyCandidates("intersection needs at least one half-space")
+            raise EmptyCandidates(f"{type(self).__name__} needs at least one member")
         self.n, self.kind = members[0].n, _Members(type(self), tuple(m.kind for m in members))
         self.members = tuple(members)
-        self._normals, self._offsets = _stack(self.members)
-        self._args = tuple(a for m in self.members for a in m._args)
-        self._feasible_point = None
+        self._args = tuple(a for m in self.members for a in (True,) * len(self.flags) + m._args)
 
-    def ensure_nonempty(self):
-        """Find a feasible point or raise EmptyInstance; result is cached."""
-        if self._feasible_point is not None:
-            return self._feasible_point
-        # cheap probe: cyclic projections from the origin settle quickly when
-        # the intersection is comfortably nonempty
-        x = np.zeros((1, self.n))
-        for _ in range(200):
-            for zeta, beta in zip(self._normals, self._offsets):
-                x = _halfspace_step(x, zeta, beta)
-            if _excess(self._normals, self._offsets, x)[0] <= 1e-12:
-                self._feasible_point = _frozen(x[0])
-                return self._feasible_point
-        from scipy.optimize import linprog   # rarely needed, and slow to import
-        res = linprog(np.zeros(self.n), A_ub=self._normals, b_ub=self._offsets,
-                      bounds=[(None, None)] * self.n, method="highs")
-        if res.status == 2:
-            raise EmptyInstance("half-space intersection is empty")
-        if not res.success:
-            raise EmptyInstance(f"feasibility LP failed: {res.message}")
-        self._feasible_point = _frozen(np.asarray(res.x, dtype=float))
-        return self._feasible_point
+
+class HalfSpaceIntersectionInstance(_CompositeInstance):
+    """Intersection of half-spaces; projections via Dykstra's alternating corrections."""
+
+    member_tol = 1e-10  # limited by the Dykstra tolerance
 
     def candidates(self, Z):
         P = Z.copy()
-        outside = _excess(self._normals, self._offsets, Z) > MEMBER_TOL
+        outside = _excess(*_stack(m._args for m in self.members), Z) > MEMBER_TOL
         if outside.any():
             try:
                 P[outside] = dykstra_project(self.members, Z[outside])[0]
             except ProjectionNotConverged:
-                self.ensure_nonempty()  # raises EmptyInstance when that is the cause
+                _feasible(m._args for m in self.members)  # raises EmptyInstance when that is the cause
                 raise
         return P[None], row_norms(Z - P)[None]
 
@@ -390,24 +392,17 @@ class HalfSpaceIntersectionInstance(SetInstance):
                 f"        {_each('g_# = d_# - o_#', n)}",
                 f"        if sqrt({_fsum('g_# * g_#', n)}) <= 0.1 * zoo.DYKSTRA_TOL and {excess('d')} <= zoo.DYKSTRA_TOL:",
                 "            break",
-                f"    else: zoo._probe({_faces(len(faces), n, sfx)}); raise zoo._unconverged()",
+                f"    else: zoo._feasible([{_faces(len(faces), n, sfx)}]); raise zoo._unconverged()",
                 f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})"]
 
     def anchor(self):
-        return np.asarray(self.ensure_nonempty(), dtype=float).copy()
+        return _feasible(m._args for m in self.members)
 
 
-class UnionInstance(SetInstance):
+class UnionInstance(_CompositeInstance):
     """Union of convex instances; each member contributes its candidates."""
 
     ties, flags = True, ("live",)   # a spec's lookup marks a member dead while it is empty
-
-    def __init__(self, members):
-        if not members:
-            raise EmptyCandidates("union needs at least one member")
-        self.n, self.kind = members[0].n, _Members(type(self), tuple(m.kind for m in members))
-        self.members = tuple(members)
-        self._args = tuple(a for m in self.members for a in (True, *m._args))
 
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
@@ -457,13 +452,8 @@ def _faces(k, n, sfx):
     return ", ".join(f"([{_each(f'zeta_m{j}{sfx}_#', n, ', ')}], beta_m{j}{sfx})" for j in range(k))
 
 
-def _probe(*faces):
-    """The feasibility probe of the half-spaces ``faces``: raises EmptyInstance when they do not meet."""
-    HalfSpaceIntersectionInstance([HalfSpaceInstance(*face) for face in faces]).ensure_nonempty()
-
-
 def _unconverged():
-    """The error of an exhausted Dykstra budget on a set not found empty (see ``_probe``)."""
+    """The error of an exhausted Dykstra budget on a set not found empty (see ``_feasible``)."""
     return ProjectionNotConverged(f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
 
 
@@ -666,10 +656,10 @@ class WedgeSpec(_Moving):
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
-    nonempty for all offsets, so only other intersections are probed, by ``_probe``
-    on the faces each lookup has just set.  Faces turning at different rates can
-    come near-parallel, and there the budget of DYKSTRA_MAX_ITER = 100,000 Dykstra
-    cycles per query is the only guard."""
+    nonempty for all offsets, so only other intersections are probed, by ``_feasible``
+    on the faces each lookup has just set, at its stage time.  Faces turning at
+    different rates can come near-parallel, and there the budget of DYKSTRA_MAX_ITER
+    = 100,000 Dykstra cycles per query is the only guard."""
 
     members: tuple
 
@@ -692,7 +682,7 @@ class HalfSpaceIntersectionSpec(_Composite):
             args.update(margs)
             lookup += mlookup
         if not self._always_nonempty:
-            lookup.append(f"zoo._probe({_faces(len(self.members), self.n, sfx)})")
+            lookup.append(f"zoo._feasible([{_faces(len(self.members), self.n, sfx)}], ts)")
         return args, lookup
 
 
@@ -776,7 +766,7 @@ def dykstra_project(members, Z):
     n = members[0].n
     single = np.ndim(Z) == 1
     X = as_vector(Z, n, "z")[None] if single else as_rows(Z, n, "Z")
-    normals, offsets = _stack(members)
+    normals, offsets = _stack(m._args for m in members)
     out = np.empty_like(X)
     rows = np.arange(len(X))
     increments = np.zeros((len(members),) + X.shape)

@@ -166,6 +166,43 @@ def test_diagnose_refuses_columns_it_did_not_write(tmp_path, drift_file, capsys)
     assert err == f"error: {path}: unexpected column layout ['t', 'a', 'b', 'phi']\n"
 
 
+def test_sweep_of_an_emptying_set_fails_every_lambda(tmp_path):
+    # {z_1 <= -0.3 + 0.5 x_1} and {z_1 >= 0} meet only while x_1 >= 0.6: from x_1 = 0.7 the
+    # penalty pulls x_1 below that, so each lambda stops mid-horizon with the set empty
+    doc = {"problem": {"dimension": 2, "horizon": 1.0, "x0": [0.7, 0.0], "allow_infeasible_start": True},
+           "operator": {"kind": "identity"},
+           "set": {"kind": "half_space_intersection", "members": [
+               {"normal": [1.0, 0.0], "beta0": -0.3, "state_gain": 0.5, "state_direction": [1.0, 0.0]},
+               {"normal": [-1.0, 0.0]}]},
+           "lambdas": [0.1, 0.05], "assumed": {"alpha": 1.0, "rho": "inf"}}
+    scenario = tmp_path / "emptying.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(out)) == 1
+    report = json.loads((out / "report.json").read_text())
+    for entry in report["per_lambda"]:
+        assert entry["status"].startswith("EmptyInstance: half-space intersection is empty at t = ")
+        for key in ("phi_max", "phi_bound", "worst_ratio", "lipschitz_estimate", "lipschitz_bound"):
+            assert entry[key] is None, key      # NaN, written as null
+    for key in ("phi_max", "phi_bound", "worst_ratio", "lipschitz_estimate"):
+        assert report[key] is None, key
+    assert not any(out.glob("trajectory_lam*.csv"))
+
+
+def test_diagnose_needs_a_lambda(tmp_path, drift_file, capsys):
+    # the catching-up oracle's trajectory has no lambda, so its CSV has no "# lambda" line
+    path = tmp_path / "oracle.csv"
+    sweepsolve.write_trajectory_csv(path, sweepsolve.catching_up(sweepsolve.load_scenario(drift_file), 0.01))
+    assert not path.read_text().startswith("#")
+    out = tmp_path / "diag"
+    capsys.readouterr()
+    assert run_cli("diagnose", "--scenario", drift_file, "--traj", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: trajectory CSV carries no lambda; pass --lam\n"
+    assert not (out / "diagnose.json").exists()
+    assert run_cli("diagnose", "--scenario", drift_file, "--traj", str(path), "--out", str(out), "--lam", "0.05") == 0
+    assert json.loads((out / "diagnose.json").read_text())["lambda"] == 0.05
+
+
 def test_failed_bound_exit_code(tmp_path, drift_file):
     # a trajectory diagnosed against a much smaller lambda fails the tube bound
     out = tmp_path / "art"

@@ -445,12 +445,15 @@ def _assert_reference(traj, sc, lam):
 
 
 def _count_probes(monkeypatch):
-    """The faces of every feasibility probe, as its intersection instance's ``_args``: a probed
-    lookup builds that instance from the faces it has just set and asks its ``ensure_nonempty``."""
-    probes = []
-    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
-    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
-                        lambda self: probes.append(self._args) or real(self))
+    """The faces of every feasibility probe, flattened as an intersection instance's ``_args``:
+    a probed lookup hands ``set_zoo._feasible`` the faces it has just set, and its stage time."""
+    probes, real = [], set_zoo._feasible
+
+    def probe(faces, t=None):
+        faces = list(faces)
+        probes.append(tuple(a for face in faces for a in face))
+        return real(faces, t)
+    monkeypatch.setattr(set_zoo, "_feasible", probe)
     return probes
 
 
@@ -655,9 +658,8 @@ def test_threaded_sweep_matches_serial_sweep():
 def test_full_rank_intersection_is_never_probed(monkeypatch, scenario_dir):
     sc = sw.load_scenario(scenario_dir / "corner_push_dykstra.json")
     calls = []
-    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
-    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
-                        lambda self: calls.append(1) or real(self))
+    real = set_zoo._feasible
+    monkeypatch.setattr(set_zoo, "_feasible", lambda faces, t=None: calls.append(1) or real(faces, t))
     traj = sw.integrate(sc, sc.lambdas[0])
     assert traj.phis.max() > 0.0 and calls == []
 
@@ -668,8 +670,8 @@ _CROSSING = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1
 
 
 def test_probed_intersection_freezes_once_per_query(monkeypatch):
-    # the probe for emptiness builds an instance from the faces of each lookup; the
-    # set is state-independent, so there is one lookup per stage time
+    # each lookup probes its faces for emptiness; the set is state-independent,
+    # so there is one lookup per stage time
     sc = sw.Scenario(n=1, T=0.5, x0=np.array([2.0]), operator=sw.IdentityOperator(),
                      moving_set=_CROSSING, lambdas=(0.1,), allow_infeasible_start=True)
     probes = _count_probes(monkeypatch)

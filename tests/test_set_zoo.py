@@ -108,8 +108,14 @@ def test_empty_intersection_reported():
     members = (sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=-1.0),
                sw.HalfSpaceSpec(normal=[-1.0, 0.0], beta0=-1.0))
     spec = sw.HalfSpaceIntersectionSpec(members)
-    with pytest.raises(sw.EmptyInstance):
-        sw.instantiate(spec, 0.0, np.zeros(2))
+    with pytest.raises(sw.EmptyInstance, match=r"^half-space intersection is empty at t = 0\.25$"):
+        sw.instantiate(spec, 0.25, np.zeros(2))
+
+
+@pytest.mark.parametrize("cls", [set_zoo.HalfSpaceIntersectionInstance, set_zoo.UnionInstance])
+def test_composite_instance_needs_a_member(cls):
+    with pytest.raises(sw.EmptyCandidates, match="needs at least one member"):
+        cls([])
 
 
 def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
@@ -126,11 +132,12 @@ def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
     real = scipy.optimize.linprog
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    point = inst.ensure_nonempty()
+    point = inst.anchor()
     assert len(calls) == 1
     for m in inst.members:
         assert float(m.zeta @ point) - m.beta <= 1e-9
-    assert inst.ensure_nonempty() is point and len(calls) == 1
+    # nothing is cached: each anchor solves the LP again, to the same point
+    assert inst.anchor().tobytes() == point.tobytes() and len(calls) == 2
 
 
 def test_empty_box_reported():
@@ -685,9 +692,8 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     assert str(queried.value) == "all 2 union members are empty at t = 0.9"
     # an exhausted Dykstra budget probes for emptiness, then gives up
     probes = []
-    real = set_zoo.HalfSpaceIntersectionInstance.ensure_nonempty
-    monkeypatch.setattr(set_zoo.HalfSpaceIntersectionInstance, "ensure_nonempty",
-                        lambda self: probes.append(1) or real(self))
+    real = set_zoo._feasible
+    monkeypatch.setattr(set_zoo, "_feasible", lambda faces, t=None: probes.append(t) or real(faces, t))
     monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
     for spec in (_OBLIQUE, sw.UnionSpec((_OBLIQUE, ZOO["ball"]))):
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
@@ -695,21 +701,20 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
         query = spec.at(0.0, x)                   # the lookup succeeds: the query raises
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
             query([2.5, 0.5])
-    assert probes == [1, 1, 1, 1]
+    assert probes == [None] * 4
 
 
 def test_a_probed_intersections_anchor_is_the_probe_of_its_faces():
-    # 1 <= z_1 <= 2 - t: freezing it probes the faces its lookup sets, then builds an instance
-    # that has not run the probe, so its anchor probes once more, to the same point
+    # 1 <= z_1 <= 2 - t: freezing it probes the faces its lookup sets, and its anchor
+    # probes the faces of the instance built from them, to the same point
     members = (sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=2.0, drift=-1.0), sw.HalfSpaceSpec(normal=[-1.0, 0.0], beta0=-1.0))
     spec = sw.HalfSpaceIntersectionSpec(members)
     inst = sw.instantiate(spec, 0.5, np.zeros(2))
-    assert not spec._always_nonempty and inst._feasible_point is None
-    by_hand = set_zoo.HalfSpaceIntersectionInstance([set_zoo.HalfSpaceInstance(m.normal, m.beta0 + m.drift * 0.5)
-                                                     for m in members])
+    assert not spec._always_nonempty
+    by_hand = [(m.normal, m.beta0 + m.drift * 0.5) for m in members]
     anchor = inst.anchor()
     assert inst.member(anchor) and anchor.tolist() == [1.0, 0.0]
-    assert anchor.tobytes() == by_hand.ensure_nonempty().tobytes()
+    assert anchor.tobytes() == set_zoo._feasible(by_hand).tobytes()
 
 
 def test_spec_nearest_builds_no_instance(monkeypatch):
