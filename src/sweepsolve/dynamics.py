@@ -9,19 +9,21 @@ Inputs are validated once, at the boundary: x0, the set and operator
 dimensions, the horizon T, the lambdas, the far parameters and the hypotheses
 H1 (L < m) and H2 in ``Scenario``, whose ``margin`` m*alpha^2 - L is the one
 source every bound divides by; lambda and (t, x) in ``penalized_rhs``, lambda
-in ``integrate``, and each new state's finiteness.
+in ``integrate``, h in ``catching_up``, and each new state's finiteness.
 
-``integrate`` runs one RK4 loop, generated as Python source per (dimension n,
-operator kind, set kind) and built by ``set_zoo.compiled`` on first use, once
-per process; each vector is n float locals and the parameters are arguments.
-A stage at (t, s) runs the operator's ``image_source``, checks A(s), looks the
-set up and queries it inline, from the spec's ``lookup_source`` and its kind's
+``integrate`` runs one RK4 loop and ``catching_up`` one projection loop, each
+generated as Python source per (dimension n, operator kind, set kind) and built
+by ``set_zoo.compiled`` on first use, once per process; each vector is n float
+locals and the parameters are arguments.  Both compile from one ``_stage``: at
+(t, s) it runs the operator's ``image_source``, checks A(s), looks the set up
+and queries it inline, from the spec's ``lookup_source`` and its kind's
 ``query_source``, building no instance; ``set_zoo._feasible`` probes the faces
 of an intersection whose normals may fail to span.  A set moving with x is
 looked up at every stage, a state-independent one once per stage time (k2 and
 k3 share t + h/2; k4's lookup serves the next k1 at t + h).  A node's image
 and phi come from its k1 query.  A member A(x) is its own nearest point: the
-velocity is exactly 0.
+velocity is exactly 0.  ``catching_up``'s node 0 is one stage; each step then
+looks the set up once and queries it twice, for the new point and for its phi.
 
 The generated statements run one fixed order of float operations: dot
 products left to right from 0.0 (``set_zoo._fdot``), the box's clip rule,
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import IdentityOperator, Operator, ScaledIdentityOperator
-from .set_zoo import _each, as_vector, checked_point, compiled
+from .set_zoo import _each, _query, as_vector, checked_point, compiled
 
 SAFETY = 0.2        # c in the stiffness guard h <= c*lambda/(1 + M)
 
@@ -160,18 +163,24 @@ def penalized_rhs(scenario: Scenario, lam: float, t: float, x) -> np.ndarray:
     z = scenario.operator.image(x.tolist())
     if not all(map(math.isfinite, z)):      # also false on NaN and +-inf
         raise InvalidVector("operator image A(x) contains non-finite entries")
-    p = scenario.moving_set.at(t, x.tolist())(z)[0][0]
+    spec = scenario.moving_set      # its lookup and its kind's query, as a stage runs them
+    p = _query(spec.kind, spec.n)(*spec._params(t, x.tolist()), z)[0][0]
     return np.array([(pi - zi) / lam for pi, zi in zip(p, z)])
+
+
+def _stage(n, image, query, time, state, look, slope=""):
+    """Source of one stage: ``time`` sets ts, s_# = ``state``, ``image`` sets z_# = A(s) and is
+    checked, ``look`` looks the set up and ``query`` sets p_# and phi; then its slope k_#."""
+    return [time, _each(f"s_# = {state}", n), image, f"if not ({_each('isfinite(z_#)', n, ' and ')}):",
+            "    raise InvalidVector('operator image A(x) contains non-finite entries')", *look, *query,
+            slope and _each(f"{slope}_# = (p_# - z_#) / lam", n)]
 
 
 def _rk4_source(n, image, lookup, query, fixed):
     """Body of ``rk4(table, T, n_steps, h, half, sixth, lam, *params)``, each list parameter
-    unpacked to name_#.  A stage at (ts, s_#) runs ``image``, its check, ``lookup`` (once per stage
-    time if the set is ``fixed`` in x, k4's serving the next k1 at t4) and ``query`` for p_#, phi."""
-    def stage(time, state, look, slope=""):       # the stage at (ts, s_#), then its slope k_#
-        return [time, _each(f"s_# = {state}", n), image, f"if not ({_each('isfinite(z_#)', n, ' and ')}):",
-                "    raise InvalidVector('operator image A(x) contains non-finite entries')", *look, *query,
-                slope and _each(f"{slope}_# = (p_# - z_#) / lam", n)]
+    unpacked to name_#.  A ``_stage`` at (ts, s_#) looks the set up with ``lookup`` (once per stage
+    time if the set is ``fixed`` in x, k4's serving the next k1 at t4) and queries it for p_#, phi."""
+    stage = partial(_stage, n, image, query)
     body = [*stage("ts = t", "x_#", ["if t != t4:", *("    " + ln for ln in lookup)] if fixed else lookup),
             f"fromlist([t, {_each('x_#', n, ', ')}, {_each('z_#', n, ', ')}, phi])",
             "if k == n_steps:", "    break", _each("k1_# = (p_# - z_#) / lam", n),
@@ -187,6 +196,29 @@ def _rk4_source(n, image, lookup, query, fixed):
             *("    " + ln for ln in body if ln))
 
 
+def _catching_up_source(n, image, lookup, query):
+    """Body of ``catch(table, T, n_steps, h, x, gamma, *params)``: node 0 is the ``_stage`` at (0, x_#);
+    each step looks the set up at its node time, moves z_# to its nearest point p_#, queries that
+    point again for its phi and writes x = z/gamma."""
+    row = "fromlist([t, {}, " + _each("z_#", n, ", ") + ", phi])"
+    return ("fromlist, t = table.fromlist, 0.0", *_stage(n, image, query, "ts = t", "x_#", lookup),
+            row.format(_each("x_#", n, ", ")), "for k in range(n_steps):",
+            *("    " + ln for ln in ("ts = t = (k + 1) * h if k + 1 < n_steps else T", *lookup, *query,
+                                     _each("z_# = p_#", n), *query, row.format(_each("z_# / gamma", n, ", ")))))
+
+
+def _compiled(name, params, source, scenario, **extra):
+    """``source(n, image, lookup, query)`` on the scenario's operator and set, compiled by
+    ``set_zoo.compiled`` and called with ``params``, then x0, ``extra`` and the arguments it reads."""
+    n, spec = scenario.n, scenario.moving_set
+    op_args, image = scenario.operator.image_source(n)
+    (set_args, lookup), query = spec.lookup_source(), spec.kind.query_source(n)
+    args = {"x": scenario.x0.tolist(), **extra, **op_args, **set_args}
+    loop = compiled(name, (*params, *args), source(n, image, lookup, query), n,
+                    tuple(k for k, v in args.items() if isinstance(v, list)))
+    return lambda *values: loop(*values, *args.values())
+
+
 def integrate(scenario: Scenario, lam: float) -> Trajectory:
     """Integrate the penalized dynamics over [0, T] with fixed RK4 steps,
     h = T/n the largest such step under the guard and h_max.
@@ -197,19 +229,15 @@ def integrate(scenario: Scenario, lam: float) -> Trajectory:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    spec, n, T = scenario.moving_set, scenario.n, float(scenario.T)
+    T = float(scenario.T)
     guard = SAFETY * lam / (1.0 + scenario.operator.M)
     n_steps = max(1, math.ceil(T / min(guard, scenario.integrator.h_max, T) - 1e-12))
     h = T / n_steps
-    op_args, image = scenario.operator.image_source(n)
-    (set_args, lookup), query = spec.lookup_source(), spec.kind.query_source(n)
-    args = {"x": scenario.x0.tolist(), **op_args, **set_args}
-    rk4 = compiled("rk4", ("table", "T", "n_steps", "h", "half", "sixth", "lam", *args),
-                   _rk4_source(n, image, lookup, query, spec.state_lipschitz == 0.0), n,
-                   tuple(k for k, v in args.items() if isinstance(v, list)))
-    table = array("d")
-    rk4(table, T, n_steps, h, 0.5 * h, h / 6.0, lam, *args.values())
-    return Trajectory.of(table, n, lam, StepStats(n_steps, 0, 4 * n_steps, h))
+    table, fixed = array("d"), scenario.moving_set.state_lipschitz == 0.0
+    rk4 = _compiled("rk4", ("table", "T", "n_steps", "h", "half", "sixth", "lam"),
+                    partial(_rk4_source, fixed=fixed), scenario)
+    rk4(table, T, n_steps, h, 0.5 * h, h / 6.0, lam)
+    return Trajectory.of(table, scenario.n, lam, StepStats(n_steps, 0, 4 * n_steps, h))
 
 
 def catching_up(scenario: Scenario, h: float) -> Trajectory:
@@ -220,31 +248,18 @@ def catching_up(scenario: Scenario, h: float) -> Trajectory:
     z = gamma*x, so the classical recursion z_{k+1} = proj_{C(t_{k+1})}(z_k)
     applies and x = z/gamma.
     """
-    op = scenario.operator
-    if isinstance(op, IdentityOperator):
-        gamma = 1.0
-    elif isinstance(op, ScaledIdentityOperator):
-        gamma = op.gamma
-    else:
+    op, spec = scenario.operator, scenario.moving_set
+    if not isinstance(op, (IdentityOperator, ScaledIdentityOperator)):
         raise UnsupportedScenario("catching-up requires A = gamma*identity")
-    spec = scenario.moving_set
     if not spec.convex:
         raise UnsupportedScenario("catching-up requires a convex moving set")
     if spec.state_lipschitz != 0.0:
         raise UnsupportedScenario("catching-up requires a state-independent moving set")
     if not h > 0:
         raise ValueError("h must be positive")
-
     T = float(scenario.T)
     n_steps = max(1, math.ceil(T / h - 1e-12))
-    h_eff = T / n_steps
-
-    x0 = scenario.x0.tolist()       # the set is state-independent: look it up at x0
-    z = op.image(x0)
-    table = array("d", [0.0, *x0, *z, spec.at(0.0, x0)(z)[1]])
-    for k in range(n_steps):
-        t = (k + 1) * h_eff if k + 1 < n_steps else T
-        q = spec.at(t, x0)          # queried for the projection, then for its phi
-        z = q(z)[0][0]
-        table.fromlist([t, *(zi / gamma for zi in z), *z, q(z)[1]])
-    return Trajectory.of(table, scenario.n, None, StepStats(n_steps, 0, 0, h_eff))
+    table = array("d")
+    _compiled("catch", ("table", "T", "n_steps", "h"), _catching_up_source, scenario,
+              gamma=getattr(op, "gamma", 1.0))(table, T, n_steps, T / n_steps)
+    return Trajectory.of(table, scenario.n, None, StepStats(n_steps, 0, 0, T / n_steps))

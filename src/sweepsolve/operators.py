@@ -21,9 +21,6 @@ class Operator:
     M = 1.0
     n = None    # dimension the operator acts on; None for any dimension
 
-    def image(self, x) -> list:
-        raise NotImplementedError
-
     def image_source(self, n):
         """(arguments, statements setting z_# = A(s)_# from s_0..s_{n-1}) for ``dynamics``' loop."""
         return {"image": self.image}, f"{_each('z_#', n, ', ')}, = image([{_each('s_#', n, ', ')}])"

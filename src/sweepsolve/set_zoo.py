@@ -17,8 +17,7 @@ point.  Every kind states its float geometry once, as source:
 ``compiled`` builds ``nearest``, ``_params`` and ``dynamics``' loop from them.
 A composite's sources are its members', their names suffixed _m<index>.
 ``project``, ``distance`` and ``member`` validate z once and then ask
-``nearest``.  A spec's ``at(t, x)`` looks the set up, raising as ``freeze``
-does, and returns z -> the frozen instance's ``nearest(z)`` bit for bit.
+``nearest``.
 
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
@@ -164,7 +163,8 @@ def _readonly(v):
 # ---------------------------------------------------------------------------
 
 class SetInstance:
-    """A moving set frozen at one (t, x): pure geometry, immutable, shareable."""
+    """A moving set frozen at one (t, x): pure geometry, immutable, shareable.  Each kind
+    defines ``candidates`` and ``anchor()``, a deterministic point of the set centring samplers."""
 
     member_tol = MEMBER_TOL
     params = lists = ()     # the names of ``_args``, and of those that are lists of floats
@@ -178,17 +178,6 @@ class SetInstance:
         self._args = tuple(getattr(self, p).tolist() if p in self.lists else getattr(self, p) for p in self.params)
         self.n = len(getattr(self, self.lists[0]))
         self.kind = type(self)      # what fixes the query's source, with n
-
-    def candidates(self, Z):
-        """Candidate nearest points (k, N, n) and distances (k, N) of each row of Z.
-
-        Z must already be a finite (N, n) float array; see the module docstring.
-        """
-        raise NotImplementedError
-
-    def anchor(self) -> np.ndarray:
-        """A deterministic point of the set, used to center samplers."""
-        raise NotImplementedError
 
     def distance_many(self, Z) -> np.ndarray:
         """Distance of each row of the (N, n) array Z."""
@@ -464,7 +453,7 @@ def _unconverged():
 class _Moving:
     """Family built as its instance ``kind`` from the params that ``lookup_source(sfx)`` sets from
     ts and s_#, (arguments, statements) with every name suffixed by ``sfx``, compiled once per
-    structure by ``_params``: ``freeze`` calls the kind on them, ``at`` binds them to its query.
+    structure by ``_params``: ``freeze`` calls the kind on them, ``penalized_rhs`` the kind's query.
     It moves with x only through ``state_gain``, but a ``_Composite`` through its members."""
 
     convex = True
@@ -485,9 +474,6 @@ class _Moving:
 
     def freeze(self, t, x):
         return self.kind(*self._params(t, x.tolist()))
-
-    def at(self, t, x):
-        return partial(_query(self.kind, self.n), *self._params(t, x))
 
 
 def _store(spec, name, v):

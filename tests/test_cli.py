@@ -221,6 +221,14 @@ def test_outputs_byte_identical_for_same_inputs(tmp_path, drift_file):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_a_bad_document_exits_1_with_its_message(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"problem": [], "operator": {"kind": "identity"}, "set": {}, "lambdas": [0.1]}))
+    assert run_cli("solve", "--scenario", str(bad), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: problem: expected an object, got list"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_reported(tmp_path):
     code = run_cli("solve", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -45,18 +46,21 @@ def _no_instances(monkeypatch):
     monkeypatch.setattr(set_zoo.SetInstance, "__init__", refuse)
 
 
-def _log_lookups(monkeypatch, spec_cls):
-    """The times of every ``at`` lookup on a ``spec_cls`` spec, and the times of
-    the lookups behind every query made through the callables they return."""
-    lookups, queries = [], []
-    real = spec_cls.at
+def _log_queries(monkeypatch, spec):
+    """The point z of every query that compiled source runs on ``spec``'s instance kind: its
+    ``query_source`` starts with a call that logs z_#, through the namespace's ``zoo``.  A fresh
+    cache of ``_query`` compiles it for ``penalized_rhs`` too, and is dropped on undo."""
+    queries, cls = [], getattr(spec.kind, "cls", spec.kind)      # a composite's kind names its class
+    real = cls.query_source
 
-    def at(self, t, x):
-        lookups.append(t)
-        q = real(self, t, x)
-        return lambda z: queries.append(t) or q(z)
-    monkeypatch.setattr(spec_cls, "at", at)
-    return lookups, queries
+    def query_source(n, *args, **kwargs):
+        return [f"zoo.query_log([{set_zoo._each('z_#', n, ', ')}])", *real(n, *args, **kwargs)]
+    monkeypatch.setattr(cls, "query_source", staticmethod(query_source))
+    monkeypatch.setattr(set_zoo, "query_log", queries.append, raising=False)
+    fresh = functools.cache(set_zoo._query.__wrapped__)
+    monkeypatch.setattr(set_zoo, "_query", fresh)
+    monkeypatch.setattr(dynamics, "_query", fresh)
+    return queries
 
 
 _CORNER = (sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.0]))
@@ -73,27 +77,35 @@ _CORNER = (sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.
 ], ids=["half_space", "ball", "box", "wedge", "intersection", "union"])
 def test_rhs_is_one_projection_query(monkeypatch, spec, member, outside):
     lam = 0.25
-    sc = sw.Scenario(n=2, T=1.0, x0=np.array(member), operator=sw.IdentityOperator(),
-                     moving_set=spec, lambdas=(lam,))
     z = np.array(outside)
     expected = (sw.instantiate(spec, 0.0, z).project(z)[0] - z) / lam
+    spec = dataclasses.replace(spec)    # a fresh spec compiles its lookup from the logging source
+    sc = sw.Scenario(n=2, T=1.0, x0=np.array(member), operator=sw.IdentityOperator(),
+                     moving_set=spec, lambdas=(lam,))
     _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, type(spec))
+    lookups, queries = _log_lookup_blocks(monkeypatch, type(spec)), _log_queries(monkeypatch, spec)
 
     v = sw.penalized_rhs(sc, lam, 0.0, np.array(member))
     assert np.array_equal(v, np.zeros(2)) and not np.any(np.signbit(v))
-    assert lookups == queries == [0.0]
+    assert lookups == [0.0] and queries == [member]
 
     lookups.clear(), queries.clear()
     v = sw.penalized_rhs(sc, lam, 0.0, z)
     assert np.array_equal(v, expected) and np.any(v != 0.0)
-    assert lookups == queries == [0.0]
+    assert lookups == [0.0] and queries == [outside]
 
 
-def test_rhs_requires_positive_lambda():
-    sc = decay_scenario()
-    with pytest.raises(ValueError):
-        sw.penalized_rhs(sc, 0.0, 0.0, np.array([1.0]))
+@pytest.mark.parametrize("call, message", [
+    (lambda sc: sw.IntegratorConfig(h_max=0.0), "h_max must be positive"),
+    (lambda sc: sw.penalized_rhs(sc, 0.0, 0.0, np.array([1.0])), "lambda must be positive"),
+    (lambda sc: sw.integrate(sc, 0.0), "lambda must be positive"),
+    (lambda sc: sw.catching_up(sc, 0.0), "h must be positive"),
+    (lambda sc: sw.catching_up(sc, math.nan), "h must be positive"),
+], ids=["IntegratorConfig", "penalized_rhs", "integrate", "catching_up_zero", "catching_up_nan"])
+def test_public_entries_check_their_arguments(call, message):
+    with pytest.raises(ValueError) as raised:
+        call(decay_scenario())
+    assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 @pytest.mark.parametrize("spec, op", [
@@ -273,6 +285,21 @@ def _reference_integrate(sc, lam):
     return tuple(np.array(a) for a in (times, states, images, phis))
 
 
+def _reference_catching_up(sc, h):
+    """Moreau's catching-up on arrays and frozen instances, independent of the stage: z_{k+1} is
+    the first nearest point of z_k on the set ``instantiate`` freezes at t_{k+1}, from its batched
+    ``candidates``, x = z/gamma, and each node's phi comes from a fresh ``candidates``."""
+    T, gamma = float(sc.T), getattr(sc.operator, "gamma", 1.0)
+    n_steps = max(1, math.ceil(T / h - 1e-12))
+    times = [k * (T / n_steps) for k in range(n_steps)] + [T]
+    states, images = [sc.x0.tolist()], [sc.operator.apply(sc.x0).tolist()]
+    for t in times[1:]:
+        images.append(_batched_nearest(sw.instantiate(sc.moving_set, t, sc.x0), images[-1])[0][0])
+        states.append([zi / gamma for zi in images[-1]])
+    phis = [_batched_nearest(sw.instantiate(sc.moving_set, t, sc.x0), z)[1] for t, z in zip(times, images)]
+    return tuple(np.array(a) for a in (times, states, images, phis))
+
+
 _CORNER_DRIFT = (sw.HalfSpaceSpec(normal=[-1.0, 0.0], drift=-1.0),
                  sw.HalfSpaceSpec(normal=[0.0, -1.0], drift=-0.5))
 
@@ -411,14 +438,33 @@ def _result_or_error(run):
 @given(sc=_inlined_scenarios())
 def test_inlined_kinds_match_the_reference_bit_for_bit(sc):
     # an intersection may empty: both then raise the same error, from the same stage
-    traj = _result_or_error(lambda: sw.integrate(sc, 0.1))
-    ref = _result_or_error(lambda: _reference_integrate(sc, 0.1))
-    if isinstance(ref, str) or isinstance(traj, str):
-        assert traj == ref
-        return
+    runs = [(sw.integrate, _reference_integrate, 0.1)]
+    if (isinstance(sc.operator, (sw.IdentityOperator, sw.ScaledIdentityOperator)) and sc.moving_set.convex
+            and sc.moving_set.state_lipschitz == 0.0):        # where the oracle is valid
+        runs.append((sw.catching_up, _reference_catching_up, 0.005))
+    for run, reference, arg in runs:
+        traj = _result_or_error(lambda: run(sc, arg))
+        ref = _result_or_error(lambda: reference(sc, arg))
+        if isinstance(ref, str) or isinstance(traj, str):
+            assert traj == ref
+            continue
+        got = (traj.times, traj.states, traj.images, traj.phis)
+        for name, a, b in zip(("times", "states", "images", "phis"), got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (run.__name__, name)  # signs of zero too
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("kind", ["half_space", "rotating_half_space", "ball", "box", "intersection",
+                                  "probed_intersection"])
+def test_catching_up_bit_identical_to_the_reference(kind, gamma):
+    op = sw.IdentityOperator() if gamma == 1.0 else sw.ScaledIdentityOperator(gamma)
+    sc = sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op, moving_set=ORACLE_CASES[kind][0],
+                     lambdas=(0.1,))
+    traj = sw.catching_up(sc, 0.01)
     got = (traj.times, traj.states, traj.images, traj.phis)
-    for name, a, b in zip(("times", "states", "images", "phis"), got, ref):
+    for name, a, b in zip(("times", "states", "images", "phis"), got, _reference_catching_up(sc, 0.01)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name     # signs of zero too
+    assert np.any(traj.states != traj.states[0])     # the set pushes: the motion is not trivial
 
 
 def _stage_times(traj, fixed):
@@ -504,6 +550,8 @@ def test_overflowing_image_is_a_named_error(monkeypatch, kind):
             sw.integrate(sc, 0.1)
         with pytest.raises(sw.InvalidVector):
             sw.penalized_rhs(sc, 0.1, 0.0, sc.x0)
+        with pytest.raises(sw.InvalidVector):      # node 0 is a stage: its image is checked
+            sw.catching_up(sc, 0.25)
     assert calls == []
 
 
@@ -537,15 +585,16 @@ def test_box_crossing_mid_horizon_is_named_at_its_stage_time():
 
 @pytest.mark.parametrize("kind", list(ORACLE_CASES))
 def test_integrate_builds_no_instance(monkeypatch, kind):
-    # every kind's lookup and query run inline, and no spec's ``at`` is asked; only
-    # probed_intersection builds an instance, its probe's, once per lookup
+    # every kind's lookup and query run inline; only probed_intersection builds an
+    # instance, its probe's, once per lookup
     sc = _oracle_scenario(kind, 0.1)
     if kind != "probed_intersection":
         _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, set_zoo._Moving)    # every spec's ``at``
+    queries = _log_queries(monkeypatch, sc.moving_set)
     traj = sw.integrate(sc, 0.1)
-    assert hasattr(sc.moving_set, "lookup_source") and hasattr(sc.moving_set.kind, "query_source")
-    assert lookups == queries == [] and traj.phis.max() > 0.0
+    # one query a stage, four a step and one at T; a node's image is its k1 query's point
+    assert len(queries) == 4 * traj.stats.n_accepted + 1 and queries[::4] == traj.images.tolist()
+    assert traj.phis.max() > 0.0
 
 
 def test_state_dependent_fallback_kind_is_looked_up_at_every_stage(monkeypatch):
@@ -570,11 +619,17 @@ def test_a_spec_of_a_compiled_structure_compiles_nothing(kind):
     spec, op = ORACLE_CASES[kind]
     x, z = [0.3, -0.2], [2.0, 1.0]
 
+    def scenario(spec):
+        return sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
+                           moving_set=spec, lambdas=(0.1,))
+
     def run(spec):
+        sc = scenario(spec)
         spec.freeze(0.1, np.array(x)).nearest(z)
-        spec.at(0.1, x)(z)
-        sw.integrate(sw.Scenario(n=2, T=0.47, x0=np.zeros(2), operator=op or sw.IdentityOperator(),
-                                 moving_set=spec, lambdas=(0.1,)), 0.1)
+        sw.penalized_rhs(sc, 0.1, 0.1, x)
+        sw.integrate(sc, 0.1)
+        if spec.convex and spec.state_lipschitz == 0.0 and op is None:
+            sw.catching_up(sc, 0.05)
     run(spec)
     twin = dataclasses.replace(spec)        # a new spec of the same structure
     before = set_zoo.compiled.cache_info()
@@ -582,8 +637,8 @@ def test_a_spec_of_a_compiled_structure_compiles_nothing(kind):
     assert set_zoo.compiled.cache_info().misses == before.misses
     # queries reuse the kind's kernel and the spec's lookup without asking the cache
     before = set_zoo.compiled.cache_info()
-    inst = twin.freeze(0.2, np.array(x))
-    inst.nearest(z), inst.distance(z), inst.project(z), twin.at(0.2, x)(z), twin.at(0.3, z)(x)
+    sc, inst = scenario(twin), twin.freeze(0.2, np.array(x))
+    inst.nearest(z), inst.distance(z), inst.project(z), sw.penalized_rhs(sc, 0.1, 0.2, x), sw.penalized_rhs(sc, 0.1, 0.3, z)
     assert set_zoo.compiled.cache_info() == before
 
 
@@ -610,17 +665,19 @@ def test_an_operator_kind_without_source_calls_its_image():
 def test_catching_up_builds_no_instance(monkeypatch, kind):
     sc = _oracle_scenario(kind, 0.1)
     _no_instances(monkeypatch)
-    lookups, queries = _log_lookups(monkeypatch, type(sc.moving_set))
+    lookups, queries = _log_lookup_blocks(monkeypatch, type(sc.moving_set)), _log_queries(monkeypatch, sc.moving_set)
     traj = sw.catching_up(sc, 0.01)
-    n = traj.stats.n_accepted
-    # one lookup per node, queried for the projection and its phi at every step
+    n, images = traj.stats.n_accepted, traj.images.tolist()
+    # one lookup per node; node 0 queries its image, and each step the image before it, for
+    # the projection, then the new image, for its phi
     assert lookups == traj.times.tolist() and len(lookups) == n + 1
-    assert len(queries) == 2 * n + 1 and queries[1:] == [t for t in lookups[1:] for _ in (0, 1)]
+    assert len(queries) == 2 * n + 1 and queries == images[:1] + [z for k in range(n) for z in images[k:k + 2]]
 
 
 def _log_lookup_blocks(monkeypatch, spec_cls):
-    """The stage time of every lookup block that ``integrate``'s compiled loop runs for a
-    ``spec_cls`` set, its inline freeze: the block starts with a call that logs ts."""
+    """The stage time of every lookup block that compiled source runs for a ``spec_cls`` set,
+    its inline freeze: the block starts with a call that logs ts.  A spec compiles its own
+    lookup for ``penalized_rhs`` once, so only a spec that has not yet done so logs there."""
     times, real = [], spec_cls.lookup_source
 
     def lookup_source(self):

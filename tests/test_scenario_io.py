@@ -217,19 +217,45 @@ def test_scenario_constructor_checks_far_parameters(kwargs, message):
     assert str(err.value).startswith(message)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"problem": {"dimension": 1, "horizon": -1.0, "x0": [0.0]}},
-    {"problem": {"dimension": 1, "horizon": 0, "x0": [0.0]}},
-    {"lambdas": [0.1, -0.05]},
-    {"lambdas": [0.1, 0.1]},
-    {"assumed": {"alpha": 1.5}},
-    {"assumed": {"alpha": 0.0}},
-    {"assumed": {"rho": -1.0}},
-])
-def test_scenario_range_errors_are_parse_errors(overrides):
+_PROBLEM = MINIMAL["problem"]
+
+# one row per message of the parser: the constructors' range checks, addressed by the
+# document, then each shape check, addressed by its JSON path
+_BAD_DOCUMENTS = [
+    ({"problem": {"dimension": 1, "horizon": -1.0, "x0": [0.0]}},
+     "s.json: horizon T must be positive and finite, got -1.0"),
+    ({"problem": {"dimension": 1, "horizon": 0, "x0": [0.0]}},
+     "s.json: horizon T must be positive and finite, got 0.0"),
+    ({"lambdas": [0.1, -0.05]},
+     "s.json: lambdas must be nonempty, strictly descending, positive and finite, got (0.1, -0.05)"),
+    ({"lambdas": [0.1, 0.1]},
+     "s.json: lambdas must be nonempty, strictly descending, positive and finite, got (0.1, 0.1)"),
+    ({"assumed": {"alpha": 1.5}}, "s.json: alpha must lie in (0, 1], got 1.5"),
+    ({"assumed": {"alpha": 0.0}}, "s.json: alpha must lie in (0, 1], got 0.0"),
+    ({"assumed": {"rho": -1.0}}, "s.json: rho must be positive, got -1.0"),
+    ({"problem": []}, "problem: expected an object, got list"),
+    ({"problem": {**_PROBLEM, "horizon": math.inf}}, "problem.horizon: must be finite, got inf"),
+    ({"operator": {"kind": "scaled_identity", "gamma": 0}}, "operator.gamma: must be positive, got 0.0"),
+    ({"problem": {**_PROBLEM, "dimension": 1.5}}, "problem.dimension: expected an integer, got 1.5"),
+    ({"problem": {**_PROBLEM, "dimension": 0}}, "problem.dimension: must be >= 1, got 0"),
+    ({"problem": {**_PROBLEM, "x0": []}}, "problem.x0: expected a nonempty array of numbers"),
+    ({"assumed": {"rho": "big"}}, "assumed.rho: expected a number or \"inf\", got 'big'"),
+    ({"operator": {"kind": "linear_spd", "matrix": 3}}, "operator.matrix: expected an array of rows"),
+    ({"operator": {"kind": "linear_spd", "matrix": [[1.0], [1.0]]}}, "operator.matrix: expected 1 rows, got 2"),
+    ({"operator": {"kind": "bogus"}}, "operator.kind: unknown operator kind 'bogus'"),
+    ({"set": {"kind": "union", "members": 3}}, "set.members: expected an array of sets"),
+    ({"integrator": {"h_max": 0}}, "integrator: h_max must be positive"),
+    ({"problem": {**_PROBLEM, "allow_infeasible_start": 1}}, "problem.allow_infeasible_start: expected a boolean"),
+    ({"output": {"dir": 3}}, "output.dir: expected a string"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", _BAD_DOCUMENTS,
+                         ids=[f"overrides{i}" for i in range(len(_BAD_DOCUMENTS))])
+def test_scenario_range_errors_are_parse_errors(overrides, message):
     with pytest.raises(sw.ParseError) as err:
-        sw.parse_scenario(json.dumps(doc(**overrides)), source="s.json")
-    assert str(err.value).startswith("s.json: ")
+        sw.parse_scenario(json.dumps(doc(**overrides)), source="s.json")     # inf dumps as Infinity
+    assert str(err.value) == message
 
 
 def test_scenario_margin_is_m_alpha_squared_minus_L(scenario_dir):
@@ -425,7 +451,10 @@ def test_csv_grammar(tmp_path, body, want):
      "data row 60001 has 3 cells, header has 4"),
     (_HEAD, "a trajectory needs at least two data rows, got 0"),
     (b"# lambda = 0.1\n" + _HEAD + b"\n \n", "a trajectory needs at least two data rows, got 0"),
-], ids=["bad_cell_at_row_60001", "ragged_row_60001", "header_only", "lambda_header_and_blanks"])
+    (b"", "empty trajectory file"),
+    (b"# lambda = 0.1\n\n", "empty trajectory file"),
+], ids=["bad_cell_at_row_60001", "ragged_row_60001", "header_only", "lambda_header_and_blanks", "empty_file",
+        "lambda_header_only"])
 def test_csv_error_path_names_the_row_without_warnings(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -573,7 +574,8 @@ def test_ball_distance_sums_left_to_right_unfused():
 
 
 # ---------------------------------------------------------------------------
-# spec.at(t, x)(z): the frozen instance's answer, with no instance built
+# the kind's query on the params a spec looks up: the frozen instance's answer,
+# with no instance built
 # ---------------------------------------------------------------------------
 
 # empty for t > 0.25 and for t > 0.5; the intersection has parallel normals, so it is probed
@@ -599,6 +601,12 @@ MOVING = {
     "union": sw.UnionSpec((_CROSSED_BOX, _CROSSING,
                            sw.BallSpec(center=[2.0, 0.0], radius=0.5, velocity=[-1.0, 0.0]))),
 }
+
+
+def _looked_up(spec, t, x):
+    """The query ``penalized_rhs`` runs: the spec's lookup at (t, x), raising as ``freeze`` does,
+    then z -> its kind's query on the params it set."""
+    return functools.partial(set_zoo._query(spec.kind, spec.n), *spec._params(t, x))
 
 
 def _answer(query):
@@ -634,13 +642,13 @@ def test_spec_nearest_is_the_frozen_instances_nearest(kind, t, x, z):
     spec = MOVING[kind]
     x, z = list(x), list(z)
     want = _answer(lambda: spec.freeze(t, np.array(x)).nearest(z))
-    assert _answer(lambda: spec.at(t, x)(z)) == want
+    assert _answer(lambda: _looked_up(spec, t, x)(z)) == want
     # the lookup raises exactly what freeze raises (an empty set); once it
     # succeeds, its query answers every point, as the RK4 stages k2 and k3 share it
-    looked_up = _raised(lambda: spec.at(t, x))
+    looked_up = _raised(lambda: _looked_up(spec, t, x))
     assert looked_up == _raised(lambda: spec.freeze(t, np.array(x)))
     if looked_up is None:
-        query = spec.at(t, x)
+        query = _looked_up(spec, t, x)
         for point in (z, x):
             assert _answer(lambda: query(point)) == _answer(
                 lambda: spec.freeze(t, np.array(x)).nearest(point))
@@ -685,9 +693,9 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
         with pytest.raises(sw.EmptyInstance) as frozen:
             spec.freeze(0.9, np.array(x))
         with pytest.raises(sw.EmptyInstance) as looked_up:
-            spec.at(0.9, x)
+            _looked_up(spec, 0.9, x)
         with pytest.raises(sw.EmptyInstance) as queried:
-            spec.at(0.9, x)(z)
+            _looked_up(spec, 0.9, x)(z)
         assert str(queried.value) == str(looked_up.value) == str(frozen.value) != ""
     assert str(queried.value) == "all 2 union members are empty at t = 0.9"
     # an exhausted Dykstra budget probes for emptiness, then gives up
@@ -697,8 +705,8 @@ def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
     monkeypatch.setattr(set_zoo, "DYKSTRA_MAX_ITER", 2)
     for spec in (_OBLIQUE, sw.UnionSpec((_OBLIQUE, ZOO["ball"]))):
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
-            spec.at(0.0, x)([2.5, 0.5])      # onto the vertex in 38 cycles
-        query = spec.at(0.0, x)                   # the lookup succeeds: the query raises
+            _looked_up(spec, 0.0, x)([2.5, 0.5])      # onto the vertex in 38 cycles
+        query = _looked_up(spec, 0.0, x)          # the lookup succeeds: the query raises
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
             query([2.5, 0.5])
     assert probes == [None] * 4
@@ -724,4 +732,4 @@ def test_spec_nearest_builds_no_instance(monkeypatch):
     union = sw.UnionSpec((MOVING["ball"], MOVING["intersection"]))   # members never probed
     for spec in (*(MOVING[kind] for kind in ("half_space", "rotating_half_space", "state_ball", "box", "wedge",
                                              "intersection")), union):
-        spec.at(0.1, [0.3, -0.2])([2.0, 1.0])
+        _looked_up(spec, 0.1, [0.3, -0.2])([2.0, 1.0])
