@@ -26,6 +26,7 @@ from .dynamics import Scenario, Trajectory, integrate
 from .errors import (
     DimensionMismatch,
     GridMismatch,
+    InvalidVector,
     SweepSolveError,
     TubeSamplingFailed,
 )
@@ -135,6 +136,8 @@ def ball_points(n: int, r: float, sampler: SamplerConfig) -> np.ndarray:
     The unit-ball sample is built once per (n, count) and kept, so every
     kappa_tilde pair scales the same cached sample by r, bit for bit the
     points an uncached build gives."""
+    if not math.isfinite(r):
+        raise InvalidVector(f"sample ball radius must be finite, got {r!r}")
     roots, dirs = _unit_ball(n, sampler.count)
     return (r * roots)[:, None] * dirs
 
@@ -296,11 +299,7 @@ def lipschitz_estimate(traj: Trajectory) -> float:
 
 def resample(traj: Trajectory, grid) -> np.ndarray:
     """Linear-in-time resampling of the states onto a common grid."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, traj.states.shape[1]))
-    for j in range(traj.states.shape[1]):
-        out[:, j] = np.interp(grid, traj.times, traj.states[:, j])
-    return out
+    return np.column_stack([np.interp(grid, traj.times, x) for x in traj.states.T])
 
 
 def sup_diff(traj_a: Trajectory, traj_b: Trajectory, common_grid=1000) -> float:
@@ -329,9 +328,7 @@ class KappaTildeResult:
 
 def default_time_pairs(T: float):
     qs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    pairs = [(qs[i] * T, qs[i + 1] * T) for i in range(len(qs) - 1)]
-    pairs.append((0.0, T))
-    return pairs
+    return [(q * T, r * T) for q, r in zip(qs, qs[1:])] + [(0.0, T)]
 
 
 def default_state_pairs(x0):

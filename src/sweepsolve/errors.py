@@ -18,7 +18,8 @@ class EmptyInstance(SweepSolveError):
 
 
 class ProjectionNotConverged(SweepSolveError):
-    """Dykstra's scheme exceeded its iteration budget at the requested tolerance."""
+    """Dykstra's scheme exceeded its iteration budget at the requested tolerance, or the
+    feasibility LP of a half-space intersection failed to settle."""
 
 
 class EmptyCandidates(SweepSolveError):

@@ -33,8 +33,7 @@ def min_norm_point(points):
     if k > _MAX_POINTS:
         raise ValueError(f"hull enumeration capped at {_MAX_POINTS} points, got {k}")
 
-    best_p = None
-    best_d = np.inf
+    best_p, best_d = None, np.inf
     for mask in range(1, 1 << k):
         idx = [i for i in range(k) if mask >> i & 1]
         S = P[idx]
@@ -59,19 +58,9 @@ def _segment_min_norm(a, b):
 
 def _face_weights(S):
     """Affine weights minimizing |w @ S| with sum(w) = 1, or None if singular."""
-    j = S.shape[0]
-    G = S @ S.T
-    kkt = np.zeros((j + 1, j + 1))
-    kkt[:j, :j] = G
-    kkt[:j, j] = 1.0
-    kkt[j, :j] = 1.0
-    rhs = np.zeros(j + 1)
-    rhs[j] = 1.0
+    ones = np.ones((len(S), 1))
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        w = np.linalg.solve(np.block([[S @ S.T, ones], [ones.T, 0.0]]), np.append(np.zeros(len(S)), 1.0))[:-1]
     except np.linalg.LinAlgError:
         return None
-    w = sol[:j]
-    if abs(float(np.sum(w)) - 1.0) > 1e-9:
-        return None
-    return w
+    return None if abs(float(np.sum(w)) - 1.0) > 1e-9 else w

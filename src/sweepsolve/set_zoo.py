@@ -115,8 +115,8 @@ def compiled(name, params, body, n, lists):
     source = "\n    ".join([f"def {name}({', '.join(params)}):",
                             *(f"{_each(f'{v}_#', n, ', ')}, = {v}" for v in lists), *body])
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "_ties": _ties, "EmptyInstance": EmptyInstance,
-                 "InvalidVector": InvalidVector, "StepFailure": StepFailure,      # NumPy's cos and sin, as floats:
-                 "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a)),   # math's may differ
+                 "inf": math.inf, "InvalidVector": InvalidVector, "StepFailure": StepFailure,
+                 "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a)),   # NumPy's: math's may differ
                  "zoo": sys.modules[__name__]}      # Dykstra's constants, per call, and its probe
     exec(compile(source, f"<sweepsolve {name}>", "exec"), namespace)
     return namespace[name]
@@ -133,6 +133,17 @@ def _query(kind, n):
 def row_norms(G):
     """Euclidean norms along the last axis, summed in ``_dot``'s fixed order."""
     return np.sqrt(_dot(G, G))
+
+
+def _gaps(Z, P, kind):
+    """Z - P and its row norms, or InvalidVector where a squared norm overflows, as the ball's and
+    the box's queries raise it."""
+    with np.errstate(over="ignore"):
+        G = Z - P
+        nrm = row_norms(G)
+    if np.isinf(nrm).any():
+        raise InvalidVector(f"squared gap to the {kind} overflows")
+    return G, nrm
 
 
 def _dist(p, q):
@@ -223,8 +234,8 @@ class BallInstance(SetInstance):
     params, lists = ("center", "radius"), ("center",)
 
     def candidates(self, Z):
-        gap = Z - self.center
-        nrm = row_norms(gap)[:, None]
+        gap, nrm = _gaps(Z, self.center, "ball")
+        nrm = nrm[:, None]
         radial = self.center + self.radius / np.maximum(nrm, self.radius) * gap
         return (np.where(nrm <= self.radius, Z, radial)[None],
                 np.maximum(nrm - self.radius, 0.0).T)
@@ -233,6 +244,7 @@ class BallInstance(SetInstance):
     def query_source(n, sfx=""):
         return [_each(f"g_# = z_# - center{sfx}_#", n), f"nrm = sqrt({_fsum('g_# * g_#', n)})",
                 f"if nrm <= radius{sfx}: {_each('p_# = z_#', n)}; phi = 0.0",
+                "elif nrm == inf: raise InvalidVector('squared gap to the ball overflows')",
                 f"else: {_each(f'p_# = center{sfx}_# + radius{sfx} / nrm * g_#', n)}; phi = nrm - radius{sfx}"]
 
     def anchor(self):
@@ -245,7 +257,7 @@ class BoxInstance(SetInstance):
 
     def candidates(self, Z):
         P = np.clip(Z, self.lower, self.upper)
-        D = row_norms(Z - P)
+        D = _gaps(Z, P, "box")[1]
         # clipping may turn -0.0 into +0.0, and a gap below 1e-154 squares to 0
         P = np.where((D == 0.0)[:, None], Z, P)
         return P[None], D[None]
@@ -256,7 +268,8 @@ class BoxInstance(SetInstance):
         return [_each(f"p_# = z_# if z_# > lower{sfx}_# else lower{sfx}_#", n),
                 _each(f"p_# = p_# if p_# < upper{sfx}_# else upper{sfx}_#", n), _each("g_# = z_# - p_#", n),
                 f"phi = sqrt({_fsum('g_# * g_#', n)})",
-                f"if phi == 0.0: {_each('p_# = z_#', n)}"]
+                f"if phi == 0.0: {_each('p_# = z_#', n)}",
+                "elif phi == inf: raise InvalidVector('squared gap to the box overflows')"]
 
     def anchor(self):
         return 0.5 * (self.lower + self.upper)
@@ -316,7 +329,8 @@ def _halfspace_step(Y, zeta, beta):
 def _feasible(faces, t=None):
     """A fresh point of the intersection of the half-spaces ``faces``, (zeta, beta) pairs, or
     EmptyInstance, naming the stage time t when one is given.  Cyclic projections from the
-    origin settle quickly when it is comfortably nonempty; the HiGHS LP settles the rest."""
+    origin settle quickly when it is comfortably nonempty; the HiGHS LP settles the rest, and
+    ProjectionNotConverged says that it could not: the set is not known to be empty."""
     normals, offsets = _stack(faces)
     n = normals.shape[1]
     x = np.zeros((1, n))
@@ -330,18 +344,17 @@ def _feasible(faces, t=None):
     if res.status == 2:
         raise EmptyInstance("half-space intersection is empty" + ("" if t is None else f" at t = {t!r}"))
     if not res.success:
-        raise EmptyInstance(f"feasibility LP failed: {res.message}")
+        raise ProjectionNotConverged(f"feasibility LP failed: {res.message}")
     return res.x
 
 
 class _CompositeInstance(SetInstance):
-    """A set built from a nonempty sequence of same-dimension member instances."""
+    """A set built from a nonempty sequence of same-dimension member instances: ``_Composite``
+    refuses a spec without members, and a union's lookup raises before every member is dead."""
 
     flags = ()          # names that lead each member's params (see ``_Members``)
 
     def __init__(self, members):
-        if not members:
-            raise EmptyCandidates(f"{type(self).__name__} needs at least one member")
         self.n, self.kind = members[0].n, _Members(type(self), tuple(m.kind for m in members))
         self.members = tuple(members)
         self._args = tuple(a for m in self.members for a in (True,) * len(self.flags) + m._args)
@@ -356,11 +369,7 @@ class HalfSpaceIntersectionInstance(_CompositeInstance):
         P = Z.copy()
         outside = _excess(*_stack(m._args for m in self.members), Z) > MEMBER_TOL
         if outside.any():
-            try:
-                P[outside] = dykstra_project(self.members, Z[outside])[0]
-            except ProjectionNotConverged:
-                _feasible(m._args for m in self.members)  # raises EmptyInstance when that is the cause
-                raise
+            P[outside] = dykstra_project(self.members, Z[outside])[0]
         return P[None], row_norms(Z - P)[None]
 
     @staticmethod
@@ -381,7 +390,7 @@ class HalfSpaceIntersectionInstance(_CompositeInstance):
                 f"        {_each('g_# = d_# - o_#', n)}",
                 f"        if sqrt({_fsum('g_# * g_#', n)}) <= 0.1 * zoo.DYKSTRA_TOL and {excess('d')} <= zoo.DYKSTRA_TOL:",
                 "            break",
-                f"    else: zoo._feasible([{_faces(len(faces), n, sfx)}]); raise zoo._unconverged()",
+                f"    else: raise zoo._unconverged([{_faces(len(faces), n, sfx)}])",
                 f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})"]
 
     def anchor(self):
@@ -441,8 +450,10 @@ def _faces(k, n, sfx):
     return ", ".join(f"([{_each(f'zeta_m{j}{sfx}_#', n, ', ')}], beta_m{j}{sfx})" for j in range(k))
 
 
-def _unconverged():
-    """The error of an exhausted Dykstra budget on a set not found empty (see ``_feasible``)."""
+def _unconverged(faces):
+    """The error of an exhausted Dykstra budget on the half-spaces ``faces``: ``_feasible`` raises
+    EmptyInstance when they have no common point, else it is ProjectionNotConverged."""
+    _feasible(faces)
     return ProjectionNotConverged(f"Dykstra exceeded {DYKSTRA_MAX_ITER} cycles at tol {DYKSTRA_TOL:g}")
 
 
@@ -743,8 +754,9 @@ def dykstra_project(members, Z):
     Returns (points, cycles) with points shaped like the input.  Each row
     stops at its own convergence test: a full cycle moves it by at most
     DYKSTRA_TOL/10 and it meets every constraint within DYKSTRA_TOL.
-    ``cycles`` is the largest per-row count; a row needing more than
-    DYKSTRA_MAX_ITER cycles raises ProjectionNotConverged.
+    ``cycles`` is the largest per-row count.  A row needing more than
+    DYKSTRA_MAX_ITER cycles raises EmptyInstance when the intersection is
+    empty, else ProjectionNotConverged (``_unconverged``).
     """
     members = list(members)
     if not members:
@@ -770,4 +782,4 @@ def dykstra_project(members, Z):
         if done.any():  # only the rows still moving cycle on
             out[rows[done]] = X[done]
             rows, X, increments = rows[~done], X[~done], increments[:, ~done]
-    raise _unconverged()
+    raise _unconverged(m._args for m in members)

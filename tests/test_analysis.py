@@ -129,6 +129,25 @@ def test_hausdorff_triangle_inequality_in_time():
     assert d02 <= d01 + d12 + 1e-12
 
 
+_UNIT_BALL = sw.BallSpec(center=[0.0, 0.0], radius=1.0)
+_UNIT_DISC = sw.instantiate(_UNIT_BALL, 0.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SamplerConfig(count=0), "sampler count must be >= 1"),
+    (lambda: sw.truncated_hausdorff(_UNIT_DISC, _UNIT_DISC, 0.0), "r must be positive"),
+    (lambda: sw.estimate_kappa(_UNIT_BALL, 0.0, [], []), "r must be positive"),
+    (lambda: sw.estimate_alpha(_UNIT_DISC, 1.0, 0, 0), "sample_count must be >= 1"),
+    (lambda: sw.estimate_alpha(_UNIT_DISC, 0.0, 10, 0), "rho must be positive"),
+    (lambda: sw.lipschitz_estimate(sw.Trajectory(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), 0.1)),
+     "need at least two grid points"),
+], ids=["sampler_count", "hausdorff_radius", "kappa_radius", "alpha_samples", "alpha_rho", "one_row_trajectory"])
+def test_estimators_reject_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_hausdorff_dimension_mismatch():
     a = sw.instantiate(sw.HalfSpaceSpec(normal=[1.0]), 0.0, np.zeros(1))
     b = sw.instantiate(sw.HalfSpaceSpec(normal=[1.0, 0.0]), 0.0, np.zeros(2))
@@ -335,6 +354,19 @@ def test_lambda_sweep_records_failed_lambda(monkeypatch):
     assert statuses[0.1] == "ok"
     assert statuses[0.05] == "StepFailure: state became non-finite"
     assert not report.bound_satisfied
+
+
+def test_lambda_sweep_reports_every_lambda_when_alpha_sampling_fails(monkeypatch):
+    sc = drift_halfspace_scenario(lambdas=(0.1, 0.05))
+
+    def estimate_alpha(inst, rho, sample_count, seed):
+        raise sw.TubeSamplingFailed("no sample landed in the tube")
+
+    monkeypatch.setattr(analysis, "estimate_alpha", estimate_alpha)
+    report = sw.lambda_sweep(sc, kt=kappa_tilde(sc))
+    assert report.alpha_estimate is None
+    assert [(d.lam, d.status) for d in report.per_lambda] == [(0.1, "ok"), (0.05, "ok")]
+    assert report.bound_satisfied and len(report.convergence_table) == 1
 
 
 def test_kappa_tilde_pipeline_drift():

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +267,29 @@ def test_help_exits_zero(capsys):
         run_cli("sweep", "--help")
     assert exc.value.code == 0
     assert "--scenario" in capsys.readouterr().out
+
+
+def test_module_entry_exits_with_mains_code(tmp_path, drift_file, capsys, monkeypatch):
+    # ``python -m sweepsolve.cli``, run in this process: runpy warns that the module is imported already
+    monkeypatch.setattr(sys, "argv", ["sweepsolve.cli", "solve", "--scenario", drift_file, "--out", str(tmp_path),
+                                      "--lam", "0"])
+    with pytest.warns(RuntimeWarning, match="'sweepsolve.cli' found in sys.modules"), \
+            pytest.raises(SystemExit) as exc:
+        runpy.run_module("sweepsolve.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: --lam must be a positive finite number, got 0.0\n"
+
+
+def test_sweep_from_a_huge_start_names_the_infinite_sample_radius(tmp_path, capsys):
+    # x0 = -1e308 is finite, but |A(x0)|, and with it kappa_tilde's sample radius, overflows
+    doc = {"problem": {"dimension": 1, "horizon": 1.0, "x0": [-1e308]}, "operator": {"kind": "identity"},
+           "set": {"kind": "half_space", "normal": [1.0]}, "lambdas": [0.1], "assumed": {"alpha": 1.0, "rho": "inf"}}
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: sample ball radius must be finite, got inf\n"
 
 
 def test_sweep_integrates_each_lambda_once(tmp_path, drift_file, monkeypatch):

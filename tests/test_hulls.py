@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sweepsolve import hulls
 from sweepsolve.hulls import min_norm_point
 
 
@@ -54,3 +55,26 @@ def test_distances_sum_left_to_right_unfused():
     assert min_norm_point([a])[1] == want
     # the segment's nearest point to the origin is its vertex a
     assert min_norm_point([a, [-1.56, -1.42]])[1] == want
+
+
+@pytest.mark.parametrize("points, message", [
+    ([], "need at least one point"),
+    ([[float(i), float(i * i)] for i in range(17)], "hull enumeration capped at 16 points, got 17"),
+], ids=["none", "seventeen"])
+def test_rejects_a_point_set_it_cannot_enumerate(points, message):
+    with pytest.raises(ValueError) as err:
+        min_norm_point(points)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.parametrize("points, want", [
+    # exact integer Gram matrix: the KKT solve of the whole set raises LinAlgError
+    ([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], ([0.0, 1.0], 1.0)),
+    # its LU pivot rounds to about 1e-16, so the solve returns weights of order 1e15
+    # that fail the sum(w) = 1 test
+    ([[1.0, 3.0], [1.0, -1.0], [1.0, 2.0]], ([1.0, 0.0], 1.0)),
+], ids=["singular", "rounded_singular"])
+def test_collinear_points_skip_their_degenerate_face(points, want):
+    assert hulls._face_weights(np.array(points)) is None
+    p, d = min_norm_point(points)
+    assert p.tolist() == pytest.approx(want[0], abs=1e-12) and d == pytest.approx(want[1], abs=1e-12)

@@ -42,6 +42,16 @@ def test_linear_spd_rejects_indefinite():
     assert err.value.hypothesis == "H_A1"
 
 
+@pytest.mark.parametrize("matrix, error, message", [
+    ([[1.0, 0.0]], sw.DimensionMismatch, "matrix must be square, got shape (1, 2)"),
+    ([[float("nan")]], sw.ValidationError, "H_A2: matrix contains non-finite entries"),
+], ids=["not_square", "nan"])
+def test_linear_spd_rejects_a_malformed_matrix(matrix, error, message):
+    with pytest.raises(error) as err:
+        sw.LinearSPDOperator(matrix)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_scaled_identity_rejects_nonpositive():
     with pytest.raises(sw.ValidationError):
         sw.ScaledIdentityOperator(0.0)

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,12 +114,6 @@ def test_empty_intersection_reported():
         sw.instantiate(spec, 0.25, np.zeros(2))
 
 
-@pytest.mark.parametrize("cls", [set_zoo.HalfSpaceIntersectionInstance, set_zoo.UnionInstance])
-def test_composite_instance_needs_a_member(cls):
-    with pytest.raises(sw.EmptyCandidates, match="needs at least one member"):
-        cls([])
-
-
 def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
     # {<(sin th, -+cos th), z> <= -1}: a cone of half-angle th = 0.01 whose apex lies
     # 1/sin th from the origin; 200 probe rounds of cyclic projections do not reach it
@@ -141,10 +136,69 @@ def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
     assert inst.anchor().tobytes() == point.tobytes() and len(calls) == 2
 
 
+def test_a_failed_feasibility_lp_is_not_read_as_empty(monkeypatch):
+    # the thin far cone above with a third face, so that every lookup probes; a feasibility LP
+    # that fails to settle says nothing about emptiness, so a union must not drop the member
+    import scipy.optimize
+
+    th = 0.01
+    faces = (([math.sin(th), -math.cos(th)], -1.0), ([math.sin(th), math.cos(th)], -1.0), ([1.0, 0.0], 0.0))
+    spec = sw.HalfSpaceIntersectionSpec(tuple(sw.HalfSpaceSpec(normal=nv, beta0=b) for nv, b in faces))
+    assert not spec._always_nonempty
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw: scipy.optimize.OptimizeResult(
+        status=4, success=False, message="Numerical difficulties encountered."))
+    for target in (spec, sw.UnionSpec((spec, sw.BallSpec(center=[0.0, 0.0], radius=1.0)))):
+        with pytest.raises(sw.ProjectionNotConverged) as err:
+            sw.instantiate(target, 0.0, np.zeros(2))
+        assert str(err.value) == "feasibility LP failed: Numerical difficulties encountered."
+
+
 def test_empty_box_reported():
     spec = sw.BoxSpec(lower=[0.0], upper=[1.0], lower_velocity=[2.0])
     with pytest.raises(sw.EmptyInstance):
         sw.instantiate(spec, 1.0, np.zeros(1))
+
+
+_PLANE = sw.instantiate(sw.HalfSpaceSpec(normal=[1.0, 0.0]), 0.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sw.instantiate(sw.HalfSpaceSpec(normal=[1.0, 0.0]), 0.0, [[0.0, 0.0]]),
+     sw.DimensionMismatch, "x must be 1-d, got shape (1, 2)"),
+    (lambda: _PLANE.distance_many(np.zeros((3, 3))), sw.DimensionMismatch, "Z must have shape (N, 2), got (3, 3)"),
+    (lambda: _PLANE.distance_many(np.array([[0.0, 0.0], [math.nan, 1.0]])), sw.InvalidVector,
+     "Z contains non-finite entries"),
+    (lambda: sw.UnionSpec((sw.BallSpec(center=[0.0], radius=1.0), sw.BallSpec(center=[0.0, 0.0], radius=1.0))),
+     sw.DimensionMismatch, "members have mixed dimensions [1, 2]"),
+    # what keeps every composite instance nonempty: its spec refuses an empty member tuple
+    (lambda: sw.UnionSpec(()), sw.EmptyCandidates, "UnionSpec needs at least one member"),
+    (lambda: sw.HalfSpaceIntersectionSpec(()), sw.EmptyCandidates, "HalfSpaceIntersectionSpec needs at least one member"),
+    (lambda: sw.dykstra_project([], np.zeros(2)), sw.EmptyCandidates, "need at least one half-space"),
+], ids=["x_not_1d", "Z_wrong_width", "Z_nan_row", "union_mixed_dimensions", "union_no_member", "intersection_no_member",
+        "dykstra_no_member"])
+def test_public_entries_name_a_malformed_argument(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("spec, kind", [(sw.BallSpec(center=[0.0], radius=1.0), "ball"),
+                                        (sw.BoxSpec(lower=[0.0], upper=[1.0]), "box")])
+def test_a_squared_gap_that_overflows_is_a_named_error(spec, kind):
+    # |z - p|**2 overflows beyond about 1.3e154: the distance would read inf, and the ball's
+    # nearest point collapse to its centre; both paths raise instead, and leak no RuntimeWarning
+    inst = sw.instantiate(spec, 0.0, [0.0])
+    sc = sw.Scenario(n=1, T=1.0, x0=np.array([1e308]), operator=sw.IdentityOperator(), moving_set=spec,
+                     lambdas=(0.1,), allow_infeasible_start=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (lambda: inst.distance([1e200]), lambda: inst.distance_many(np.array([[0.5], [1e200]])),
+                      lambda: inst.distance_many(np.array([[-1e308]])), lambda: sw.catching_up(sc, 0.25),
+                      lambda: sw.integrate(sc, 0.1)):
+            with pytest.raises(sw.InvalidVector) as err:
+                query()
+            assert str(err.value) == f"squared gap to the {kind} overflows"
+        assert inst.distance([1e150]) == inst.distance_many(np.array([[1e150]]))[0] == 1e150 - 1.0
 
 
 def test_intersection_rejects_non_half_space_member():
@@ -334,6 +388,10 @@ def test_dykstra_budget_exhaustion_raises(monkeypatch):
     members = [_hs([1.0, 0.0], 0.0), _hs([1.0, 1.0], 0.0)]
     with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles at tol 1e-14"):
         sw.dykstra_project(members, np.array([5.0, 4.0]))
+    # on an empty intersection the exhausted budget names the cause
+    with pytest.raises(sw.EmptyInstance) as err:
+        sw.dykstra_project([_hs([1.0, 0.0], -1.0), _hs([-1.0, 0.0], -1.0)], np.zeros(2))
+    assert str(err.value) == "half-space intersection is empty"
 
 
 def test_union_asks_each_member_once(monkeypatch):
@@ -539,6 +597,8 @@ def test_nearest_raises_projection_not_converged_on_an_exhausted_budget(monkeypa
     for target in (inst, union):
         with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
             target.nearest([2.5, 0.5])     # onto the vertex in 38 cycles
+    with pytest.raises(sw.ProjectionNotConverged, match="exceeded 2 cycles"):
+        inst.distance_many(np.array([[2.5, 0.5]]))      # the batched path's budget
 
 
 @pytest.mark.parametrize("kind", list(ZOO))
