@@ -288,12 +288,23 @@ def check_phi_bound(traj: Trajectory, scenario: Scenario, kappa_tilde: float):
     return worst <= 1.0 + PHI_BOUND_TOL, worst
 
 
+def _linalg_norms(G):
+    """``np.linalg.norm`` of each row of G, a finite row whose square overflows scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(G, axis=1)
+    if np.isinf(nrm).any():
+        big = np.isinf(nrm) & np.isfinite(G).all(1)
+        scale = np.abs(G[big]).max(1, keepdims=True)
+        nrm[big] = scale[:, 0] * np.linalg.norm(G[big] / scale, axis=1)
+    return nrm
+
+
 def lipschitz_estimate(traj: Trajectory) -> float:
     """Largest per-step mean speed |x_{i+1} - x_i| / (t_{i+1} - t_i)."""
     if len(traj) < 2:
         raise ValueError("need at least two grid points")
     dt = np.diff(traj.times)
-    dx = np.linalg.norm(np.diff(traj.states, axis=0), axis=1)
+    dx = _linalg_norms(np.diff(traj.states, axis=0))
     return float(np.max(dx / dt))
 
 
@@ -312,7 +323,7 @@ def sup_diff(traj_a: Trajectory, traj_b: Trajectory, common_grid=1000) -> float:
         grid = np.linspace(traj_a.times[0], traj_a.horizon, int(common_grid))
     else:
         grid = np.asarray(common_grid, dtype=float)
-    gaps = np.linalg.norm(resample(traj_a, grid) - resample(traj_b, grid), axis=1)
+    gaps = _linalg_norms(resample(traj_a, grid) - resample(traj_b, grid))
     return float(np.max(gaps))
 
 

@@ -3,7 +3,7 @@
 A scenario file is one JSON object with sections problem / operator / set /
 lambdas / integrator / assumed / output.  The parser checks shape only:
 types, keys and array lengths, rejecting unknown keys and addressing every
-error by its JSON path.  A set's keys are its spec's dataclass fields.  Range
+error by its JSON path.  A set's keys are its spec's parameters.  Range
 checks live in the constructors (the set specs, ``IntegratorConfig`` and
 ``Scenario``); their errors are re-raised as ParseError, addressed by the
 set's path or the document.  Hypothesis violations fail fast with the
@@ -16,9 +16,10 @@ which NumPy's C text reader reads back bit for bit into one float64 table (peak 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -143,31 +144,31 @@ _SET_KINDS = {"half_space": HalfSpaceSpec, "ball": BallSpec, "box": BoxSpec,
 
 
 def _build_set(node, n, path, default_kind=None):
-    """A set spec from its JSON node: the keys are the spec's dataclass fields;
+    """A set spec from its JSON node: the keys are the parameters of the spec's constructor;
     range checks live in the spec, whose errors are re-addressed to ``path``."""
     node = _expect_object(node, path)
     kind = node.get("kind", default_kind)
     spec = _SET_KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ParseError(f"{path}.kind: unknown set kind {kind!r}")
-    params = fields(spec)
-    _check_keys(node, path, {"kind"} | {f.name for f in params},
-                required={f.name for f in params if f.default is MISSING})
+    params = inspect.signature(spec).parameters.values()
+    _check_keys(node, path, {"kind"} | {p.name for p in params},
+                required={p.name for p in params if p.default is p.empty})
     kwargs = {}
-    for f in params:
-        if f.name not in node:
+    for p in params:
+        if p.name not in node:
             continue
-        v, at = node[f.name], f"{path}.{f.name}"
-        if f.name == "members":
+        v, at = node[p.name], f"{path}.{p.name}"
+        if p.name == "members":
             if not isinstance(v, list):
                 raise ParseError(f"{at}: expected an array of sets")
             member_kind = "half_space" if spec is HalfSpaceIntersectionSpec else None
-            kwargs[f.name] = tuple(_build_set(m, n, f"{at}[{i}]", member_kind)
+            kwargs[p.name] = tuple(_build_set(m, n, f"{at}[{i}]", member_kind)
                                    for i, m in enumerate(v))
-        elif "ndarray" in str(f.type):      # the annotation string, e.g. "np.ndarray | None"
-            kwargs[f.name] = _vector(v, at, n)
+        elif "ndarray" in str(p.annotation):    # the annotation string, e.g. "np.ndarray | None"
+            kwargs[p.name] = _vector(v, at, n)
         else:
-            kwargs[f.name] = _number(v, at)
+            kwargs[p.name] = _number(v, at)
     try:
         return spec(**kwargs)
     except (ValueError, SweepSolveError) as exc:

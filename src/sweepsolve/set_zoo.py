@@ -12,8 +12,8 @@ deduplicated by ``_ties``, and the distance.  A member comes back as itself,
 bit for bit, at distance 0, so projecting a point of the set returns that
 point.  Every kind states its float geometry once, as source:
 ``query_source(n)`` sets the nearest point p_# and phi from the instance's
-``params`` and z_# (the wedge's and the union's set ``points`` too, through
-``_ties``), ``lookup_source()`` sets the spec's params from ts and s_#, and
+``params`` and z_# (a union's keeps ``_ties``' points, which ``points_source``
+sorts), ``lookup_source()`` sets the spec's params from ts and s_#, and
 ``compiled`` builds ``nearest``, ``_params`` and ``dynamics``' loop from them.
 A composite's sources are its members', their names suffixed _m<index>.
 ``project``, ``distance`` and ``member`` validate z once and then ask
@@ -22,9 +22,9 @@ A composite's sources are its members', their names suffixed _m<index>.
 Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
 float array Z it returns ``(P, D)``, candidate nearest points P of shape
 (k, N, n) and their distances D of shape (k, N), where k is fixed by the kind
-(1 for the convex kinds, 2 for the wedge, the member count for a union).  The
+(1 for the convex kinds, the member count for a union: 2 for the wedge).  The
 nearest points of row i are the P[j, i] whose D[j, i] is smallest; other
-candidates may be strictly farther (the far ray of a wedge).  Row results do
+candidates may be strictly farther (the far face of a wedge).  Row results do
 not depend on the other rows of the batch, and a one-row ``candidates`` with
 ``_ties`` gives ``nearest`` bit for bit.  ``distance_many`` derives from it.
 Dot products are ``_dot`` (``_fdot`` on lists), left to right from 0.0: BLAS
@@ -56,8 +56,6 @@ TIE_TOL = 1e-9              # absolute distance gap below which projections tie
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 100_000
 RANK_TOL = 1e-6             # least singular value of independent normals (squared: eigvalsh of N N^T)
-
-_SQRT2 = float(np.sqrt(2.0))
 
 
 def as_vector(x, n=None, name="vector"):
@@ -114,7 +112,7 @@ def compiled(name, params, body, n, lists):
     to name_0..name_{n-1}, then runs the statements ``body``: compiled once per process."""
     source = "\n    ".join([f"def {name}({', '.join(params)}):",
                             *(f"{_each(f'{v}_#', n, ', ')}, = {v}" for v in lists), *body])
-    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "_ties": _ties, "EmptyInstance": EmptyInstance,
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "EmptyInstance": EmptyInstance,
                  "inf": math.inf, "InvalidVector": InvalidVector, "StepFailure": StepFailure,
                  "cos": lambda a: float(np.cos(a)), "sin": lambda a: float(np.sin(a)),   # NumPy's: math's may differ
                  "zoo": sys.modules[__name__]}      # Dykstra's constants, per call, and its probe
@@ -125,8 +123,7 @@ def compiled(name, params, body, n, lists):
 @cache
 def _query(kind, n):
     """``nearest`` of the instance kind ``kind`` in dimension n, on its ``params`` and z."""
-    points = "points" if kind.ties else f"[[{_each('p_#', n, ', ')}]]"
-    return compiled("nearest", (*kind.params, "z"), (*kind.query_source(n), f"return {points}, phi"),
+    return compiled("nearest", (*kind.params, "z"), (*kind.query_source(n), f"return {kind.points_source(n)}, phi"),
                     n, (*kind.lists, "z"))
 
 
@@ -136,8 +133,8 @@ def row_norms(G):
 
 
 def _gaps(Z, P, kind):
-    """Z - P and its row norms, or InvalidVector where a squared norm overflows, as the ball's and
-    the box's queries raise it."""
+    """Z - P and its row norms, or InvalidVector where a squared norm overflows, as the one-point
+    queries raise it."""
     with np.errstate(over="ignore"):
         G = Z - P
         nrm = row_norms(G)
@@ -179,7 +176,6 @@ class SetInstance:
 
     member_tol = MEMBER_TOL
     params = lists = ()     # the names of ``_args``, and of those that are lists of floats
-    ties = False            # whether ``query_source`` sets ``points`` too, else the one point p_#
 
     def __init__(self, *args):      # a closed-form kind on its params, each list a read-only float64 copy
         if len(args) != len(self.params):
@@ -209,6 +205,9 @@ class SetInstance:
         the points are lists of floats, sorted and deduplicated by ``_ties``,
         so the first is the deterministic selection."""
         return _query(self.kind, self.n)(*self._args, z)    # the kind's query, on the params it was built from
+
+    # the source of ``nearest``'s points once the kind's query has run: the one point p_#
+    points_source = staticmethod(lambda n, kinds=(): f"[[{_each('p_#', n, ', ')}]]")
 
 
 class HalfSpaceInstance(SetInstance):
@@ -275,40 +274,6 @@ class BoxInstance(SetInstance):
         return 0.5 * (self.lower + self.upper)
 
 
-class WedgeInstance(SetInstance):
-    """Translate of {(a, b) : b >= -|a|}; nonconvex, projections on two rays."""
-
-    # boundary ray directions of the reference wedge, apex at the origin
-    _RAYS = np.array([[1.0, -1.0], [-1.0, -1.0]]) / _SQRT2
-    params = lists = ("apex",)
-    ties = True
-
-    def candidates(self, Z):
-        W = Z - self.apex
-        a, b = W[:, 0], W[:, 1]
-        inside = b >= -np.abs(a)
-        # outside the wedge <w, ray> > 0 for both rays, so each candidate is the
-        # foot of the perpendicular on its ray's line, at distance |a + b|/sqrt(2)
-        # or |b - a|/sqrt(2); the nearer one is (-b - |a|)/sqrt(2)
-        S = _dot(W, self._RAYS[:, None, :])                                    # (2, N)
-        P = np.where(inside[:, None], Z, self.apex + S[:, :, None] * self._RAYS[:, None, :])
-        return P, np.where(inside, 0.0, np.abs([a + b, b - a]) / _SQRT2)
-
-    @staticmethod
-    def query_source(n):
-        r = repr(WedgeInstance._RAYS[0, 0].item())      # the rays are (r, -r) and (-r, -r)
-        return ["w_0 = z_0 - apex_0; w_1 = z_1 - apex_1",
-                "if w_1 >= -abs(w_0): p_0 = z_0; p_1 = z_1; phi = 0.0; points = [[z_0, z_1]]",
-                # outside, the feet of the perpendiculars on both rays' lines, as in ``candidates``
-                "else:", f"    f0 = 0.0 + w_0 * {r} + w_1 * -{r}; f1 = 0.0 + w_0 * -{r} + w_1 * -{r}",
-                f"    points, phi = _ties([[apex_0 + f0 * {r}, apex_1 + f0 * -{r}], [apex_0 + f1 * -{r},",
-                f"        apex_1 + f1 * -{r}]], (abs(w_0 + w_1) / {_SQRT2!r}, abs(w_1 - w_0) / {_SQRT2!r}))",
-                "    p_0, p_1 = points[0]"]
-
-    def anchor(self):
-        return self.apex.copy()
-
-
 def _stack(faces):
     """Unit normals (m, n) and offsets (m,) of the half-spaces ``faces``, (zeta, beta) pairs."""
     normals, offsets = zip(*faces)
@@ -370,7 +335,7 @@ class HalfSpaceIntersectionInstance(_CompositeInstance):
         outside = _excess(*_stack(m._args for m in self.members), Z) > MEMBER_TOL
         if outside.any():
             P[outside] = dykstra_project(self.members, Z[outside])[0]
-        return P[None], row_norms(Z - P)[None]
+        return P[None], _gaps(Z, P, "half-space intersection")[1][None]
 
     @staticmethod
     def query_source(n, sfx="", *, kinds):
@@ -391,16 +356,18 @@ class HalfSpaceIntersectionInstance(_CompositeInstance):
                 f"        if sqrt({_fsum('g_# * g_#', n)}) <= 0.1 * zoo.DYKSTRA_TOL and {excess('d')} <= zoo.DYKSTRA_TOL:",
                 "            break",
                 f"    else: raise zoo._unconverged([{_faces(len(faces), n, sfx)}])",
-                f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})"]
+                f"    {_each('g_# = z_# - d_#', n)}; {_each('p_# = d_#', n)}; phi = sqrt({_fsum('g_# * g_#', n)})",
+                "    if phi == inf: raise InvalidVector('squared gap to the half-space intersection overflows')"]
 
     def anchor(self):
         return _feasible(m._args for m in self.members)
 
 
 class UnionInstance(_CompositeInstance):
-    """Union of convex instances; each member contributes its candidates."""
+    """Union of convex instances; each member contributes its candidates, and its query keeps
+    those that ``_ties`` would keep, on float locals, building no list for the stage."""
 
-    ties, flags = True, ("live",)   # a spec's lookup marks a member dead while it is empty
+    flags = ("live",)   # a spec's lookup marks a member dead while it is empty
 
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
@@ -408,15 +375,38 @@ class UnionInstance(_CompositeInstance):
 
     @staticmethod
     def query_source(n, sfx="", *, kinds):
-        """Each live member's query in member order, then ``_ties`` over their points."""
-        body = ["found, dists = [], []"]
+        """Each live member j's query in member order, its point q<j>_# at distance d<j>, then
+        ``_ties``' rule on floats: phi is the least d<j>, member j is kept (keep<j>) within its cut
+        unless within 1e-12 of an earlier kept one, and p_# is the least kept point as ``sorted``
+        orders lists, the earlier member's on equality."""
+        body, kept = ["least = inf"], "False"
         for j, kind in enumerate(kinds):
             body += [f"if live_m{j}{sfx}:", *("    " + ln for ln in kind.query_source(n, f"_m{j}{sfx}")),
-                     f"    found.append([{_each('p_#', n, ', ')}]); dists.append(phi)"]
-        return [*body, "points, phi = _ties(found, dists)", f"{_each('p_#', n, ', ')}, = points[0]"]
+                     f"    {_each(f'q{j}_# = p_#', n)}; d{j} = phi", f"    if d{j} < least: least = d{j}"]
+        body.append("phi = least; cut = least + (zoo.TIE_TOL if least > 0.0 else 0.0)")
+        for j in range(len(kinds)):
+            near = "".join(f" or keep{i} and sqrt({_fsum(f'(q{j}_# - q{i}_#) * (q{j}_# - q{i}_#)', n)}) <= 1e-12"
+                           for i in range(j))
+            less = "".join(f"q{j}_{i} < p_{i} if q{j}_{i} != p_{i} else " for i in range(n))
+            body += [f"keep{j} = live_m{j}{sfx} and d{j} <= cut and not (False{near})",
+                     f"if keep{j} and (not ({kept}) or ({less}False)): {_each(f'p_# = q{j}_#', n)}"]
+            kept += f" or keep{j}"
+        return body
+
+    points_source = staticmethod(lambda n, kinds: "sorted([" + ", ".join(
+        f"*([[{_each(f'q{j}_#', n, ', ')}]] if keep{j} else ())" for j in range(len(kinds))) + "])")
 
     def anchor(self):
-        return self.members[0].anchor()
+        """Where the first two faces meet when both members are non-parallel half-spaces: the
+        union's complement is an open cone with that apex, the corner where the union is not
+        convex (a wedge's apex).  Otherwise the first member's anchor."""
+        faces = [m._args for m in self.members[:2] if type(m) is HalfSpaceInstance]
+        c = _fdot(faces[0][0], faces[1][0]) if len(faces) == 2 else 1.0
+        if 1.0 - abs(c) <= RANK_TOL ** 2:
+            return self.members[0].anchor()
+        (z0, b0), (z1, b1) = faces     # the least-norm z with <z0, z> = b0 and <z1, z> = b1
+        y0, y1 = (b0 - c * b1) / (1.0 - c * c), (b1 - c * b0) / (1.0 - c * c)
+        return np.array([y0 * p + y1 * q for p, q in zip(z0, z1)])
 
 
 @dataclass(frozen=True)
@@ -426,7 +416,7 @@ class _Members:
 
     cls: type
     kinds: tuple
-    ties = property(lambda self: self.cls.ties)
+    points_source = property(lambda self: partial(self.cls.points_source, kinds=self.kinds))
     params = property(lambda self: self._suffixed(lambda kind: (*self.cls.flags, *kind.params)))
     lists = property(lambda self: self._suffixed(lambda kind: kind.lists))
     query_source = property(lambda self: partial(self.cls.query_source, kinds=self.kinds))
@@ -493,6 +483,11 @@ def _store(spec, name, v):
     object.__setattr__(spec, f"_{name}", getattr(spec, name).tolist())
 
 
+def _floats(spec, *names):      # a NumPy scalar would run the compiled loop in NumPy arithmetic
+    for name in names:
+        object.__setattr__(spec, name, float(getattr(spec, name)))
+
+
 class _Composite(_Moving):
     """Family built from a nonempty tuple of same-dimension ``members`` as ``_instance``."""
 
@@ -535,6 +530,7 @@ class HalfSpaceSpec(_Moving):
     kind = HalfSpaceInstance
 
     def __post_init__(self):
+        _floats(self, "beta0", "drift", "state_gain", "rotation_rate")
         _store(self, "normal", _unit(self.normal, "normal"))
         if self.state_gain != 0.0 and self.state_direction is None:
             raise InvalidVector("state_direction required when state_gain != 0")
@@ -578,6 +574,7 @@ class BallSpec(_Moving):
     kind = BallInstance
 
     def __post_init__(self):
+        _floats(self, "radius", "state_gain")
         c = as_vector(self.center, name="center")
         _store(self, "center", c)
         _store(self, "velocity", np.zeros_like(c) if self.velocity is None else as_vector(self.velocity, c.size, "velocity"))
@@ -631,26 +628,6 @@ class BoxSpec(_Moving):
 
 
 @dataclass(frozen=True, eq=False)
-class WedgeSpec(_Moving):
-    """Translating wedge {(a, b) : b - apex_b >= -|a - apex_a|} in the plane."""
-
-    apex: np.ndarray
-    apex_velocity: np.ndarray | None = None
-    kind = WedgeInstance
-
-    def __post_init__(self):
-        _store(self, "apex", as_vector(self.apex, 2, "apex"))
-        v = self.apex_velocity
-        _store(self, "apex_velocity", np.zeros(2) if v is None else as_vector(v, 2, "apex_velocity"))
-
-    n = 2
-    convex = False
-
-    def lookup_source(self):
-        return {"a0": self._apex, "aw": self._apex_velocity}, [_each("apex_# = a0_# + ts * aw_#", 2)]
-
-
-@dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
     """Intersection of half-space families.  Fixed independent normals make it
     nonempty for all offsets, so only other intersections are probed, by ``_feasible``
@@ -660,7 +637,6 @@ class HalfSpaceIntersectionSpec(_Composite):
 
     members: tuple
 
-    convex = True
     _instance = HalfSpaceIntersectionInstance
 
     def __post_init__(self):
@@ -713,6 +689,16 @@ class UnionSpec(_Composite):
                       f"    raise EmptyInstance('all {k} union members are empty at t = ' + repr(ts))"]
 
 
+def WedgeSpec(apex: np.ndarray, apex_velocity: np.ndarray | None = None) -> UnionSpec:
+    """Translating wedge {(a, b) : b - apex_b >= -|a - apex_a|} in the plane: the union of the
+    half-planes a + b >= apex_a + apex_b and b - a >= apex_b - apex_a, drifting with the apex."""
+    (a0, a1), (v0, v1) = (as_vector(v, 2, name).tolist() for v, name in (
+        (apex, "apex"), ((0.0, 0.0) if apex_velocity is None else apex_velocity, "apex_velocity")))
+    s = math.sqrt(2.0)
+    return UnionSpec((HalfSpaceSpec(normal=[-1.0 / s, -1.0 / s], beta0=(-a0 - a1) / s, drift=(-v0 - v1) / s),
+                      HalfSpaceSpec(normal=[1.0 / s, -1.0 / s], beta0=(a0 - a1) / s, drift=(v0 - v1) / s)))
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -732,7 +718,8 @@ def _ties(points, dists):
     """(nearest points, distance) among one point's candidate ``points`` (lists
     of floats) and their ``dists``: the points within TIE_TOL of the least
     distance, deduplicated and sorted lexicographically, so the first entry,
-    the lexicographically smallest, is the deterministic selection."""
+    the lexicographically smallest, is the deterministic selection.  A union's
+    query inlines this rule; the tests check it against this function."""
     dmin = min(dists)
     # a member is its own unique projection: no near-tie admits another point
     cut = dmin + (TIE_TOL if dmin > 0.0 else 0.0)
@@ -774,8 +761,9 @@ def dykstra_project(members, Z):
             Y = X + increments[i]
             X = _halfspace_step(Y, normals[i], offsets[i])
             increments[i] = Y - X
-        done = ((row_norms(X - start) <= 0.1 * DYKSTRA_TOL)
-                & (_excess(normals, offsets, X) <= DYKSTRA_TOL))
+        with np.errstate(over="ignore"):     # a move whose square overflows is not done
+            done = ((row_norms(X - start) <= 0.1 * DYKSTRA_TOL)
+                    & (_excess(normals, offsets, X) <= DYKSTRA_TOL))
         if done.all():
             out[rows] = X
             return (out[0] if single else out), cycle

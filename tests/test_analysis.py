@@ -47,6 +47,20 @@ def test_phi_bound_state_feedback_tight():
     assert np.max(traj.phis) == pytest.approx(2 * lam, rel=0.01)
 
 
+@pytest.mark.parametrize("lam, tol", [(0.08, 1e-8), (5e-3, 1e-9), (5e-4, 1e-10)])
+def test_state_feedback_matches_its_closed_form(scenario_dir, lam, tol):
+    # C(t, x) = {z >= t + x/2}, A = I, x0 = 0: m = 1 and L = 1/2, the corpus's one oracle with
+    # L > 0; x = 2t - 4 lam (1 - e^{-t/(2 lam)}) and phi = 2 lam (1 - e^{-t/(2 lam)}), which
+    # approaches the bound kappa lam/(m - L) = 2 lam: the margin m alpha^2 - L is sharp
+    sc = sw.load_scenario(scenario_dir / "tracking_halfline_state_feedback.json")
+    traj = sw.integrate(sc, lam)
+    rise = 1.0 - np.exp(-traj.times / (2.0 * lam))
+    assert np.max(np.abs(traj.states[:, 0] - (2.0 * traj.times - 4.0 * lam * rise))) <= tol
+    assert np.max(np.abs(traj.phis - 2.0 * lam * rise)) <= tol
+    kt = sw.kappa_tilde(sc).value
+    assert 0.99 <= np.max(traj.phis) / (kt * lam / sc.margin) <= 1.0 + 1e-9
+
+
 def test_phi_bound_wedge_divides_by_scenario_margin():
     lam = 0.05
     sc = wedge_scenario(lambdas=(lam,))
@@ -266,6 +280,17 @@ def test_alpha_matches_pinned_values(kind, seed, expected):
     inst = sw.instantiate(_ALPHA_KINDS[kind], 0.0, np.zeros(2))
     a = sw.estimate_alpha(inst, rho=1.0, sample_count=400, seed=seed)
     assert a == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if kind == "wedge":     # an upper estimate of 1/sqrt(2)
+        assert SQRT2_HALF <= a <= SQRT2_HALF + 0.02
+
+
+@pytest.mark.parametrize("apex", [[10.0, 0.0], [0.0, -10.0], [-10.0, 0.0]])
+def test_alpha_samples_around_the_wedges_apex(apex):
+    # the wedge is a union of two faces; its sample is centred where they meet, not at a face's
+    # foot, which lies |apex_a - apex_b|/sqrt(2) from the apex, beyond the tube here
+    inst = sw.instantiate(sw.WedgeSpec(apex=apex), 0.0, np.zeros(2))
+    assert inst.anchor().tolist() == apex
+    assert SQRT2_HALF <= sw.estimate_alpha(inst, rho=1.0, sample_count=2000, seed=0) <= SQRT2_HALF + 0.02
 
 
 def test_alpha_tube_sampling_failure():

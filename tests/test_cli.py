@@ -292,6 +292,35 @@ def test_sweep_from_a_huge_start_names_the_infinite_sample_radius(tmp_path, caps
     assert capsys.readouterr().err == "error: sample ball radius must be finite, got inf\n"
 
 
+def test_sweep_over_huge_steps_measures_them_without_overflow(tmp_path):
+    # T = 1e300 and lambdas near it: each RK4 step moves about 1e298, whose square overflows;
+    # the step norms are rescaled, so the slope reads its true value, below 1
+    doc = {"problem": {"dimension": 1, "horizon": 1e300, "x0": [0.0]}, "operator": {"kind": "identity"},
+           "set": {"kind": "half_space", "normal": [-1.0], "drift": -1.0}, "lambdas": [1e299, 5e298]}
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert 0.0 < report["lipschitz_estimate"] <= 1.0 + 1e-9
+    assert all(math.isfinite(row["sup_diff"]) for row in report["convergence_table"])
+
+
+def test_estimate_set_names_an_overflowing_intersection_gap(tmp_path, capsys):
+    # a face drifting at -1e300 leaves every sample about 1e300 from the set by t = 1
+    doc = {"problem": {"dimension": 2, "horizon": 1.0, "x0": [0.0, 0.0]}, "operator": {"kind": "identity"},
+           "set": {"kind": "half_space_intersection", "members": [{"normal": [1.0, 0.0], "drift": -1e300},
+                                                                  {"normal": [0.0, 1.0]}]},
+           "lambdas": [0.1]}
+    scenario = tmp_path / "drift.json"
+    scenario.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("estimate-set", "--scenario", str(scenario), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: squared gap to the half-space intersection overflows\n"
+
+
 def test_sweep_integrates_each_lambda_once(tmp_path, drift_file, monkeypatch):
     from sweepsolve import analysis, cli, dynamics
 

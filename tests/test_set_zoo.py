@@ -62,13 +62,14 @@ def test_instantiate_is_deterministic():
     (sw.BallSpec(center=[1.0, 2.0], radius=0.5, velocity=[1.0, 0.0]), ("center",)),
     (sw.BoxSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], upper_velocity=[1.0, 1.0]),
      ("lower", "upper")),
-    (sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[0.0, 1.0]), ("apex",)),
+    (sw.WedgeSpec(apex=[0.0, 0.0], apex_velocity=[0.0, 1.0]), ("zeta",)),     # each face's
 ], ids=["half_space", "rotating_half_space", "ball", "box", "wedge"])
 def test_frozen_instances_are_read_only(spec, arrays):
     inst = spec.freeze(0.5, np.zeros(2))
-    for name in arrays:
-        with pytest.raises(ValueError):
-            getattr(inst, name)[0] = 9.0
+    for part in getattr(inst, "members", (inst,)):
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(part, name)[0] = 9.0
 
 
 def test_frozen_keeps_read_only_arrays_and_copies_the_rest():
@@ -76,8 +77,7 @@ def test_frozen_keeps_read_only_arrays_and_copies_the_rest():
     # copy, a scalar as a float, ``_args`` their floats in params order, n the first list's length
     for kind, args in [(set_zoo.HalfSpaceInstance, (np.array([0.6, 0.8]), np.float64(-0.5))),
                        (set_zoo.BallInstance, (np.array([1.0, 2.0]), 0.5)),
-                       (set_zoo.BoxInstance, (np.array([-1.0, 0.0]), np.array([1, 2]))),     # ints
-                       (set_zoo.WedgeInstance, (np.array([0.5, -0.5]),))]:
+                       (set_zoo.BoxInstance, (np.array([-1.0, 0.0]), np.array([1, 2])))]:     # ints
         want = [a.astype(float).tolist() if p in kind.lists else float(a) for p, a in zip(kind.params, args)]
         inst = kind(*args)
         for p, a in zip(kind.params, args):
@@ -182,11 +182,13 @@ def test_public_entries_name_a_malformed_argument(call, error, message):
     assert type(err.value) is error and str(err.value) == message
 
 
-@pytest.mark.parametrize("spec, kind", [(sw.BallSpec(center=[0.0], radius=1.0), "ball"),
-                                        (sw.BoxSpec(lower=[0.0], upper=[1.0]), "box")])
+@pytest.mark.parametrize("spec, kind", [
+    (sw.BallSpec(center=[0.0], radius=1.0), "ball"), (sw.BoxSpec(lower=[0.0], upper=[1.0]), "box"),
+    (sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0], beta0=1.0), sw.HalfSpaceSpec(normal=[-1.0]))),
+     "half-space intersection")])
 def test_a_squared_gap_that_overflows_is_a_named_error(spec, kind):
     # |z - p|**2 overflows beyond about 1.3e154: the distance would read inf, and the ball's
-    # nearest point collapse to its centre; both paths raise instead, and leak no RuntimeWarning
+    # nearest point collapse to its centre; every path raises instead, and leaks no RuntimeWarning
     inst = sw.instantiate(spec, 0.0, [0.0])
     sc = sw.Scenario(n=1, T=1.0, x0=np.array([1e308]), operator=sw.IdentityOperator(), moving_set=spec,
                      lambdas=(0.1,), allow_infeasible_start=True)
@@ -199,6 +201,26 @@ def test_a_squared_gap_that_overflows_is_a_named_error(spec, kind):
                 query()
             assert str(err.value) == f"squared gap to the {kind} overflows"
         assert inst.distance([1e150]) == inst.distance_many(np.array([[1e150]]))[0] == 1e150 - 1.0
+
+
+def test_numpy_scalar_fields_are_stored_as_floats():
+    # a NumPy scalar reaching the compiled loop's arguments would run it in NumPy scalar
+    # arithmetic, 2.3x slower on the drift half-line; the spec stores floats, so no bit moves
+    f64 = np.float64
+    pairs = [(sw.HalfSpaceSpec(normal=[-1.0], beta0=f64(0.5), drift=f64(-1.0), state_gain=f64(-0.25),
+                               state_direction=[1.0]),
+              sw.HalfSpaceSpec(normal=[-1.0], beta0=0.5, drift=-1.0, state_gain=-0.25, state_direction=[1.0])),
+             (sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=f64(0.5), rotation_rate=f64(2.0), rotation_partner=[0.0, 1.0]),
+              sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=0.5, rotation_rate=2.0, rotation_partner=[0.0, 1.0])),
+             (sw.BallSpec(center=[0.5], radius=f64(0.5), velocity=[1.0], state_gain=f64(0.25)),
+              sw.BallSpec(center=[0.5], radius=0.5, velocity=[1.0], state_gain=0.25))]
+    for spec, plain in pairs:
+        params = spec._params(0.0, [0.0] * spec.n)
+        assert all(type(v) is float for p in params for v in (p if isinstance(p, list) else [p]))
+        sc, plain_sc = (sw.Scenario(n=s.n, T=0.5, x0=np.zeros(s.n), operator=sw.IdentityOperator(), moving_set=s,
+                                    lambdas=(0.05,), allow_infeasible_start=True) for s in (spec, plain))
+        got, want = sw.integrate(sc, 0.05), sw.integrate(plain_sc, 0.05)
+        assert _bits(got.states) == _bits(want.states) and _bits(got.phis) == _bits(want.phis)
 
 
 def test_intersection_rejects_non_half_space_member():
@@ -558,8 +580,8 @@ _SIGNED = (-0.0, 0.0, -1.0, 1.0, 5e-324)
 
 
 @pytest.mark.parametrize("inst", [
-    set_zoo.WedgeInstance(np.array([-0.0, -0.0])),
-    set_zoo.WedgeInstance(np.array([0.0, -0.0])),
+    sw.instantiate(sw.WedgeSpec(apex=[-0.0, -0.0]), 0.0, np.zeros(2)),
+    sw.instantiate(sw.WedgeSpec(apex=[0.0, -0.0]), 0.0, np.zeros(2)),
     set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 0.0], -0.0), _hs([0.0, -1.0], 0.0)]),
     set_zoo.HalfSpaceIntersectionInstance([_hs([1.0, 1.0], -0.0), _hs([1.0, -1.0], -0.0)]),
     set_zoo.UnionInstance([set_zoo.BallInstance(np.array([-0.0, 2.0]), 1.0),
@@ -622,6 +644,25 @@ def test_nearest_on_the_wedge_axis_takes_the_lexicographically_smaller_foot():
     (p, _), d = inst.nearest(z)
     assert np.allclose(p, [-0.25, -1.25]) and _bits(p) == _bits(feet[0])
     assert d == pytest.approx(1.5 / SQRT2)
+
+
+signed_coord = finite_coord | st.sampled_from([-0.0, 0.0, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(apex=st.tuples(signed_coord, signed_coord), z=st.tuples(signed_coord, signed_coord))
+@example(apex=(-0.0, -0.0), z=(0.0, -0.0))
+@example(apex=(0.0, -0.0), z=(-0.0, -1.0))      # on the axis: both faces tie
+@example(apex=(0.5, -0.5), z=(5e-324, -0.0))
+def test_union_built_wedge_distance_is_the_closed_form(apex, z):
+    # the closed form of the wedge kind the union of two faces replaced:
+    # max(0, (-(b - apex_b) - |a - apex_a|)/sqrt(2)), a +0.0 on the set
+    inst = sw.instantiate(sw.WedgeSpec(apex=list(apex)), 0.0, np.zeros(2))
+    closed = max(0.0, (-(z[1] - apex[1]) - abs(z[0] - apex[0])) / SQRT2)
+    scale = max(1.0, *map(abs, apex + z))       # the rounding of the faces' offsets
+    for d in (inst.distance(list(z)), float(inst.distance_many(np.array([z]))[0])):
+        assert d == pytest.approx(closed, rel=1e-12, abs=1e-12 * scale)
+        assert math.copysign(1.0, d) == 1.0
 
 
 def test_ball_distance_sums_left_to_right_unfused():
@@ -688,9 +729,6 @@ def _raised(call):
     return None
 
 
-signed_coord = finite_coord | st.sampled_from([-0.0, 0.0, 5e-324])
-
-
 @pytest.mark.parametrize("kind", list(MOVING))
 @settings(max_examples=60, deadline=None)
 @given(t=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 0.25, 0.5]),
@@ -741,8 +779,9 @@ def test_parameters_are_the_numpy_expressions_they_replace(t, x):
     box = _STILL_BOX.freeze(t, x)
     assert _bits(box.lower) == _bits(_STILL_BOX.lower + t * _STILL_BOX.lower_velocity)
     assert _bits(box.upper) == _bits(_STILL_BOX.upper + t * _STILL_BOX.upper_velocity)
-    wedge = MOVING["wedge"]
-    assert _bits(wedge.freeze(t, x).apex) == _bits(wedge.apex + t * wedge.apex_velocity)
+    for face, frozen in zip(MOVING["wedge"].members, MOVING["wedge"].freeze(t, x).members):
+        assert _bits(frozen.zeta) == _bits(face.normal)
+        assert _bits(frozen.beta) == _bits(face.beta0 + face.drift * t)
 
 
 def test_spec_nearest_raises_what_freeze_raises(monkeypatch):
@@ -783,6 +822,19 @@ def test_a_probed_intersections_anchor_is_the_probe_of_its_faces():
     anchor = inst.anchor()
     assert inst.member(anchor) and anchor.tolist() == [1.0, 0.0]
     assert anchor.tobytes() == set_zoo._feasible(by_hand).tobytes()
+
+
+@pytest.mark.parametrize("normals, offsets, anchor", [
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [0.0, 0.0]),        # z_0 <= 0 or z_1 <= 0: the re-entrant corner
+    ([[0.6, 0.8], [0.0, -1.0]], [1.0, 2.0], [13 / 3, -2.0]),    # faces 0.6 z_0 + 0.8 z_1 = 1 and z_1 = -2
+    ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -2.0], [-1.0, 0.0]),     # parallel faces: the first member's foot
+    ([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0], [0.0, 0.0]),
+])
+def test_a_union_of_two_half_spaces_anchors_where_their_faces_meet(normals, offsets, anchor):
+    union = sw.UnionSpec(tuple(sw.HalfSpaceSpec(normal=v, beta0=b) for v, b in zip(normals, offsets)))
+    inst = sw.instantiate(union, 0.0, np.zeros(2))
+    assert inst.anchor() == pytest.approx(anchor, rel=1e-15, abs=1e-15)
+    assert inst.distance(inst.anchor()) <= 1e-15
 
 
 def test_spec_nearest_builds_no_instance(monkeypatch):
