@@ -8,9 +8,9 @@ lambda sweeps with empirical Cauchy diagnostics.
 Every bound divides by ``Scenario.margin`` = m*alpha^2 - L, which the
 scenario computes and checks positive (H2) when it is built.
 
-All sup/inf estimators are sample based: suprema are reported as lower
-estimates, the alpha infimum as an upper estimate, with the sampler recorded
-alongside.  Ball samples take their Gaussian directions from a port of Cephes'
+Suprema are sampled lower estimates, reported with their sampler.  Alpha is
+exactly 1 on a convex instance, and on a union a sampled infimum, an upper
+estimate.  Ball samples take their Gaussian directions from a port of Cephes'
 ``ndtri``, bit for bit SciPy's while ``math.log`` is the libm log SciPy calls.
 """
 
@@ -207,21 +207,24 @@ def estimate_kappa(spec, r: float, t_pairs, x_pairs, sampler: SamplerConfig | No
 
 
 def estimate_alpha(inst, rho: float, sample_count: int, seed: int) -> float:
-    """Sampled infimum of the distance from the origin to the hull of
-    normalized projection gradients over the tube {0 < d < rho}.
+    """Infimum of the distance from the origin to the hull of normalized
+    projection gradients over the tube {0 < d < rho}: exactly 1, drawing
+    nothing, on a convex instance, whose one gradient has unit norm.
 
-    For each tube point y the vectors (y - p_i)/d(y) are collected over every
-    projection whose distance is within a relative ``ALPHA_TIE_SLACK`` of the best
-    (the multi-valued branch has zero measure, so an exact tie test would
-    never fire under random sampling).  With <= 2 candidates the hull distance
-    is the closed-form point-to-segment distance, computed for all samples at
-    once.  The estimate decreases as sampling grows; it upper-bounds the true
-    infimum.
+    On a union it is sampled: for each tube point y the vectors (y - p_i)/d(y)
+    are collected over every projection whose distance is within a relative
+    ``ALPHA_TIE_SLACK`` of the best (the multi-valued branch has zero measure,
+    so an exact tie test would never fire under random sampling).  With <= 2
+    candidates the hull distance is the closed-form point-to-segment distance,
+    computed for all samples at once.  The estimate decreases as sampling
+    grows; it upper-bounds the true infimum.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     if not rho > 0:
         raise ValueError("rho must be positive")
+    if inst.convex:
+        return 1.0
     rng = np.random.default_rng(seed)
     center = inst.anchor()
     spread = 4.0 * rho

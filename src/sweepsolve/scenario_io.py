@@ -20,6 +20,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, islice
 
 import numpy as np
@@ -141,6 +142,7 @@ def _build_operator(node, n, path):
 _SET_KINDS = {"half_space": HalfSpaceSpec, "ball": BallSpec, "box": BoxSpec,
               "wedge": WedgeSpec, "half_space_intersection": HalfSpaceIntersectionSpec,
               "union": UnionSpec}
+_parameters = cache(lambda spec: tuple(inspect.signature(spec).parameters.values()))   # inspect is slow: once a kind
 
 
 def _build_set(node, n, path, default_kind=None):
@@ -151,7 +153,7 @@ def _build_set(node, n, path, default_kind=None):
     spec = _SET_KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ParseError(f"{path}.kind: unknown set kind {kind!r}")
-    params = inspect.signature(spec).parameters.values()
+    params = _parameters(spec)
     _check_keys(node, path, {"kind"} | {p.name for p in params},
                 required={p.name for p in params if p.default is p.empty})
     kwargs = {}

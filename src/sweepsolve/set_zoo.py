@@ -19,14 +19,15 @@ A composite's sources are its members', their names suffixed _m<index>.
 ``project``, ``distance`` and ``member`` validate z once and then ask
 ``nearest``.
 
-Batches have one query, ``candidates(Z)``: for a pre-validated finite (N, n)
-float array Z it returns ``(P, D)``, candidate nearest points P of shape
+Batches have two queries on a pre-validated finite (N, n) float array Z.
+``candidates(Z)`` returns ``(P, D)``, candidate nearest points P of shape
 (k, N, n) and their distances D of shape (k, N), where k is fixed by the kind
-(1 for the convex kinds, the member count for a union: 2 for the wedge).  The
+(1 for a ``convex`` kind, the member count for a union: 2 for the wedge).  The
 nearest points of row i are the P[j, i] whose D[j, i] is smallest; other
 candidates may be strictly farther (the far face of a wedge).  Row results do
 not depend on the other rows of the batch, and a one-row ``candidates`` with
-``_ties`` gives ``nearest`` bit for bit.  ``distance_many`` derives from it.
+``_ties`` gives ``nearest`` bit for bit.  ``distances(Z)`` is D.min(0) bit for
+bit, built without P where the kind can; ``distance_many`` validates Z for it.
 Dot products are ``_dot`` (``_fdot`` on lists), left to right from 0.0: BLAS
 (``np.vecdot``, ``@``) fuses the multiply-add on some CPU kernels, and one
 fixed order gives one bit pattern per input on every BLAS kernel.
@@ -175,6 +176,7 @@ class SetInstance:
     defines ``candidates`` and ``anchor()``, a deterministic point of the set centring samplers."""
 
     member_tol = MEMBER_TOL
+    convex = True           # one candidate per point; a union has one per member
     params = lists = ()     # the names of ``_args``, and of those that are lists of floats
 
     def __init__(self, *args):      # a closed-form kind on its params, each list a read-only float64 copy
@@ -188,7 +190,10 @@ class SetInstance:
 
     def distance_many(self, Z) -> np.ndarray:
         """Distance of each row of the (N, n) array Z."""
-        return self.candidates(as_rows(Z, self.n, "Z"))[1].min(0)
+        return self.distances(as_rows(Z, self.n, "Z"))
+
+    def distances(self, Z):
+        return self.candidates(Z)[1].min(0)
 
     def distance(self, z) -> float:
         return self.nearest(as_vector(z, self.n, "z").tolist())[1]
@@ -214,15 +219,23 @@ class HalfSpaceInstance(SetInstance):
     """{z : <zeta, z> <= beta} with unit normal zeta."""
     params, lists = ("zeta", "beta"), ("zeta",)
 
+    def distances(self, Z):
+        with np.errstate(over="ignore"):
+            v = _dot(Z, self.zeta) - self.beta
+        if np.isposinf(v).any():        # -inf is a point deep inside
+            raise InvalidVector("gap to the half-space overflows")
+        return np.maximum(v, 0.0)
+
     def candidates(self, Z):
-        v = (_dot(Z, self.zeta) - self.beta)[:, None]
-        return np.where(v > 0.0, Z - v * self.zeta, Z)[None], np.maximum(v, 0.0).T
+        D = self.distances(Z)[:, None]      # v itself where it is positive
+        return np.where(D > 0.0, Z - D * self.zeta, Z)[None], D.T
 
     @staticmethod
     def query_source(n, sfx=""):
         return [f"v = {_fsum(f'z_# * zeta{sfx}_#', n)} - beta{sfx}",
-                f"if v > 0.0: {_each(f'p_# = z_# - v * zeta{sfx}_#', n)}; phi = v",
-                f"else: {_each('p_# = z_#', n)}; phi = 0.0"]
+                f"if v <= 0.0: {_each('p_# = z_#', n)}; phi = 0.0",
+                "elif v == inf: raise InvalidVector('gap to the half-space overflows')",
+                f"else: {_each(f'p_# = z_# - v * zeta{sfx}_#', n)}; phi = v"]
 
     def anchor(self):
         return self.beta * self.zeta
@@ -238,6 +251,9 @@ class BallInstance(SetInstance):
         radial = self.center + self.radius / np.maximum(nrm, self.radius) * gap
         return (np.where(nrm <= self.radius, Z, radial)[None],
                 np.maximum(nrm - self.radius, 0.0).T)
+
+    def distances(self, Z):
+        return np.maximum(_gaps(Z, self.center, "ball")[1] - self.radius, 0.0)
 
     @staticmethod
     def query_source(n, sfx=""):
@@ -368,10 +384,14 @@ class UnionInstance(_CompositeInstance):
     those that ``_ties`` would keep, on float locals, building no list for the stage."""
 
     flags = ("live",)   # a spec's lookup marks a member dead while it is empty
+    convex = False
 
     def candidates(self, Z):
         parts = [m.candidates(Z) for m in self.members]
         return np.concatenate([P for P, _ in parts]), np.concatenate([D for _, D in parts])
+
+    def distances(self, Z):
+        return np.array([m.distances(Z) for m in self.members]).min(0)
 
     @staticmethod
     def query_source(n, sfx="", *, kinds):
@@ -416,6 +436,7 @@ class _Members:
 
     cls: type
     kinds: tuple
+    convex = property(lambda self: self.cls.convex)
     points_source = property(lambda self: partial(self.cls.points_source, kinds=self.kinds))
     params = property(lambda self: self._suffixed(lambda kind: (*self.cls.flags, *kind.params)))
     lists = property(lambda self: self._suffixed(lambda kind: kind.lists))
@@ -457,7 +478,7 @@ class _Moving:
     structure by ``_params``: ``freeze`` calls the kind on them, ``penalized_rhs`` the kind's query.
     It moves with x only through ``state_gain``, but a ``_Composite`` through its members."""
 
-    convex = True
+    convex = property(lambda self: self.kind.convex)
     state_gain = 0.0
 
     @property
@@ -665,7 +686,6 @@ class UnionSpec(_Composite):
 
     members: tuple
 
-    convex = False
     _instance = UnionInstance
 
     def __post_init__(self):

@@ -269,8 +269,9 @@ _ALPHA_KINDS = {
     # per-sample values of the scalar implementation this one replaced
     ("wedge", 3, 0.7072998409305422),
     ("wedge", 11, 0.7098465583532223),
-    ("corner", 3, 0.9999999999999998),
-    ("corner", 11, 0.9999999999999999),
+    # a convex set's alpha is exactly 1, with nothing drawn
+    ("corner", 3, 1.0),
+    ("corner", 11, 1.0),
     ("ball_or_corner", 3, 0.8159162292909535),
     ("ball_or_corner", 11, 0.784713705453816),
     ("ball_or_corner_or_ball", 3, 0.8159162292909535),
@@ -284,6 +285,29 @@ def test_alpha_matches_pinned_values(kind, seed, expected):
         assert SQRT2_HALF <= a <= SQRT2_HALF + 0.02
 
 
+_CONVEX = {
+    "half_space": sw.HalfSpaceSpec(normal=[0.6, 0.8], beta0=0.2),
+    "ball": sw.BallSpec(center=[1.0, -1.0], radius=0.7),
+    # the tube lies beyond a sample spread 4*rho around the centre: sampling found no point there
+    "ball_radius_10": sw.BallSpec(center=[0.0, 0.0], radius=10.0),
+    "box": sw.BoxSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
+    "corner": _CORNER,
+    "probed_intersection": sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0], beta0=1.0),
+                                                         sw.HalfSpaceSpec(normal=[-1.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONVEX))
+def test_alpha_is_exactly_one_on_a_convex_instance_and_draws_nothing(kind, monkeypatch):
+    def default_rng(seed):
+        raise AssertionError("a convex instance drew a sample")
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    inst = sw.instantiate(_CONVEX[kind], 0.0, np.zeros(2))
+    a = sw.estimate_alpha(inst, rho=1.0, sample_count=2000, seed=0)
+    assert type(a) is float and a == 1.0
+
+
 @pytest.mark.parametrize("apex", [[10.0, 0.0], [0.0, -10.0], [-10.0, 0.0]])
 def test_alpha_samples_around_the_wedges_apex(apex):
     # the wedge is a union of two faces; its sample is centred where they meet, not at a face's
@@ -294,10 +318,11 @@ def test_alpha_samples_around_the_wedges_apex(apex):
 
 
 def test_alpha_tube_sampling_failure():
-    # rho so small that no random point lands strictly inside the tube
-    inst = sw.instantiate(sw.BallSpec(center=[0.0, 0.0], radius=1.0), 0.0, np.zeros(2))
-    with pytest.raises(sw.TubeSamplingFailed):
+    # rho so small that no random point lands strictly inside the wedge's tube
+    inst = sw.instantiate(sw.WedgeSpec(apex=[0.0, 0.0]), 0.0, np.zeros(2))
+    with pytest.raises(sw.TubeSamplingFailed) as err:
         sw.estimate_alpha(inst, rho=1e-12, sample_count=10, seed=0)
+    assert str(err.value) == "no sample landed in the tube 0 < d < 1e-12 after 1000 draws"
 
 
 # ---------------------------------------------------------------------------

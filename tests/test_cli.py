@@ -191,6 +191,19 @@ def test_sweep_of_an_emptying_set_fails_every_lambda(tmp_path):
     assert not any(out.glob("trajectory_lam*.csv"))
 
 
+def test_sweep_of_a_big_convex_set_reports_alpha_one(tmp_path):
+    # a static ball of radius 10 with rho = inf: a tube sample spread 4 around its centre never
+    # reached the boundary, and alpha_estimate read null; a convex set's alpha is exactly 1
+    doc = {"problem": {"dimension": 2, "horizon": 1.0, "x0": [0.0, 0.0]}, "operator": {"kind": "identity"},
+           "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 10.0}, "lambdas": [0.1],
+           "assumed": {"alpha": 1.0, "rho": "inf"}}
+    scenario = tmp_path / "big_ball.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["alpha_estimate"] == 1.0
+
+
 def test_diagnose_needs_a_lambda(tmp_path, drift_file, capsys):
     # the catching-up oracle's trajectory has no lambda, so its CSV has no "# lambda" line
     path = tmp_path / "oracle.csv"

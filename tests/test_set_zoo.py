@@ -203,6 +203,29 @@ def test_a_squared_gap_that_overflows_is_a_named_error(spec, kind):
         assert inst.distance([1e150]) == inst.distance_many(np.array([[1e150]]))[0] == 1e150 - 1.0
 
 
+@pytest.mark.parametrize("spec", [
+    sw.HalfSpaceSpec(normal=[0.6, 0.8]),
+    sw.UnionSpec((sw.HalfSpaceSpec(normal=[0.6, 0.8]), sw.BallSpec(center=[-5.0, 0.0], radius=1.0)))],
+    ids=["alone", "union_member"])
+def test_a_half_space_gap_that_overflows_is_a_named_error(spec):
+    # <zeta, z> - beta overflows near the largest float: the nearest point would read [-inf, -inf]
+    # at distance inf; every path raises instead, and leaks no RuntimeWarning
+    inst = sw.instantiate(spec, 0.0, [0.0, 0.0])
+    huge = [1.7e308, 1.7e308]
+    sc = sw.Scenario(n=2, T=1.0, x0=np.array(huge), operator=sw.IdentityOperator(), moving_set=spec,
+                     lambdas=(0.1,), allow_infeasible_start=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (lambda: inst.nearest(huge), lambda: inst.distance(huge),
+                      lambda: inst.distance_many(np.array([[0.5, 0.5], huge])),
+                      lambda: inst.candidates(np.array([huge])), lambda: sw.integrate(sc, 0.1)):
+            with pytest.raises(sw.InvalidVector) as err:
+                query()
+            assert str(err.value) == "gap to the half-space overflows"
+        z = [1e150, -1e150 * 0.5]
+        assert inst.distance(z) == inst.distance_many(np.array([z]))[0] == 0.0 + 1e150 * 0.6 + -5e149 * 0.8
+
+
 def test_numpy_scalar_fields_are_stored_as_floats():
     # a NumPy scalar reaching the compiled loop's arguments would run it in NumPy scalar
     # arithmetic, 2.3x slower on the drift half-line; the spec stores floats, so no bit moves
@@ -702,6 +725,31 @@ MOVING = {
     "union": sw.UnionSpec((_CROSSED_BOX, _CROSSING,
                            sw.BallSpec(center=[2.0, 0.0], radius=0.5, velocity=[-1.0, 0.0]))),
 }
+
+
+_ORTHANT = sw.HalfSpaceIntersectionSpec((sw.HalfSpaceSpec(normal=[1.0, 0.0]), sw.HalfSpaceSpec(normal=[0.0, 1.0])))
+_BATCHED = {    # (spec, t): t turns the rotating half-space
+    "half_space": (ZOO["half_space"], 0.0),
+    "rotating_half_space": (MOVING["rotating_half_space"], 0.3),
+    "ball": (ZOO["ball"], 0.0),
+    "box": (ZOO["box"], 0.0),
+    "corner": (_ORTHANT, 0.0),
+    "wedge": (ZOO["wedge"], 0.0),
+    "ball_or_corner": (sw.UnionSpec((sw.BallSpec(center=[-2.5, 0.0], radius=1.0), _ORTHANT)), 0.0),
+}
+big_coord = st.floats(-1e150, 1e150) | st.sampled_from([-0.0, 0.0, 5e-324])
+
+
+@pytest.mark.parametrize("kind", list(_BATCHED))
+@settings(max_examples=60, deadline=None)
+@given(Z=st.lists(st.tuples(big_coord, big_coord), min_size=1, max_size=8))
+@example(Z=[(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.5, -2.0), (1e150, -1e150)])
+def test_distance_many_is_the_least_candidate_distance_bit_for_bit(kind, Z):
+    # the distance-only kernels stop before the nearest points: they must not move a bit
+    spec, t = _BATCHED[kind]
+    inst = sw.instantiate(spec, t, np.zeros(2))
+    Z = np.array(Z)
+    assert _bits(inst.distance_many(Z)) == _bits(inst.candidates(Z)[1].min(0))
 
 
 def _looked_up(spec, t, x):
