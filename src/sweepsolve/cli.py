@@ -1,11 +1,12 @@
 """Command-line front end: solve, sweep, diagnose, estimate-set.
 
-Numeric arguments are checked once, before any work starts.  The scenario
-file is read once; its text is both hashed and parsed.  ``sweep`` writes each
-trajectory CSV from the trajectory ``lambda_sweep`` integrated and diagnosed,
-so every lambda is integrated exactly once.  ``solve`` and ``diagnose`` differ
-only in where their trajectory comes from: both certify it in ``_certify``,
-which checks the penalty gate before it asks for one.  One parser serves a process.
+Every argument is checked by its argparse ``type``, so a bad value is a one-line
+``UsageError`` before any work starts.  The scenario file is read once; its text is
+both hashed and parsed.  ``sweep`` writes each trajectory CSV from the trajectory
+``lambda_sweep`` integrated and diagnosed, so every lambda is integrated exactly once.
+``solve`` and ``diagnose`` differ only in where their trajectory comes from: both
+certify it in ``_certify``, which checks the penalty gate before it asks for one.
+One parser serves a process.
 
 Each subcommand writes one JSON artifact (``summary.json``, ``report.json``,
 ``diagnose.json`` or ``set_estimates.json``), and every artifact starts from
@@ -50,10 +51,34 @@ EXIT_ERROR = 1
 EXIT_BOUND_FAILED = 2
 
 
+def _checked(convert, ok, want):
+    """An argparse type: ``convert(text)`` when ``ok`` holds on it, else "must be ``want``"."""
+    def check(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+    return check
+
+
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _radii(text):
+    """--r's nonempty comma list of radii; blank items are skipped."""
+    if radii := [_positive(item) for item in text.split(",") if item.strip()]:
+        return radii
+    raise argparse.ArgumentTypeError("must list at least one radius")
+
+
 def _common_flags(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON document")
     sub.add_argument("--out", default=None, help="output directory (default: scenario output.dir)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled estimators")
+    sub.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0,
+                     help="seed for sampled estimators")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="integrate one penalty parameter, write CSV + summary")
     _common_flags(p)
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=_positive, default=None,
                    help="penalty parameter (default: first entry of lambdas)")
 
     p = subs.add_parser("sweep", help="integrate every lambda, write CSVs + diagnostics report")
@@ -80,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("diagnose", help="re-check bounds on an existing trajectory CSV")
     _common_flags(p)
     p.add_argument("--traj", required=True, help="trajectory CSV written by solve/sweep")
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=_positive, default=None,
                    help="penalty parameter (default: read from the CSV header)")
 
     p = subs.add_parser("estimate-set", help="estimate alpha, kappa_r, L and Hausdorff gaps")
     _common_flags(p)
-    p.add_argument("--r", default="1,10", help="comma list of truncation radii")
-    p.add_argument("--samples", type=int, default=4096, help="Hausdorff sampler size")
-    p.add_argument("--alpha-samples", type=int, default=10000, help="tube samples for alpha")
+    p.add_argument("--r", type=_radii, default="1,10", help="comma list of truncation radii")
+    p.add_argument("--samples", type=_count, default=4096, help="Hausdorff sampler size")
+    p.add_argument("--alpha-samples", type=_count, default=10000, help="tube samples for alpha")
 
     return parser
 
@@ -96,7 +121,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-        _check_args(args)
         code = _dispatch(args)
     except SweepSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -107,34 +131,6 @@ def main(argv=None) -> int:
     print(f"[sweepsolve] {args.command} finished in {time.perf_counter() - started:.2f}s",
           file=sys.stderr)
     return code
-
-
-def _check_args(args) -> None:
-    """Reject out-of-range numeric arguments; turns ``--r`` into a list of radii."""
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-    lam = getattr(args, "lam", None)
-    if lam is not None and not (lam > 0 and math.isfinite(lam)):
-        raise UsageError(f"--lam must be a positive finite number, got {lam!r}")
-    if args.command != "estimate-set":
-        return
-    for flag, count in (("--samples", args.samples), ("--alpha-samples", args.alpha_samples)):
-        if count < 1:
-            raise UsageError(f"{flag} must be at least 1, got {count}")
-    radii = []
-    for item in str(args.r).split(","):
-        if not item.strip():
-            continue
-        try:
-            r = float(item)
-        except ValueError:
-            raise UsageError(f"--r: {item.strip()!r} is not a number") from None
-        if not (r > 0 and math.isfinite(r)):
-            raise UsageError(f"--r: radii must be positive and finite, got {r!r}")
-        radii.append(r)
-    if not radii:
-        raise UsageError("--r must list at least one radius")
-    args.r = radii
 
 
 def _dispatch(args) -> int:

@@ -43,7 +43,7 @@ class IdentityOperator(Operator):
 
 
 class ScaledIdentityOperator(Operator):
-    def __init__(self, gamma):
+    def __init__(self, gamma: float):
         gamma = float(gamma)
         if not gamma > 0:
             raise ValidationError("H_A1", f"scale must be positive, got {gamma!r}")
@@ -64,16 +64,16 @@ class LinearSPDOperator(Operator):
     The constants are computed at load and override any declared values.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix: list):
         K = np.asarray(matrix, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise DimensionMismatch(f"matrix must be square, got shape {K.shape}")
         if not np.all(np.isfinite(K)):
             raise ValidationError("H_A2", "matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(K).max()))
-        if float(np.abs(K - K.T).max()) > 1e-12 * scale:
+        scale, half = max(1.0, float(np.abs(K).max())), 0.5 * K     # halves: no sum overflows
+        if float(np.abs(half - half.T).max()) > 0.5e-12 * scale:
             raise ValidationError("H_A1", "matrix must be symmetric")
-        K = 0.5 * (K + K.T)
+        K = half + half.T
         eigs = np.linalg.eigvalsh(K)
         if eigs[0] <= 0:
             raise ValidationError(

@@ -1,13 +1,15 @@
 """Scenario documents: strict JSON parsing, hypothesis validation, serialization.
 
-A scenario file is one JSON object with sections problem / operator / set /
-lambdas / integrator / assumed / output.  The parser checks shape only:
-types, keys and array lengths, rejecting unknown keys and addressing every
-error by its JSON path.  A set's keys are its spec's parameters.  Range
-checks live in the constructors (the set specs, ``IntegratorConfig`` and
-``Scenario``); their errors are re-raised as ParseError, addressed by the
-set's path or the document.  Hypothesis violations fail fast with the
-violated condition named: H_A1, H_A2, H1, H2, feasibility, penalty-gate.
+A scenario file is one JSON object: problem (dimension >= 1, horizon, x0, allow_infeasible_start),
+operator, set, lambdas, and the optional integrator, assumed (alpha; rho, a number or "inf") and
+output.  ``_build`` reads each section that names a constructor, picked from a table by a selector
+key: operator by "kind" from ``_OPERATORS``; set by "kind" from ``_SETS``, an intersection's members
+half_space by default; integrator by "method" ("rk4" by default) from ``_INTEGRATORS``; output, no
+selector, ``OutputConfig``.  Its keys are the constructor's parameters, each value read by its
+annotation.  The parser checks shape only (types, keys, lengths, repeated keys, JSON's own limits),
+raising ParseError at the JSON path.  Range checks live in the constructors and ``Scenario``: their
+errors become ParseErrors at the section's path or the source.  A violated hypothesis is a
+ValidationError naming it: H_A1, H_A2 (operator), H1, H2 (``Scenario``), feasibility, penalty-gate.
 
 A trajectory CSV is non-blank lines: "# lambda = ", the header, then rows of "%.17g" cells,
 which NumPy's C text reader reads back bit for bit into one float64 table (peak < 1.5x its bytes).
@@ -48,6 +50,10 @@ class OutputConfig:
     dir: str = "out"
     grid_points: int = 1000
 
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+
 
 # ---------------------------------------------------------------------------
 # schema helpers
@@ -68,14 +74,15 @@ def _check_keys(node, path, allowed, required=()):
         raise ParseError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
-def _number(node, path, positive=False):
+def _number(node, path):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ParseError(f"{path}: expected a number, got {node!r}")
-    v = float(node)
+    try:
+        v = float(node)
+    except OverflowError:       # an integer beyond the float range
+        v = math.inf if node > 0 else -math.inf
     if not math.isfinite(v):
         raise ParseError(f"{path}: must be finite, got {v!r}")
-    if positive and not v > 0:
-        raise ParseError(f"{path}: must be positive, got {v!r}")
     return v
 
 
@@ -96,12 +103,9 @@ def _vector(node, path, n=None):
     return np.array(vals)
 
 
-def _optional_object(doc, key, allowed):
-    """The optional section doc[key] with only ``allowed`` keys; {} when absent or null."""
-    node = doc.get(key)
-    if node is None:
-        return {}
-    _check_keys(_expect_object(node, key), key, allowed)
+def _array(node, path, items):
+    if not isinstance(node, list):
+        raise ParseError(f"{path}: expected an array of {items}")
     return node
 
 
@@ -114,78 +118,66 @@ def _extended_number(node, path):
     return _number(node, path)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a repeated key (json keeps the last one silently)."""
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"repeated key {next(key for i, key in enumerate(keys) if key in keys[:i])!r}")
+    return node
+
+
 # ---------------------------------------------------------------------------
 # section builders
 # ---------------------------------------------------------------------------
 
-def _build_operator(node, n, path):
+# a section's table: (selector key, what it selects, {selector value: constructor}); the output
+# section has no selector, so its one constructor sits under None, which no JSON key is
+_OPERATORS = ("kind", "operator kind", {"identity": IdentityOperator, "scaled_identity": ScaledIdentityOperator,
+                                        "linear_spd": LinearSPDOperator})
+_SETS = ("kind", "set kind", {"half_space": HalfSpaceSpec, "ball": BallSpec, "box": BoxSpec, "wedge": WedgeSpec,
+                              "half_space_intersection": HalfSpaceIntersectionSpec, "union": UnionSpec})
+_INTEGRATORS = ("method", "integrator method", {"rk4": IntegratorConfig})
+_OUTPUT = (None, "output", {None: OutputConfig})
+_parameters = cache(lambda make: tuple(inspect.signature(make).parameters.values()))   # inspect is slow: once a kind
+
+
+def _build(node, n, path, table, default=None):
+    """The object a section names: ``table``'s selector (``default`` when absent) picks the constructor,
+    whose errors are re-addressed to ``path``; a ValidationError keeps its hypothesis."""
+    selector, what, kinds = table
     node = _expect_object(node, path)
-    kind = node.get("kind")
-    if kind == "identity":
-        _check_keys(node, path, {"kind"})
-        return IdentityOperator()
-    if kind == "scaled_identity":
-        _check_keys(node, path, {"kind", "gamma"}, required={"gamma"})
-        return ScaledIdentityOperator(_number(node["gamma"], f"{path}.gamma", positive=True))
-    if kind == "linear_spd":
-        _check_keys(node, path, {"kind", "matrix"}, required={"matrix"})
-        rows = node["matrix"]
-        if not isinstance(rows, list) or not rows:
-            raise ParseError(f"{path}.matrix: expected an array of rows")
-        matrix = [list(_vector(row, f"{path}.matrix[{i}]", n)) for i, row in enumerate(rows)]
-        if len(matrix) != n:
-            raise ParseError(f"{path}.matrix: expected {n} rows, got {len(matrix)}")
-        return LinearSPDOperator(matrix)
-    raise ParseError(f"{path}.kind: unknown operator kind {kind!r}")
-
-
-_SET_KINDS = {"half_space": HalfSpaceSpec, "ball": BallSpec, "box": BoxSpec,
-              "wedge": WedgeSpec, "half_space_intersection": HalfSpaceIntersectionSpec,
-              "union": UnionSpec}
-_parameters = cache(lambda spec: tuple(inspect.signature(spec).parameters.values()))   # inspect is slow: once a kind
-
-
-def _build_set(node, n, path, default_kind=None):
-    """A set spec from its JSON node: the keys are the parameters of the spec's constructor;
-    range checks live in the spec, whose errors are re-addressed to ``path``."""
-    node = _expect_object(node, path)
-    kind = node.get("kind", default_kind)
-    spec = _SET_KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
-        raise ParseError(f"{path}.kind: unknown set kind {kind!r}")
-    params = _parameters(spec)
-    _check_keys(node, path, {"kind"} | {p.name for p in params},
+    name = node.get(selector, default)
+    make = kinds.get(name) if name is None or isinstance(name, str) else None
+    if make is None:
+        raise ParseError(f"{path}.{selector}: unknown {what} {name!r}")
+    params = _parameters(make)
+    _check_keys(node, path, {selector, *(p.name for p in params)},
                 required={p.name for p in params if p.default is p.empty})
     kwargs = {}
     for p in params:
         if p.name not in node:
             continue
-        v, at = node[p.name], f"{path}.{p.name}"
+        v, at, ann = node[p.name], f"{path}.{p.name}", str(p.annotation)    # e.g. "np.ndarray | None"
         if p.name == "members":
-            if not isinstance(v, list):
-                raise ParseError(f"{at}: expected an array of sets")
-            member_kind = "half_space" if spec is HalfSpaceIntersectionSpec else None
-            kwargs[p.name] = tuple(_build_set(m, n, f"{at}[{i}]", member_kind)
-                                   for i, m in enumerate(v))
-        elif "ndarray" in str(p.annotation):    # the annotation string, e.g. "np.ndarray | None"
+            member_kind = "half_space" if make is HalfSpaceIntersectionSpec else None
+            kwargs[p.name] = tuple(_build(m, n, f"{at}[{i}]", _SETS, member_kind)
+                                   for i, m in enumerate(_array(v, at, "sets")))
+        elif "ndarray" in ann:
             kwargs[p.name] = _vector(v, at, n)
+        elif ann == "list":
+            kwargs[p.name] = [_vector(row, f"{at}[{i}]", n) for i, row in enumerate(_array(v, at, "rows"))]
+        elif ann == "str":
+            if not isinstance(v, str):
+                raise ParseError(f"{at}: expected a string")
+            kwargs[p.name] = v
         else:
-            kwargs[p.name] = _number(v, at)
+            kwargs[p.name] = _integer(v, at) if ann == "int" else _number(v, at)
     try:
-        return spec(**kwargs)
+        return make(**kwargs)
+    except ValidationError:
+        raise
     except (ValueError, SweepSolveError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _build_integrator(node, path):
-    """RK4 is the one stepper, so ``method`` may only name it.  h_max's range check
-    lives in IntegratorConfig; its ValueError is re-addressed here."""
-    kwargs = {"h_max": _number(node["h_max"], f"{path}.h_max")} if "h_max" in node else {}
-    if node.get("method", "rk4") != "rk4":
-        raise ParseError(f"{path}: unknown integrator method {node['method']!r}")
-    try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -194,17 +186,15 @@ def _build_integrator(node, path):
 # ---------------------------------------------------------------------------
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    """Parse and validate one scenario document.
-
-    Schema violations raise ParseError with the offending JSON path; violated
-    solvability hypotheses raise ValidationError with the hypothesis named
-    (H1 and H2 from building the Scenario, the rest from validate_scenario).
-    """
+    """Parse and validate one scenario document: a ParseError names the offending JSON
+    path, a ValidationError the violated hypothesis (see the module docstring)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    doc = _expect_object(doc, source)
+    except (ParseError, ValueError, RecursionError) as exc:     # a repeated key, > 4300 digits, deep nesting
+        raise ParseError(f"{source}: {exc}") from exc
+    doc = {key: v for key, v in _expect_object(doc, source).items() if v is not None}    # null: absent
     _check_keys(doc, source,
                 {"problem", "operator", "set", "lambdas", "integrator", "assumed", "output"},
                 required={"problem", "operator", "set", "lambdas"})
@@ -219,43 +209,33 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     if not isinstance(allow_infeasible, bool):
         raise ParseError("problem.allow_infeasible_start: expected a boolean")
 
-    operator = _build_operator(doc["operator"], n, "operator")
-    moving_set = _build_set(doc["set"], n, "set")
-
+    operator = _build(doc["operator"], n, "operator", _OPERATORS)
+    moving_set = _build(doc["set"], n, "set", _SETS)
     lambdas = tuple(_vector(doc["lambdas"], "lambdas"))
-
-    integrator = _build_integrator(
-        _optional_object(doc, "integrator", {"method", "h_max"}), "integrator")
-
-    assumed = _optional_object(doc, "assumed", {"alpha", "rho"})
+    integrator = _build(doc.get("integrator", {}), n, "integrator", _INTEGRATORS, "rk4")
+    assumed = _expect_object(doc.get("assumed", {}), "assumed")
+    _check_keys(assumed, "assumed", {"alpha", "rho"})
     alpha = _number(assumed["alpha"], "assumed.alpha") if "alpha" in assumed else 1.0
     rho = _extended_number(assumed["rho"], "assumed.rho") if "rho" in assumed else math.inf
-
-    out_node = _optional_object(doc, "output", {"dir", "grid_points"})
-    kwargs = {}
-    if "dir" in out_node:
-        if not isinstance(out_node["dir"], str):
-            raise ParseError("output.dir: expected a string")
-        kwargs["dir"] = out_node["dir"]
-    if "grid_points" in out_node:
-        kwargs["grid_points"] = _integer(out_node["grid_points"], "output.grid_points", minimum=2)
-    output = OutputConfig(**kwargs)
+    output = _build(doc.get("output", {}), n, "output", _OUTPUT)
 
     try:
         scenario = Scenario(n=n, T=T, x0=x0, operator=operator, moving_set=moving_set,
                             lambdas=lambdas, integrator=integrator,
                             alpha_assumed=alpha, rho_assumed=rho,
                             allow_infeasible_start=allow_infeasible, output=output)
-    except ValueError as exc:     # range checks; H1/H2 ValidationErrors pass through
+        validate_scenario(scenario)
+    except ValidationError:     # H1, H2, feasibility, penalty-gate
+        raise
+    except (ValueError, SweepSolveError) as exc:    # a range check, or a set empty or overflowing at a sample
         raise ParseError(f"{source}: {exc}") from exc
-    validate_scenario(scenario)
     return scenario
 
 
 def validate_scenario(scenario: Scenario) -> None:
     """Check the hypotheses that depend on the geometry, naming the first one
     violated; H1 and H2 hold for every Scenario, which checks them when built."""
-    # nonempty instantiation at sample times (EmptyInstance propagates)
+    # nonempty instantiation at sample times (EmptyInstance propagates; the parser re-addresses it)
     inst0, *_ = [instantiate(scenario.moving_set, t, scenario.x0)
                  for t in np.linspace(0.0, scenario.T, 5)]
 

@@ -275,6 +275,26 @@ def test_bad_numeric_argument_is_one_error_line(tmp_path, drift_file, capsys, ar
     assert not any(tmp_path.iterdir())  # rejected before any work
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--lam", "inf"), "argument --lam: must be a positive finite number, got 'inf'"),
+    (("diagnose", "--traj", "unused.csv", "--lam", "x"), "argument --lam: must be a positive finite number, got 'x'"),
+    (("sweep", "--seed", "1.5"), "argument --seed: must be an integer >= 0, got '1.5'"),
+    (("estimate-set", "--r", "1, 2,-3"), "argument --r: must be a positive finite number, got '-3'"),
+    (("estimate-set", "--r", " , "), "argument --r: must list at least one radius"),
+    (("estimate-set", "--alpha-samples", "-2"), "argument --alpha-samples: must be an integer >= 1, got '-2'"),
+])
+def test_an_argument_is_checked_by_its_type(tmp_path, drift_file, capsys, argv, message):
+    assert run_cli(argv[0], "--scenario", drift_file, "--out", str(tmp_path), *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_radii_skip_blank_items():
+    args = cli.build_parser().parse_args(["estimate-set", "--scenario", "s.json", "--r", " 2,,0.5 ,"])
+    assert args.r == [2.0, 0.5]
+    assert cli.build_parser().parse_args(["estimate-set", "--scenario", "s.json"]).r == [1.0, 10.0]
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", "--help")
@@ -290,7 +310,7 @@ def test_module_entry_exits_with_mains_code(tmp_path, drift_file, capsys, monkey
             pytest.raises(SystemExit) as exc:
         runpy.run_module("sweepsolve.cli", run_name="__main__")
     assert exc.value.code == 1
-    assert capsys.readouterr().err == "error: --lam must be a positive finite number, got 0.0\n"
+    assert capsys.readouterr().err == "error: argument --lam: must be a positive finite number, got '0'\n"
 
 
 def test_sweep_from_a_huge_start_names_the_infinite_sample_radius(tmp_path, capsys):

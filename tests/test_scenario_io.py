@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -5,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import sweepsolve as sw
 from sweepsolve import scenario_io
@@ -235,13 +238,13 @@ _BAD_DOCUMENTS = [
     ({"assumed": {"rho": -1.0}}, "s.json: rho must be positive, got -1.0"),
     ({"problem": []}, "problem: expected an object, got list"),
     ({"problem": {**_PROBLEM, "horizon": math.inf}}, "problem.horizon: must be finite, got inf"),
-    ({"operator": {"kind": "scaled_identity", "gamma": 0}}, "operator.gamma: must be positive, got 0.0"),
+    ({"output": {"grid_points": 1}}, "output: grid_points must be >= 2, got 1"),
     ({"problem": {**_PROBLEM, "dimension": 1.5}}, "problem.dimension: expected an integer, got 1.5"),
     ({"problem": {**_PROBLEM, "dimension": 0}}, "problem.dimension: must be >= 1, got 0"),
     ({"problem": {**_PROBLEM, "x0": []}}, "problem.x0: expected a nonempty array of numbers"),
     ({"assumed": {"rho": "big"}}, "assumed.rho: expected a number or \"inf\", got 'big'"),
     ({"operator": {"kind": "linear_spd", "matrix": 3}}, "operator.matrix: expected an array of rows"),
-    ({"operator": {"kind": "linear_spd", "matrix": [[1.0], [1.0]]}}, "operator.matrix: expected 1 rows, got 2"),
+    ({"operator": {"kind": "linear_spd", "matrix": [[1.0], [1.0]]}}, "operator: matrix must be square, got shape (2, 1)"),
     ({"operator": {"kind": "bogus"}}, "operator.kind: unknown operator kind 'bogus'"),
     ({"set": {"kind": "union", "members": 3}}, "set.members: expected an array of sets"),
     ({"integrator": {"h_max": 0}}, "integrator: h_max must be positive"),
@@ -292,6 +295,16 @@ def test_gate_penalty_admits_small_lambda():
     assert sc.rho_assumed == 0.5
 
 
+@pytest.mark.parametrize("operator, message", [
+    ({"kind": "scaled_identity", "gamma": 0}, "H_A1: scale must be positive, got 0.0"),
+    ({"kind": "linear_spd", "matrix": [[-1.0]]}, "H_A1: matrix is not positive definite (min eigenvalue -1)"),
+])
+def test_an_operator_hypothesis_passes_through_the_parser(operator, message):
+    with pytest.raises(sw.ValidationError) as err:
+        sw.parse_scenario(json.dumps(doc(operator=operator)))
+    assert err.value.hypothesis == "H_A1" and str(err.value) == message
+
+
 def test_gate_operator_not_spd():
     d = doc(problem={"dimension": 2, "horizon": 1.0, "x0": [0.0, 0.0]},
             operator={"kind": "linear_spd", "matrix": [[1.0, 2.0], [2.0, 1.0]]},
@@ -317,6 +330,248 @@ def test_gate_property_over_mutated_documents():
         with pytest.raises(sw.ValidationError) as err:
             sw.parse_scenario(json.dumps(d))
         assert err.value.hypothesis == kind, f"mutation {i} ({kind}) misclassified"
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: sections built from their constructors, strict JSON
+# ---------------------------------------------------------------------------
+
+# a value for every parameter of every table entry, so each builds with all its keys (n = 2)
+_SAMPLES = {
+    "identity": {},
+    "scaled_identity": {"gamma": 2.5},
+    "linear_spd": {"matrix": [[2.0, 0.5], [0.5, 1.0]]},
+    "half_space": {"normal": [0.6, 0.8], "beta0": 0.5, "drift": -1.0, "state_gain": 0.25,
+                   "state_direction": [1.0, 0.0], "rotation_rate": 0.3, "rotation_partner": [-0.8, 0.6]},
+    "ball": {"center": [1.0, -2.0], "radius": 1.5, "velocity": [0.5, 0.0], "state_gain": 0.25},
+    "box": {"lower": [-1.0, -2.0], "upper": [1.0, 2.0], "lower_velocity": [0.1, 0.0],
+            "upper_velocity": [0.0, 0.2]},
+    "wedge": {"apex": [0.5, -1.0], "apex_velocity": [0.0, 1.0]},
+    "half_space_intersection": {"members": [{"normal": [-1.0, 0.0], "drift": -1.0},
+                                            {"kind": "half_space", "normal": [0.0, -1.0], "beta0": 2.0}]},
+    "union": {"members": [{"kind": "ball", "center": [-2.0, 0.0], "radius": 2.0},
+                          {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}]},
+    "rk4": {"h_max": 0.01},
+    None: {"dir": "results", "grid_points": 7},     # the output section: no selector
+}
+_TABLES = {"operator": scenario_io._OPERATORS, "set": scenario_io._SETS,
+           "integrator": scenario_io._INTEGRATORS, "output": scenario_io._OUTPUT}
+
+
+def _direct(kinds, node, default=None):
+    """The constructor call a section node stands for, made without the parser."""
+    make = kinds[node.get("kind", default)]
+    kwargs = {k: v for k, v in node.items() if k != "kind"}
+    if "members" in kwargs:
+        member_kind = "half_space" if make is sw.HalfSpaceIntersectionSpec else None
+        kwargs["members"] = tuple(_direct(kinds, m, member_kind) for m in kwargs["members"])
+    return make(**kwargs)
+
+
+def _same(a, b):
+    """a and b have one type and equal state, arrays and floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dict__"):
+        return vars(a).keys() == vars(b).keys() and all(_same(v, vars(b)[k]) for k, v in vars(a).items())
+    return a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("section, name", [(section, name) for section, (_, _, kinds) in _TABLES.items()
+                                           for name in kinds])
+def test_every_table_entry_round_trips(section, name):
+    selector, _, kinds = _TABLES[section]
+    params = inspect.signature(kinds[name]).parameters
+    assert set(_SAMPLES[name]) == set(params), "the sample must give every parameter"
+    node = {**({selector: name} if selector else {}), **_SAMPLES[name]}
+    parsed = scenario_io._build(json.loads(json.dumps(node)), 2, section, _TABLES[section])
+    expected = _direct(kinds, node) if selector == "kind" else kinds[name](**_SAMPLES[name])
+    assert _same(parsed, expected)
+
+
+def _cli_refuses(tmp_path, capsys, text, message):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_integer_beyond_the_float_range_is_a_parse_error(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    for old, new, message in [
+            ('"horizon": 1.0', f'"horizon": {huge}', "problem.horizon: must be finite, got inf"),
+            ('"x0": [0.0]', f'"x0": [-{huge}]', "problem.x0[0]: must be finite, got -inf"),
+            ('"drift": -1.0', f'"drift": {huge}', "set.drift: must be finite, got inf")]:
+        text = json.dumps(MINIMAL).replace(old, new)
+        with pytest.raises(sw.ParseError) as err:
+            sw.parse_scenario(text)
+        assert str(err.value) == message
+        _cli_refuses(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"problem": ' + "9" * 5000 + "}", "s.json: Exceeds the limit (4300 digits) for integer string conversion"),
+    ("[" * 100_000, "s.json: maximum recursion depth exceeded"),
+    ('{"problem": [,]}', "s.json:1:14: Expecting value"),
+], ids=["5000_digits", "100000_brackets", "syntax"])
+def test_json_decoder_failures_are_parse_errors(tmp_path, capsys, text, message):
+    with pytest.raises(sw.ParseError) as err:
+        sw.parse_scenario(text, source="s.json")
+    assert str(err.value).startswith(message)
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / message}"), err
+
+
+def test_a_repeated_key_is_a_parse_error(tmp_path, capsys):
+    text = json.dumps(MINIMAL)
+    for repeated, key in [(text.replace('"lambdas"', '"lambdas": [0.2], "lambdas"'), "lambdas"),
+                          (text.replace('"drift"', '"drift": 0.0, "drift"'), "drift")]:
+        with pytest.raises(sw.ParseError) as err:
+            sw.parse_scenario(repeated, source="s.json")
+        assert str(err.value) == f"s.json: repeated key {key!r}"
+        path = tmp_path / "s.json"
+        path.write_text(repeated)
+        _cli_refuses(tmp_path, capsys, repeated, f"{path}: repeated key {key!r}")
+
+
+_BOX_CROSSING = {"kind": "box", "lower": [0.0], "upper": [1.0], "lower_velocity": [4.0]}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"set": _BOX_CROSSING, "problem": {**_PROBLEM, "x0": [0.5]}}, "s.json: box has crossed bounds at t = 0.5"),
+    ({"operator": {"kind": "scaled_identity", "gamma": 1e300}, "problem": {**_PROBLEM, "x0": [1e10]}},
+     "s.json: z contains non-finite entries"),
+    ({"problem": {**_PROBLEM, "x0": [-1e308]}, "set": {"kind": "half_space", "normal": [1.0]},
+      "assumed": {"rho": 1.0}}, "s.json: sample ball radius must be finite, got inf"),
+    ({"set": {"kind": "ball", "center": [0.0], "radius": 1.0, "velocity": [1e300]}, "problem": {**_PROBLEM, "horizon": 1e10},
+      "assumed": {"rho": 1.0}}, "s.json: squared gap to the ball overflows"),
+], ids=["box_crossing_at_a_sample_time", "image_of_x0_overflows", "infinite_gate_sample_radius",
+        "ball_gap_overflows_in_the_gate"])
+def test_a_geometry_error_while_validating_is_a_parse_error(overrides, message):
+    # found by the fuzz below: these escaped parse_scenario as EmptyInstance or InvalidVector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sw.ParseError) as err:
+            sw.parse_scenario(json.dumps(doc(**overrides)), source="s.json")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("matrix, hypothesis", [([[1e308]], None), ([[1.0, 1e308], [-1e308, 1.0]], "H_A1")])
+def test_a_huge_matrix_is_checked_without_overflow(matrix, hypothesis):
+    # K + K^T overflowed to inf with a RuntimeWarning: the check and the symmetric part use halves
+    d = doc(problem={"dimension": len(matrix), "horizon": 1.0, "x0": [0.0] * len(matrix)},
+            operator={"kind": "linear_spd", "matrix": matrix}, set={"kind": "ball", "center": [0.0] * len(matrix),
+                                                                   "radius": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if hypothesis is None:
+            assert sw.parse_scenario(json.dumps(d)).operator.m == 1e308
+        else:
+            with pytest.raises(sw.ValidationError) as err:
+                sw.parse_scenario(json.dumps(d))
+            assert err.value.hypothesis == hypothesis
+
+
+class _Object(list):
+    """A JSON object as its (key, value) pairs, so a key may repeat."""
+
+
+class _Literal(str):
+    """A JSON number as its text, which may lie beyond the float range."""
+
+
+def _text(v):
+    if isinstance(v, _Object):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(x)}" for k, x in v) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_text, v)) + "]"
+    return v if isinstance(v, _Literal) else json.dumps(v)
+
+
+def _pairs(v):
+    if isinstance(v, dict):
+        return _Object([k, _pairs(x)] for k, x in v.items())
+    return [_pairs(x) for x in v] if isinstance(v, list) else v
+
+
+def _slots(v):
+    """(container, index) of every value below v, an object's pair included."""
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            yield v, i
+            yield from _slots(_get(v, i))
+
+
+def _get(container, i):
+    return container[i][1] if isinstance(container, _Object) else container[i]
+
+
+def _set(container, i, value):
+    if isinstance(container, _Object):
+        container[i][1] = value
+    else:
+        container[i] = value
+
+
+_EXPONENT = st.one_of(st.integers(-3, 3), st.integers(-400, 400))
+_NUMBER = st.builds(_Literal, st.one_of(
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]), st.sampled_from(["1", "2.5", "0.75"]), _EXPONENT),
+    st.builds(lambda sign, k: f"{sign}{10 ** k}", st.sampled_from(["", "-"]), st.integers(0, 400)),
+    st.sampled_from(["0", "1", "-1", "0.5", "2", "NaN", "Infinity", "-Infinity"])))
+_WILD = st.one_of(
+    _NUMBER, _NUMBER, st.lists(_NUMBER, max_size=3),
+    st.lists(st.lists(_NUMBER, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.sampled_from([None, True, "inf", "x", "rk4", *(k for k in _SAMPLES if k)]), st.builds(_Object))
+_FUZZ_BASES = [
+    {"problem": {"dimension": 2, "horizon": 1.0, "x0": [0.0, 0.0], "allow_infeasible_start": True},
+     "operator": {"kind": operator, **_SAMPLES[operator]}, "set": {"kind": kind, **_SAMPLES[kind]},
+     "lambdas": [0.1, 0.05], "integrator": {"method": "rk4", "h_max": 0.1},
+     "assumed": {"alpha": 0.9, "rho": rho}, "output": _SAMPLES[None]}
+    for kind in scenario_io._SETS[2] for operator in scenario_io._OPERATORS[2] for rho in ("inf", 10.0)]
+
+
+@st.composite
+def _documents(draw):
+    """A document over every operator and set kind, then up to five edits anywhere in it,
+    most of them a number replaced by an extreme one: a value replaced by a wrong type, an
+    unknown or a repeated key, a key or an entry dropped."""
+    root = _pairs(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 5))):
+        slots = list(_slots(root))
+        numbers = [slot for slot in slots if isinstance(_get(*slot), (float, _Literal))]
+        edit = draw(st.sampled_from(["number"] * 4 + ["wild", "add", "drop"]))
+        if edit == "number" and numbers:
+            _set(*draw(st.sampled_from(numbers)), draw(_NUMBER))
+        elif edit == "wild":
+            _set(*draw(st.sampled_from(slots)), draw(_WILD))
+        else:
+            node = draw(st.sampled_from([root, *(c for c, _ in slots)]))
+            if edit == "drop" and node:
+                del node[draw(st.integers(0, len(node) - 1))]
+            elif isinstance(node, _Object):
+                node.append([draw(st.sampled_from(["surprise", *(k for k, _ in node)])), draw(_WILD)])
+            else:
+                node.append(draw(_WILD))
+    return _text(root)
+
+
+@seed(20260)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_documents())
+def test_a_fuzzed_document_parses_or_names_its_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(sw.parse_scenario(text, source="fuzz.json"), sw.Scenario)
+        except (sw.ParseError, sw.ValidationError):
+            pass
 
 
 # ---------------------------------------------------------------------------
