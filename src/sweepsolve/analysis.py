@@ -229,7 +229,7 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int) -> float:
     center = inst.anchor()
     spread = 4.0 * rho
 
-    # one candidate query per drawn batch feeds both the tube filter and alpha
+    # each drawn batch is filtered by distance; only the rows in the tube ask for their candidates
     Ys, Ps = [], []
     found = drawn = 0
     budget = 100 * sample_count
@@ -241,11 +241,10 @@ def estimate_alpha(inst, rho: float, sample_count: int, seed: int) -> float:
         nrm[nrm == 0.0] = 1.0
         radii = spread * rng.uniform(size=batch) ** (1.0 / inst.n)
         Y = center + radii[:, None] * (g / nrm)
-        P, D = inst.candidates(Y)
-        d = D.min(0)
+        d = inst.distances(Y)
         inside = (d > 1e-12) & (d < rho)
         Ys.append(Y[inside])
-        Ps.append(P[:, inside])
+        Ps.append(inst.candidates(Y[inside])[0])
         found += int(np.count_nonzero(inside))
     if not found:
         raise TubeSamplingFailed(

@@ -39,6 +39,7 @@ from .scenario_io import (
     diagnostics_to_dict,
     dump_json,
     parse_scenario,
+    read_scenario_text,
     read_trajectory_csv,
     report_to_dict,
     scenario_hash,
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     """Run one subcommand and write its JSON artifact under the shared header."""
-    text = Path(args.scenario).read_text(encoding="utf-8")
+    text = read_scenario_text(args.scenario)
     scenario = parse_scenario(text, source=str(args.scenario))
     out_dir = Path(args.out if args.out is not None else scenario.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,9 @@ by ``set_zoo.compiled`` on first use, once per process; each vector is n float
 locals and the parameters are arguments.  Both compile from one ``_stage``: at
 (t, s) it runs the operator's ``image_source``, checks A(s), looks the set up
 and queries it inline, from the spec's ``lookup_source`` and its kind's
-``query_source``, building no instance; ``set_zoo._feasible`` probes the faces
-of an intersection whose normals may fail to span.  A set moving with x is
+``query_source``, building no instance; ``set_zoo._feasible`` decides exactly,
+by enumerating the active sets of its faces, whether an intersection whose
+normals may fail to span is empty.  A set moving with x is
 looked up at every stage, a state-independent one once per stage time (k2 and
 k3 share t + h/2; k4's lookup serves the next k1 at t + h).  A node's image
 and phi come from its k1 query.  A member A(x) is its own nearest point: the

@@ -18,8 +18,7 @@ class EmptyInstance(SweepSolveError):
 
 
 class ProjectionNotConverged(SweepSolveError):
-    """Dykstra's scheme exceeded its iteration budget at the requested tolerance, or the
-    feasibility LP of a half-space intersection failed to settle."""
+    """Dykstra's scheme exceeded its iteration budget at the requested tolerance."""
 
 
 class EmptyCandidates(SweepSolveError):

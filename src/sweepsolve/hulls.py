@@ -1,19 +1,20 @@
 """Minimum-norm point in the convex hull of a small point set.
 
-Used to evaluate how far the origin stays from the hull of normalized
-projection gradients around a nonconvex set.  The optimum lies on a face of
-the hull, so for the handful of points produced by the set zoo an exact
-face enumeration beats iterative schemes.  Norms and the one- and two-point
-closed forms sum left to right (``set_zoo._dot``), as the set kernels do; the
-face weights come from a LAPACK solve, so their Gram matrix and weighted sum
-keep BLAS.
+Used to evaluate how far the origin stays from the hull of normalized projection
+gradients around a nonconvex set.  The optimum p is the point of the first support
+of ``set_zoo._supports``, the enumeration ``set_zoo._feasible`` runs on a face set,
+whose bordered Gram system has weights >= 0 and whose point meets the optimality
+condition <p, v> >= |p|^2 at every input point v (Wolfe, 1976).  Sums run left to
+right (``set_zoo._fdot``), as in the set kernels; the weights use a LAPACK inverse.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .set_zoo import _dot, dedupe, row_norms
+from .set_zoo import _dot, _fdot, _supports, as_rows, dedupe
 
 _MAX_POINTS = 16
 
@@ -23,29 +24,13 @@ def min_norm_point(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("need at least one point")
-    P = np.array(dedupe(P.tolist()))
-    k = P.shape[0]
-    if k == 1:
-        return P[0].copy(), float(row_norms(P[0]))
-    if k == 2:
-        p = _segment_min_norm(P[0], P[1])
-        return p, float(row_norms(p))
-    if k > _MAX_POINTS:
-        raise ValueError(f"hull enumeration capped at {_MAX_POINTS} points, got {k}")
-
-    best_p, best_d = None, np.inf
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        S = P[idx]
-        w = _face_weights(S)
-        if w is None or np.any(w < -1e-12):
-            continue
-        p = w @ S
-        d = float(row_norms(p))
-        if d < best_d:
-            best_d = d
-            best_p = p
-    return best_p, best_d
+    rows = tuple(map(tuple, dedupe(as_rows(P, P.shape[1]).tolist())))
+    if len(rows) > _MAX_POINTS:
+        raise ValueError(f"hull enumeration capped at {_MAX_POINTS} points, got {len(rows)}")
+    tol = 1e-12 * max(1.0, *(_fdot(v, v) for v in rows))      # the rounding of <p, v>
+    p = next(p for w, p in _supports(rows, [0.0] * len(rows), bordered=True)
+             if min(w) >= 0.0 and min(_fdot(p, v) for v in rows) >= _fdot(p, p) - tol)
+    return np.array(p), math.sqrt(_fdot(p, p))
 
 
 def _segment_min_norm(a, b):
@@ -54,13 +39,3 @@ def _segment_min_norm(a, b):
     dd = _dot(d, d)
     t = np.clip(-_dot(a, d) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
     return a + t[..., None] * d
-
-
-def _face_weights(S):
-    """Affine weights minimizing |w @ S| with sum(w) = 1, or None if singular."""
-    ones = np.ones((len(S), 1))
-    try:
-        w = np.linalg.solve(np.block([[S @ S.T, ones], [ones.T, 0.0]]), np.append(np.zeros(len(S)), 1.0))[:-1]
-    except np.linalg.LinAlgError:
-        return None
-    return None if abs(float(np.sum(w)) - 1.0) > 1e-9 else w

@@ -42,6 +42,7 @@ from .set_zoo import (
 )
 
 FEASIBILITY_TOL = 1e-9
+MAX_GRID_POINTS = 1_000_000     # the common grid of a sweep's diagnostics: 8 MB a state coordinate
 _CSV_BLOCK_ROWS = 1024      # CSV rows per "%.17g" write: bounds the text held in memory
 
 
@@ -51,8 +52,8 @@ class OutputConfig:
     grid_points: int = 1000
 
     def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {self.grid_points}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +264,17 @@ def check_penalty_gate(scenario: Scenario, lambdas) -> None:
                     f"violated by {bad}")
 
 
+def read_scenario_text(path) -> str:
+    """The file's text, read whole: a decode error's start is the offset of its first byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) is not UTF-8: {exc.reason}") from None
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), source=str(path))
+    return parse_scenario(read_scenario_text(path), source=str(path))
 
 
 def scenario_hash(text: str) -> str:

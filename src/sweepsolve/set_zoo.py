@@ -39,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
+from itertools import chain, combinations
 from operator import mul, sub
 
 import numpy as np
@@ -57,6 +58,7 @@ TIE_TOL = 1e-9              # absolute distance gap below which projections tie
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 100_000
 RANK_TOL = 1e-6             # least singular value of independent normals (squared: eigvalsh of N N^T)
+MAX_SUPPORTS = 64           # supports an intersection's emptiness test may enumerate (``_feasible``)
 
 
 def as_vector(x, n=None, name="vector"):
@@ -301,32 +303,42 @@ def _excess(normals, offsets, Z):
     return np.maximum((_dot(Z, normals[:, None, :]) - offsets[:, None]).max(0), 0.0)
 
 
-def _halfspace_step(Y, zeta, beta):
-    """Rows of Y projected onto {<zeta, z> <= beta}: the inner step of cyclic
-    projections, without the member-row guarantee of ``candidates``."""
-    return Y - np.maximum(_dot(Y, zeta) - beta, 0.0)[:, None] * zeta
+@lru_cache(maxsize=4096)
+def _inverse(rows, bordered):
+    """The inverse, as lists of floats, of the Gram matrix of ``rows`` (tuples of floats), bordered
+    by ones when ``bordered``, or None when its least |eigenvalue| is at most RANK_TOL**2."""
+    G = [[_fdot(a, b) for b in rows] + [1.0] * bordered for a in rows]
+    G = np.array(G + [[1.0] * len(rows) + [0.0]] * bordered)
+    return None if np.abs(np.linalg.eigvalsh(G)).min() <= RANK_TOL ** 2 else np.linalg.inv(G).tolist()
+
+
+def _supports(rows, rhs, bordered=False):
+    """The active-set enumeration (Goldfarb & Idnani, 1983; Wolfe, 1976, on a hull): for each support S
+    of the k ``rows`` (tuples of floats in dimension n), by size from 1 to min(k, n), or n + 1 when
+    ``bordered``, then in index order, and whose matrix passes ``_inverse``'s rank test, the weights w
+    solving G_S w = rhs_S, or [G_S 1; 1 0] (w, nu) = (rhs_S, 1) when bordered, and the point w @ rows_S."""
+    k, n = len(rows), len(rows[0])
+    for s in range(1, min(k, n + bordered) + 1):
+        for S in combinations(range(k), s):
+            sub = tuple(rows[i] for i in S)
+            if (inv := _inverse(sub, bordered)) is not None:
+                r = [rhs[i] for i in S] + [1.0] * bordered
+                w = [_fdot(row, r) for row in inv[:s]]
+                yield w, [_fdot(w, col) for col in zip(*sub)]
 
 
 def _feasible(faces, t=None):
-    """A fresh point of the intersection of the half-spaces ``faces``, (zeta, beta) pairs, or
-    EmptyInstance, naming the stage time t when one is given.  Cyclic projections from the
-    origin settle quickly when it is comfortably nonempty; the HiGHS LP settles the rest, and
-    ProjectionNotConverged says that it could not: the set is not known to be empty."""
-    normals, offsets = _stack(faces)
-    n = normals.shape[1]
-    x = np.zeros((1, n))
-    for _ in range(200):
-        for zeta, beta in zip(normals, offsets):
-            x = _halfspace_step(x, zeta, beta)
-        if _excess(normals, offsets, x)[0] <= 1e-12:
-            return x[0]
-    from scipy.optimize import linprog   # rarely needed, and slow to import
-    res = linprog(np.zeros(n), A_ub=normals, b_ub=offsets, bounds=[(None, None)] * n, method="highs")
-    if res.status == 2:
-        raise EmptyInstance("half-space intersection is empty" + ("" if t is None else f" at t = {t!r}"))
-    if not res.success:
-        raise ProjectionNotConverged(f"feasibility LP failed: {res.message}")
-    return res.x
+    """The least-norm point of the intersection of the half-spaces ``faces``, (zeta, beta) pairs, as a fresh
+    array, or EmptyInstance, naming the stage time t when one is given.  It is exact, by the KKT conditions
+    of min |x|: the point -mu @ zeta_S of the first support S, the empty one (the origin) then those of
+    ``_supports``, whose multipliers mu = G_S^-1 (-beta_S) are >= 0 and whose point meets every face within
+    1e-12 * max(1, sum(mu)), the scale of its rounding (a far set, a thin cone); else the set is empty."""
+    normals, offsets = zip(*faces)
+    normals = tuple(tuple(map(float, zeta)) for zeta in normals)
+    for w, x in chain([([0.0], [0.0] * len(normals[0]))], _supports(normals, offsets)):     # w is -mu
+        if max(w) <= 0.0 and all(_fdot(x, z) - b <= 1e-12 * max(1.0, -sum(w)) for z, b in zip(normals, offsets)):
+            return np.array(x)
+    raise EmptyInstance("half-space intersection is empty" + ("" if t is None else f" at t = {t!r}"))
 
 
 class _CompositeInstance(SetInstance):
@@ -650,11 +662,11 @@ class BoxSpec(_Moving):
 
 @dataclass(frozen=True, eq=False)
 class HalfSpaceIntersectionSpec(_Composite):
-    """Intersection of half-space families.  Fixed independent normals make it
-    nonempty for all offsets, so only other intersections are probed, by ``_feasible``
-    on the faces each lookup has just set, at its stage time.  Faces turning at
-    different rates can come near-parallel, and there the budget of DYKSTRA_MAX_ITER
-    = 100,000 Dykstra cycles per query is the only guard."""
+    """Intersection of half-space families, of at most MAX_SUPPORTS supports.  Fixed independent
+    normals make it nonempty for all offsets, so only other intersections are probed, exactly, by
+    ``_feasible`` on the faces each lookup has just set, at its stage time.  Faces turning at
+    different rates can come near-parallel, and there the budget of DYKSTRA_MAX_ITER = 100,000
+    Dykstra cycles per query is the only guard."""
 
     members: tuple
 
@@ -664,6 +676,9 @@ class HalfSpaceIntersectionSpec(_Composite):
         super().__post_init__()
         if not all(isinstance(m, HalfSpaceSpec) for m in self.members):
             raise InvalidVector("intersection members must be half-spaces")
+        k, n = len(self.members), self.n
+        if (count := sum(math.comb(k, s) for s in range(1, min(k, n) + 1))) > MAX_SUPPORTS:
+            raise ValueError(f"{k} half-spaces in dimension {n} have {count} supports, more than {MAX_SUPPORTS}")
         N = np.array([m.normal for m in self.members])
         object.__setattr__(self, "_always_nonempty", bool(np.linalg.eigvalsh(N @ N.T)[0] > RANK_TOL ** 2)
                            and all(m.rotation_rate == 0.0 for m in self.members))
@@ -779,7 +794,7 @@ def dykstra_project(members, Z):
         start = X
         for i in range(len(members)):
             Y = X + increments[i]
-            X = _halfspace_step(Y, normals[i], offsets[i])
+            X = Y - np.maximum(_dot(Y, normals[i]) - offsets[i], 0.0)[:, None] * normals[i]
             increments[i] = Y - X
         with np.errstate(over="ignore"):     # a move whose square overflows is not done
             done = ((row_norms(X - start) <= 0.1 * DYKSTRA_TOL)

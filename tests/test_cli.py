@@ -244,6 +244,28 @@ def test_a_bad_document_exits_1_with_its_message(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [("solve",), ("sweep",), ("diagnose", "--traj", "unused.csv"), ("estimate-set",)],
+                         ids=lambda argv: argv[0])
+def test_a_scenario_that_is_not_utf8_exits_1_naming_its_byte(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": 1}\xff')
+    assert run_cli(*argv, "--scenario", str(bad), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: byte 8 (0xff) is not UTF-8: invalid start byte"]
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(sweepsolve.ParseError, match=r": byte 8 \(0xff\) is not UTF-8"):
+        sweepsolve.load_scenario(bad)
+
+
+def test_sweep_refuses_an_unbounded_grid(tmp_path, drift_file, capsys):
+    doc = json.loads(open(drift_file).read())
+    doc["output"] = {"grid_points": 10**30}
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output: grid_points must lie in [2, 1000000], got {10**30}"]
+
+
 def test_missing_file_is_reported(tmp_path):
     code = run_cli("solve", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))

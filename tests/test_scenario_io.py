@@ -238,7 +238,7 @@ _BAD_DOCUMENTS = [
     ({"assumed": {"rho": -1.0}}, "s.json: rho must be positive, got -1.0"),
     ({"problem": []}, "problem: expected an object, got list"),
     ({"problem": {**_PROBLEM, "horizon": math.inf}}, "problem.horizon: must be finite, got inf"),
-    ({"output": {"grid_points": 1}}, "output: grid_points must be >= 2, got 1"),
+    ({"output": {"grid_points": 1}}, "output: grid_points must lie in [2, 1000000], got 1"),
     ({"problem": {**_PROBLEM, "dimension": 1.5}}, "problem.dimension: expected an integer, got 1.5"),
     ({"problem": {**_PROBLEM, "dimension": 0}}, "problem.dimension: must be >= 1, got 0"),
     ({"problem": {**_PROBLEM, "x0": []}}, "problem.x0: expected a nonempty array of numbers"),
@@ -250,6 +250,9 @@ _BAD_DOCUMENTS = [
     ({"integrator": {"h_max": 0}}, "integrator: h_max must be positive"),
     ({"problem": {**_PROBLEM, "allow_infeasible_start": 1}}, "problem.allow_infeasible_start: expected a boolean"),
     ({"output": {"dir": 3}}, "output.dir: expected a string"),
+    ({"output": {"grid_points": 10**30}}, f"output: grid_points must lie in [2, 1000000], got {10**30}"),
+    ({"set": {"kind": "half_space_intersection", "members": [{"normal": [1.0]}] * 65}},
+     "set: 65 half-spaces in dimension 1 have 65 supports, more than 64"),
 ]
 
 

@@ -1,10 +1,11 @@
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import sweepsolve as sw
@@ -114,43 +115,73 @@ def test_empty_intersection_reported():
         sw.instantiate(spec, 0.25, np.zeros(2))
 
 
-def test_thin_far_cone_is_found_by_the_feasibility_lp(monkeypatch):
-    # {<(sin th, -+cos th), z> <= -1}: a cone of half-angle th = 0.01 whose apex lies
-    # 1/sin th from the origin; 200 probe rounds of cyclic projections do not reach it
-    import scipy.optimize
-
+def test_thin_far_cone_is_found_without_an_lp(monkeypatch):
+    # {<(sin th, -+cos th), z> <= -1}: a cone of half-angle th = 0.01 whose apex, its least-norm
+    # point, lies 1/sin th from the origin; the enumeration of supports reaches it with SciPy blocked
     th = 0.01
     normals = ([math.sin(th), -math.cos(th)], [math.sin(th), math.cos(th)])
     spec = sw.HalfSpaceIntersectionSpec(tuple(sw.HalfSpaceSpec(normal=nv, beta0=-1.0)
                                               for nv in normals))
     inst = sw.instantiate(spec, 0.0, np.zeros(2))
-    calls = []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
     point = inst.anchor()
-    assert len(calls) == 1
     for m in inst.members:
-        assert float(m.zeta @ point) - m.beta <= 1e-9
-    # nothing is cached: each anchor solves the LP again, to the same point
-    assert inst.anchor().tobytes() == point.tobytes() and len(calls) == 2
+        assert float(m.zeta @ point) - m.beta <= 1e-12
+    assert point.tolist() == pytest.approx([-1.0 / math.sin(th), 0.0], abs=1e-9)
+    assert inst.anchor().tobytes() == point.tobytes()
 
 
-def test_a_failed_feasibility_lp_is_not_read_as_empty(monkeypatch):
-    # the thin far cone above with a third face, so that every lookup probes; a feasibility LP
-    # that fails to settle says nothing about emptiness, so a union must not drop the member
-    import scipy.optimize
+def _unit_rows(rows):
+    N = np.array(rows, dtype=float)
+    nrm = np.linalg.norm(N, axis=1)
+    assume((nrm > 0.1).all())
+    return N / nrm[:, None]
 
-    th = 0.01
-    faces = (([math.sin(th), -math.cos(th)], -1.0), ([math.sin(th), math.cos(th)], -1.0), ([1.0, 0.0], 0.0))
-    spec = sw.HalfSpaceIntersectionSpec(tuple(sw.HalfSpaceSpec(normal=nv, beta0=b) for nv, b in faces))
-    assert not spec._always_nonempty
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw: scipy.optimize.OptimizeResult(
-        status=4, success=False, message="Numerical difficulties encountered."))
-    for target in (spec, sw.UnionSpec((spec, sw.BallSpec(center=[0.0, 0.0], radius=1.0)))):
-        with pytest.raises(sw.ProjectionNotConverged) as err:
-            sw.instantiate(target, 0.0, np.zeros(2))
-        assert str(err.value) == "feasibility LP failed: Numerical difficulties encountered."
+
+@st.composite
+def _face_sets(draw):
+    """(normals, offsets) of 1-4 faces in 2-D or 3-D: random faces, a cone of half-angle down to
+    1e-3 rad with its apex anywhere in [-2, 2]^n, or a slab, empty or not, with random faces added."""
+    n = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(["random", "cone", "slab"]))
+    if kind == "cone":
+        k = draw(st.integers(2, 4))
+        u = _unit_rows([draw(st.lists(coord, min_size=n, max_size=n))])[0]
+        W = np.array([draw(st.lists(coord, min_size=n, max_size=n)) for _ in range(k)])
+        W = _unit_rows(W - np.outer(W @ u, u))      # face directions across the axis u
+        th = draw(st.floats(1e-3, 0.5))
+        N = math.sin(th) * -u + math.cos(th) * W
+        apex = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        return N, N @ apex
+    k = draw(st.integers(1, 4 if kind == "random" else 2))
+    N = _unit_rows([draw(st.lists(coord, min_size=n, max_size=n)) for _ in range(k)])
+    b = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    if kind == "slab":      # <zeta, z> <= b0 and <zeta, z> >= b0 + gap, empty for gap > 0
+        gap = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 2.0))
+        N, b = np.vstack([N[:1], -N[:1], N[1:]]), np.concatenate([b[:1], [-b[0] - gap], b[1:]])
+    return N, b
+
+
+@seed(35)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(faces=_face_sets())
+def test_the_exact_probe_agrees_with_an_lp(faces):
+    from scipy.optimize import linprog
+
+    N, b = faces
+    n = N.shape[1]
+    res = linprog(np.zeros(n), A_ub=N, b_ub=b, bounds=[(None, None)] * n, method="highs")
+    assert res.status in (0, 2)
+    try:
+        x = set_zoo._feasible(zip(N.tolist(), b.tolist()))
+    except sw.EmptyInstance:
+        assert res.status == 2, f"read as empty, the LP found {res.x}"
+        return
+    assert res.status == 0, f"the LP reads as empty, the probe found {x}"
+    assert (N @ x - b).max() <= 1e-9
+    assert np.linalg.norm(x) <= np.linalg.norm(res.x) + 1e-9       # the least-norm point
 
 
 def test_empty_box_reported():
@@ -249,6 +280,15 @@ def test_numpy_scalar_fields_are_stored_as_floats():
 def test_intersection_rejects_non_half_space_member():
     with pytest.raises(sw.InvalidVector, match="intersection members must be half-spaces"):
         sw.HalfSpaceIntersectionSpec((sw.BallSpec(center=[0.0], radius=1.0),))
+
+
+def test_intersection_caps_the_supports_its_probe_enumerates():
+    # k faces in the plane have k + k(k-1)/2 supports of size <= 2: 55 for 10, 66 for 11
+    def faces(k):
+        return tuple(sw.HalfSpaceSpec(normal=[math.cos(j), math.sin(j)], beta0=1.0) for j in range(k))
+    assert sw.HalfSpaceIntersectionSpec(faces(10)).n == 2
+    with pytest.raises(ValueError, match="^11 half-spaces in dimension 2 have 66 supports, more than 64$"):
+        sw.HalfSpaceIntersectionSpec(faces(11))
 
 
 def test_halfspace_state_direction_is_normalized_and_required_by_a_gain():
